@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import ContractError
 from .families import AdaptedFamily
 from .signals import Signal, lp_norm
-from .transforms import coefficients, lattice_rectangles
+from .transforms import _rectangle_weights, _spread, coefficients, lattice_rectangles
 
 
 def _extended_square(f: Signal) -> np.ndarray:
@@ -20,19 +18,9 @@ def _extended_square(f: Signal) -> np.ndarray:
     norm below stays faithful for signals that are not mean zero.
     """
     field = coefficients(f, AdaptedFamily.haar(f.d))
-    L, d = f.L, f.d
-    acc = np.zeros(((1 << L),) * d)
-    # extended per-axis slots: -1 denotes the mean block (support [0,1))
-    for levels in itertools.product(range(-1, L), repeat=d):
-        slices = tuple(
-            slice(0, 1) if k < 0 else slice(1 << k, 1 << (k + 1)) for k in levels
-        )
-        block = field.tensor[slices]
-        inv_measure = 2.0 ** sum(max(k, 0) for k in levels)
-        up = block**2 * inv_measure
-        for axis, k in enumerate(levels):
-            up = np.repeat(up, 1 << (L - max(k, 0)), axis=axis)
-        acc += up
+    acc = field.tensor**2 * _rectangle_weights(f.d, f.L, 1.0, means=True)
+    for axis in range(f.d):
+        acc = _spread(acc, axis, f.L, np.add)
     return np.sqrt(acc)
 
 

@@ -19,17 +19,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError, ResolutionError, ResourceError
+from .errors import ContractError
 from .families import AdaptedFamily
 from .lattice import RectangleCollection
 from .signals import Signal
-from .transforms import CoefficientField, coefficients
+from .transforms import CoefficientField, _rectangle_weights, _spread, coefficients
 
 SQUARE = "square"
 MAX = "max"
-
-# mixed-norm evaluation materializes one grid field per level tuple
-_MIXED_FIELD_CELLS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -83,33 +80,6 @@ class OperatorSpec:
         return cls(family, sigma, pi)
 
 
-def _level_tuples(d: int, L: int):
-    return itertools.product(range(L), repeat=d)
-
-
-def _upsample(block: np.ndarray, levels, L: int) -> np.ndarray:
-    out = block
-    for axis, k in enumerate(levels):
-        out = np.repeat(out, 1 << (L - k), axis=axis)
-    return out
-
-
-def _collection_masks(collection: RectangleCollection, d: int, L: int) -> dict:
-    """Per level tuple, a boolean membership array over positions."""
-    masks = {}
-    for rect in collection.members:
-        levels = rect.levels
-        if max(levels) >= L:
-            raise ResolutionError(
-                f"rectangle {rect.to_json()} is finer than the coefficient "
-                f"lattice at resolution {L}"
-            )
-        if levels not in masks:
-            masks[levels] = np.zeros([1 << k for k in levels], dtype=bool)
-        masks[levels][tuple(a.position for a in rect.axes)] = True
-    return masks
-
-
 def square_function(f: Signal, family: AdaptedFamily) -> Signal:
     """Pointwise l^2 aggregation; needs zeros in every coordinate."""
     if not all(family.zero_pattern):
@@ -132,50 +102,25 @@ def governing_operator(
         raise ContractError("operator and signal parameter counts differ")
     if field is None:
         field = coefficients(f, spec.family)
+    elif field.family != spec.family or (field.d, field.L) != (f.d, f.L):
+        raise ContractError(
+            "coefficient field does not match the operator family and grid"
+        )
     d, L = f.d, f.L
-    masks = None if collection is None else _collection_masks(collection, d, L)
-    grid = (1 << L,) * d
+    acc = np.abs(field.tensor) * _rectangle_weights(d, L, 0.5, collection)
 
-    # uniform sigma reduces in-place; mixed sigma materializes one field
-    # per level tuple and contracts in the prescribed nesting order
-    uniform = len(set(spec.sigma)) == 1
-    if uniform:
-        acc = np.zeros(grid)
-    else:
-        cells = L**d * (1 << (d * L))
-        if cells > _MIXED_FIELD_CELLS:
-            raise ResourceError(
-                f"mixed-norm evaluation at d={d}, L={L} needs {cells} field "
-                f"cells, above the cap {_MIXED_FIELD_CELLS}"
-            )
-        acc = np.zeros((L,) * d + grid)
-
-    for levels in _level_tuples(d, L):
-        block = np.abs(field.level_block(levels))
-        scale = 2.0 ** (sum(levels) / 2.0)
-        if masks is not None:
-            sel = masks.get(levels)
-            block = np.zeros_like(block) if sel is None else block * sel
-        contrib = _upsample(block, levels, L) * scale
-        if uniform and spec.sigma[0] == SQUARE:
-            acc += contrib**2
-        elif uniform:
-            np.maximum(acc, contrib, out=acc)
-        else:
-            acc[levels] = contrib
-
-    if uniform:
-        return Signal(d, L, np.sqrt(acc) if spec.sigma[0] == SQUARE else acc)
-
-    # innermost norm first: traverse the permutation from the inside out
-    remaining = list(range(d))
-    for coord in reversed(spec.pi):
-        axis = remaining.index(coord)
-        if spec.sigma[coord] == SQUARE:
-            acc = np.sqrt(np.sum(acc**2, axis=axis))
-        else:
-            acc = np.max(acc, axis=axis)
-        remaining.pop(axis)
+    # innermost norm first; a run of square coordinates sums squares
+    # through all of its axes and takes one square root when it ends
+    order = spec.pi[::-1]
+    for i, coord in enumerate(order):
+        if spec.sigma[coord] == MAX:
+            acc = _spread(acc, coord, L, np.maximum)
+            continue
+        if i == 0 or spec.sigma[order[i - 1]] == MAX:
+            acc = acc**2
+        acc = _spread(acc, coord, L, np.add)
+        if i == d - 1 or spec.sigma[order[i + 1]] == MAX:
+            acc = np.sqrt(acc)
     return Signal(d, L, acc)
 
 

@@ -13,6 +13,7 @@ least two mean-zero slots; violating specs are refused outright.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -26,9 +27,6 @@ from .operators import (
     MAX,
     SQUARE,
     OperatorSpec,
-    _collection_masks,
-    _level_tuples,
-    _upsample,
     conditional_expectation,
     governing_operator,
     maximal_function,
@@ -36,6 +34,8 @@ from .operators import (
 from .signals import Signal
 from .transforms import (
     CoefficientField,
+    _rectangle_weights,
+    _spread,
     coefficients,
     lattice_rectangles,
     reconstruct,
@@ -140,26 +140,16 @@ def eval_B(
         raise ContractError(f"expected {spec.n} input signals")
     fields = _slot_fields(spec, fs)
     d, L = fs[0].d, fs[0].L
-    n = spec.n
     out_family = spec.families[-1]
-    masks = None if collection is None else _collection_masks(collection, d, L)
-
-    weights = np.zeros(((1 << L),) * d)
-    for levels in _level_tuples(d, L):
-        prod = fields[0].level_block(levels).copy()
-        for field in fields[1:]:
-            prod = prod * field.level_block(levels)
-        if masks is not None:
-            sel = masks.get(levels)
-            prod = np.zeros_like(prod) if sel is None else prod * sel
-        scale = 2.0 ** (sum(levels) * (n - 1) / 2.0)
-        slices = tuple(slice(1 << k, 1 << (k + 1)) for k in levels)
-        weights[slices] = prod * scale
+    weights = fields[0].tensor
+    for field in fields[1:]:
+        weights = weights * field.tensor
+    weights = weights * _rectangle_weights(d, L, (spec.n - 1) / 2.0, collection)
 
     if out_family.is_orthonormal_basis:
         return reconstruct(CoefficientField(d, L, out_family, weights))
     out = np.zeros(((1 << L),) * d)
-    for levels in _level_tuples(d, L):
+    for levels in itertools.product(range(L), repeat=d):
         slices = tuple(slice(1 << k, 1 << (k + 1)) for k in levels)
         block = weights[slices]
         if not np.any(block):
@@ -172,18 +162,12 @@ def eval_B(
     return Signal(d, L, out)
 
 
-def _abs_products(spec, fs, collection):
+def _abs_product(spec, fs) -> np.ndarray:
     fields = _slot_fields(spec, fs)
-    d, L = fs[0].d, fs[0].L
-    masks = None if collection is None else _collection_masks(collection, d, L)
-    for levels in _level_tuples(d, L):
-        prod = np.abs(fields[0].level_block(levels))
-        for field in fields[1:]:
-            prod = prod * np.abs(field.level_block(levels))
-        if masks is not None:
-            sel = masks.get(levels)
-            prod = np.zeros_like(prod) if sel is None else prod * sel
-        yield levels, prod
+    prod = np.abs(fields[0].tensor)
+    for field in fields[1:]:
+        prod = prod * np.abs(field.tensor)
+    return prod
 
 
 def eval_Lambda(
@@ -194,12 +178,11 @@ def eval_Lambda(
     """The scalar sublinear form over n+1 signals."""
     if len(fs) != spec.n + 1:
         raise ContractError(f"expected {spec.n + 1} input signals")
-    n = spec.n
-    terms = []
-    for levels, prod in _abs_products(spec, fs, collection):
-        scale = 2.0 ** (sum(levels) * (n - 1) / 2.0)
-        terms.append(float(prod.sum()) * scale)
-    return math.fsum(terms)
+    d, L = fs[0].d, fs[0].L
+    terms = _abs_product(spec, fs) * _rectangle_weights(
+        d, L, (spec.n - 1) / 2.0, collection
+    )
+    return math.fsum(terms.ravel().tolist())
 
 
 def eval_L(
@@ -211,11 +194,11 @@ def eval_L(
     if len(fs) != spec.n + 1:
         raise ContractError(f"expected {spec.n + 1} input signals")
     d, L = fs[0].d, fs[0].L
-    n = spec.n
-    acc = np.zeros(((1 << L),) * d)
-    for levels, prod in _abs_products(spec, fs, collection):
-        scale = 2.0 ** (sum(levels) * (n + 1) / 2.0)
-        acc += _upsample(prod, levels, L) * scale
+    acc = _abs_product(spec, fs) * _rectangle_weights(
+        d, L, (spec.n + 1) / 2.0, collection
+    )
+    for axis in range(d):
+        acc = _spread(acc, axis, L, np.add)
     return Signal(d, L, acc)
 
 

@@ -11,6 +11,7 @@ the other families only rectangle coefficients are populated.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ContractError, ResolutionError, UnsupportedFamilyError
 from .families import AdaptedFamily
-from .lattice import DyadicRectangle, enumerate_rectangles
+from .lattice import DyadicInterval, DyadicRectangle, enumerate_rectangles
 from .signals import Signal
 
 
@@ -74,11 +75,6 @@ class CoefficientField:
             )
         return float(self.tensor[idx])
 
-    def level_block(self, levels: tuple) -> np.ndarray:
-        """Coefficients of all rectangles with the given per-axis levels."""
-        slices = tuple(slice(1 << k, 1 << (k + 1)) for k in levels)
-        return self.tensor[slices]
-
     def energy(self) -> float:
         return float(np.sum(self.tensor**2))
 
@@ -119,17 +115,96 @@ class CoefficientField:
             data["family"]["kind"], d, tuple(data["family"]["zero_pattern"])
         )
         tensor = np.zeros(((1 << L),) * d)
+        seen = set()
         for key, v in list(data["entries"]) + list(data["mean_blocks"]):
-            idx = tuple(
-                0 if part is None else flat_index(int(part[0]), int(part[1]))
-                for part in key
-            )
+            if len(key) != d:
+                raise ContractError(f"coefficient key {key} needs {d} parts")
+            idx = tuple(_key_slot(part, L) for part in key)
+            if idx in seen:
+                raise ContractError(f"duplicate coefficient key {key}")
+            seen.add(idx)
             tensor[idx] = float(v)
         return cls(d, L, fam, tensor)
 
     @classmethod
     def load_json(cls, path) -> "CoefficientField":
         return cls.from_json(json.loads(Path(path).read_text()))
+
+
+def _key_slot(part, L: int) -> int:
+    """Flat index of one JSON key part: None is the mean slot, otherwise a
+    dyadic interval whose level lies below the resolution."""
+    if part is None:
+        return 0
+    try:
+        iv = DyadicInterval.from_json(part)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"malformed interval key {part!r}") from exc
+    if iv.level >= L:
+        raise ResolutionError(
+            f"interval {iv.to_json()} has no coefficient slot at resolution {L}"
+        )
+    return flat_index(iv.level, iv.position)
+
+
+# ---------------------------------------------------------------------------
+# Per-axis dyadic spread and rectangle weights in coefficient layout
+# ---------------------------------------------------------------------------
+
+
+def _spread(coeffs: np.ndarray, axis: int, L: int, op) -> np.ndarray:
+    """Move one axis from coefficient layout to cells, coarse to fine.
+
+    Every cell receives the `op`-aggregate (np.add or np.maximum) of the
+    mean slot and of the slots of all intervals containing it, in that
+    order: run = op(run, block_k), then each entry covers both halves of
+    its interval.  O(2^L) per fiber.
+    """
+    a = np.moveaxis(coeffs, axis, -1)
+    run = a[..., 0:1]
+    for k in range(L):
+        run = np.repeat(op(run, a[..., (1 << k) : (1 << (k + 1))]), 2, axis=-1)
+    return np.moveaxis(run, -1, axis)
+
+
+def _rectangle_weights(
+    d: int, L: int, power: float, collection=None, means: bool = False
+) -> np.ndarray:
+    """2^(power * sum of levels) per slot of a coefficient tensor.
+
+    Mean slots count as level 0 when `means` is set and weigh 0 otherwise;
+    with a collection, rectangles outside it weigh 0 as well.  The powers
+    come from a table of Python floats, so each weight equals the scalar
+    2.0 ** (levels_sum * power) bit for bit.
+    """
+    table = np.array([2.0 ** (s * power) for s in range(d * L + 1)])
+    levels = np.zeros(1 << L, dtype=np.intp)
+    levels[1:] = np.repeat(np.arange(L), 1 << np.arange(L))
+    weights = table[functools.reduce(np.add.outer, [levels] * d)]
+    if means:
+        return weights
+    if collection is None:
+        keep = functools.reduce(np.logical_and.outer, [np.arange(1 << L) > 0] * d)
+    else:
+        keep = _collection_slots(collection, d, L)
+    return np.where(keep, weights, 0.0)
+
+
+def _collection_slots(collection, d: int, L: int) -> np.ndarray:
+    """Boolean coefficient-layout tensor marking the collection's members."""
+    if collection.members and collection.d != d:
+        raise ContractError("collection and signal parameter counts differ")
+    rows = []
+    for rect in collection.members:
+        if max(rect.levels) >= L:
+            raise ResolutionError(
+                f"rectangle {rect.to_json()} is finer than the coefficient "
+                f"lattice at resolution {L}"
+            )
+        rows.append([(1 << a.level) + a.position for a in rect.axes])
+    keep = np.zeros(((1 << L),) * d, dtype=bool)
+    keep[tuple(np.array(rows, dtype=np.intp).reshape(-1, d).T)] = True
+    return keep
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,15 @@ import sys
 import numpy as np
 import pytest
 
-from dyadicpara import ContractError, Signal, generate_signal, normalize, rectangle
+from dyadicpara import (
+    AdaptedFamily,
+    ContractError,
+    Signal,
+    coefficients,
+    generate_signal,
+    normalize,
+    rectangle,
+)
 from dyadicpara.harness import (
     SUITES,
     ExperimentConfig,
@@ -158,6 +166,19 @@ def test_cli_transform_inverse(tmp_path):
     f = np.loadtxt(sig)
     g = np.loadtxt(back)
     assert np.abs(f - g).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "entries", [[[[[1, 2]], 1.0]], [[[[4, 0]], 1.0]], [[[[1, 0]], 1.0], [[[1, 0]], 2.0]]]
+)
+def test_cli_transform_inverse_malformed_keys_exit_2(tmp_path, entries):
+    coef = tmp_path / "c.json"
+    data = coefficients(Signal.zeros(1, 4), AdaptedFamily.haar(1)).to_json()
+    data["entries"] = entries
+    coef.write_text(json.dumps(data))
+    r = _cli("transform", "--inverse", "--in", str(coef))
+    assert r.returncode == 2
+    assert "contract error" in r.stderr
 
 
 def test_cli_verify_pass():

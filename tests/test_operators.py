@@ -22,6 +22,8 @@ from dyadicpara import (
     square_function,
 )
 
+import level_tuple_oracle as oracle
+
 
 def _haar_signal(rect, L, d=1):
     fam = AdaptedFamily.haar(d)
@@ -285,12 +287,29 @@ def test_condexp_needs_one_parameter():
         conditional_expectation(Signal.zeros(2, 2), [])
 
 
-def test_mixed_norm_memory_cap():
-    from dyadicpara import ResourceError
+def test_mixed_operator_at_resolution_cap(rng):
+    # mixed norms run at every resolution a Signal accepts, d=3 L=6 included
+    spec = OperatorSpec(AdaptedFamily.haar(3), ("max", "square", "square"))
+    big = governing_operator(Signal(3, 6, rng.standard_normal((64,) * 3)), spec)
+    assert big.values.shape == (64,) * 3
+    assert np.isfinite(big.values).all()
+    f = Signal(3, 3, rng.standard_normal((8,) * 3))
+    got = governing_operator(f, spec).values
+    want = oracle.governing_operator(f, spec).values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    fam = AdaptedFamily.haar(3)
-    spec = OperatorSpec(fam, ("max", "square", "square"))
-    with pytest.raises(ResourceError):
-        governing_operator(Signal.zeros(3, 6), spec)
-    # uniform norms stay cheap at the same size
-    square_function(Signal.zeros(3, 6), fam)
+
+def test_governing_rejects_foreign_field(rng):
+    f = Signal(1, 4, rng.standard_normal(16))
+    spec = OperatorSpec.all_max(AdaptedFamily.abs_haar(1))
+    with pytest.raises(ContractError):
+        governing_operator(f, spec, field=coefficients(f, AdaptedFamily.haar(1)))
+    coarse = Signal(1, 3, rng.standard_normal(8))
+    full = RectangleCollection.of(lattice_rectangles(1, 3), 3)
+    with pytest.raises(ContractError):
+        restricted_operator(f, spec, full, field=coefficients(coarse, spec.family))
+    own = coefficients(f, spec.family)
+    assert np.array_equal(
+        governing_operator(f, spec, field=own).values,
+        governing_operator(f, spec).values,
+    )

@@ -4,6 +4,7 @@ import pytest
 from dyadicpara import (
     AdaptedFamily,
     CoefficientField,
+    ContractError,
     ResolutionError,
     Signal,
     UnsupportedFamilyError,
@@ -103,6 +104,34 @@ def test_field_json_round_trip(rng):
     for key, _ in data["entries"]:
         assert all(part is not None for part in key)
     assert any(any(part is None for part in key) for key, _ in data["mean_blocks"])
+
+
+@pytest.mark.parametrize(
+    "key, error",
+    [
+        ([[1, 2]], ContractError),  # position outside level 1
+        ([[0, -1]], ContractError),  # negative position
+        ([[3, 0]], ResolutionError),  # no slot at level L
+        ([[1]], ContractError),  # not a (level, position) pair
+        ([[0, 0], [0, 0]], ContractError),  # two parts at d=1
+    ],
+)
+def test_field_json_rejects_malformed_keys(key, error):
+    data = coefficients(Signal.zeros(1, 3), AdaptedFamily.haar(1)).to_json()
+    data["entries"] = [[key, 1.0]]
+    with pytest.raises(error):
+        CoefficientField.from_json(data)
+
+
+def test_field_json_rejects_duplicate_keys():
+    data = coefficients(Signal.zeros(1, 3), AdaptedFamily.haar(1)).to_json()
+    data["entries"] = [[[[1, 0]], 1.0], [[[1, 0]], 2.0]]
+    with pytest.raises(ContractError):
+        CoefficientField.from_json(data)
+    data["entries"] = []
+    data["mean_blocks"] = [[[None], 1.0], [[None], 1.0]]
+    with pytest.raises(ContractError):
+        CoefficientField.from_json(data)
 
 
 def test_mean_blocks_complete_reconstruction(rng):
