@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import DyadicError
+from .errors import ContractError, DyadicError
 from .families import AdaptedFamily
 from .harness import (
     ExperimentConfig,
@@ -116,11 +116,18 @@ def _grid_args(args):
     return d, L, seed
 
 
+def _read(load, path: str, *args):
+    """Run a file loader; an unreadable or malformed file violates the contract."""
+    try:
+        return load(path, *args)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ContractError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_signal(path: str, d: int, L: int) -> Signal:
-    p = Path(path)
-    if p.suffix == ".json":
-        return Signal.load_json(p)
-    return Signal.load_csv(p, d, L)
+    if Path(path).suffix == ".json":
+        return _read(Signal.load_json, path)
+    return _read(Signal.load_csv, path, d, L)
 
 
 def _save_signal(f: Signal, path: str):
@@ -166,7 +173,7 @@ def _cmd_norm(args) -> int:
 
 def _cmd_transform(args) -> int:
     if args.inverse:
-        field = CoefficientField.load_json(args.infile)
+        field = _read(CoefficientField.load_json, args.infile)
         f = reconstruct(field)
         if args.out:
             _save_signal(f, args.out)

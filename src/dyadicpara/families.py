@@ -114,8 +114,7 @@ def _unit_l2(values: np.ndarray, L: int) -> np.ndarray:
     return values / norm
 
 
-@functools.lru_cache(maxsize=None)
-def _step_profile_cached(k: int, j: int, L: int, zero: bool) -> np.ndarray:
+def _step_row(k: int, j: int, L: int, zero: bool) -> np.ndarray:
     if k >= L:
         raise ContractError(f"step profile at level {k} needs resolution > {k}")
     n = 1 << L
@@ -132,12 +131,14 @@ def _step_profile_cached(k: int, j: int, L: int, zero: bool) -> np.ndarray:
     return out
 
 
+_step_profile_cached = functools.lru_cache(maxsize=None)(_step_row)
+
+
 def _step_profile(k, j, L, zero):
     return _step_profile_cached(int(k), int(j), int(L), bool(zero))
 
 
-@functools.lru_cache(maxsize=None)
-def _gaussian_profile_cached(k: int, j: int, L: int, zero: bool) -> np.ndarray:
+def _gaussian_row(k: int, j: int, L: int, zero: bool) -> np.ndarray:
     if k >= L:
         raise ContractError(f"smooth profile at level {k} needs resolution > {k}")
     n = 1 << L
@@ -154,17 +155,23 @@ def _gaussian_profile_cached(k: int, j: int, L: int, zero: bool) -> np.ndarray:
     return out
 
 
+_gaussian_profile_cached = functools.lru_cache(maxsize=None)(_gaussian_row)
+
+
 def _gaussian_profile(k, j, L, zero):
     return _gaussian_profile_cached(int(k), int(j), int(L), bool(zero))
 
 
 @functools.lru_cache(maxsize=None)
 def _profile_matrix_cached(family: AdaptedFamily, axis: int, L: int) -> np.ndarray:
+    # rows come from the uncached builders: the matrix is the only copy kept
+    row = _gaussian_row if family.is_smooth else _step_row
+    zero = family.zero_pattern[axis]
     n = 1 << L
     out = np.zeros((n, n))
     for k in range(L):
         for j in range(1 << k):
-            out[(1 << k) + j] = family.axis_profile(axis, k, j, L)
+            out[(1 << k) + j] = row(k, j, L, zero)
     out.flags.writeable = False
     return out
 

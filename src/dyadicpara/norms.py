@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, ResourceError
 from .families import AdaptedFamily
 from .signals import Signal, lp_norm
 from .transforms import _rectangle_weights, _spread, coefficients, lattice_rectangles
@@ -46,18 +46,21 @@ def bmo_norm_1param(f: Signal) -> float:
     return float(np.sqrt(best))
 
 
-def _rect_mask(rect, L):
-    out = np.zeros(((1 << L),) * rect.d, dtype=bool)
-    out[rect.cell_slices(L)] = True
-    return out
-
-
 def _rectangle_energy_rows(f: Signal):
+    """Squared Haar coefficient and boolean cell row of each lattice rectangle."""
+    n_bytes = ((1 << f.L) - 1) ** f.d << (f.d * f.L)
+    if n_bytes > _ROW_MATRIX_BYTES:
+        raise ResourceError(
+            f"the rectangle-by-cell matrix at d={f.d} L={f.L} needs "
+            f"{n_bytes} bytes, over the cap of {_ROW_MATRIX_BYTES}"
+        )
     field = coefficients(f, AdaptedFamily.haar(f.d))
     rects = lattice_rectangles(f.d, f.L)
     energies = np.array([field.rectangle_coefficient(r) ** 2 for r in rects])
-    rows = np.stack([_rect_mask(r, f.L).ravel() for r in rects])
-    return rects, energies, rows
+    rows = np.zeros((len(rects),) + f.values.shape, dtype=bool)
+    for row, r in zip(rows, rects):
+        row[r.cell_slices(f.L)] = True
+    return rects, energies, rows.reshape(len(rects), f.values.size)
 
 
 def energy_in_region(f: Signal, mask: np.ndarray) -> float:
@@ -70,6 +73,8 @@ def energy_in_region(f: Signal, mask: np.ndarray) -> float:
 
 # exact-marginal greedy only below this n_rects^2 * n_cells budget
 _EXACT_GREEDY_OPS = 1 << 26
+# largest n_rects x n_cells boolean matrix the region energies may build
+_ROW_MATRIX_BYTES = 1 << 30
 
 
 def product_bmo_lower(f: Signal, budget: int = 16) -> float:

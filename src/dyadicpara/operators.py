@@ -12,7 +12,6 @@ per coordinate in a prescribed nesting order.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -143,7 +142,10 @@ def conditional_expectation(f: Signal, intervals) -> Signal:
     if f.d != 1:
         raise ContractError("conditional expectation is one-parameter only")
     intervals = list(intervals)
-    for a, b in itertools.combinations(intervals, 2):
+    # dyadic intervals nest or are disjoint: sorted by left end, wider first,
+    # an interval that contains another also contains its successor
+    ordered = sorted(intervals, key=lambda iv: (iv.left, iv.level))
+    for a, b in zip(ordered, ordered[1:]):
         if not a.is_disjoint(b):
             raise ContractError(
                 f"intervals {a.to_json()} and {b.to_json()} overlap"

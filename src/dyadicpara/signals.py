@@ -154,7 +154,14 @@ def lp_norm(f: Signal, p: float) -> float:
     a = np.abs(f.values)
     if np.isinf(p):
         return float(a.max()) if a.size else 0.0
-    return float((np.sum(a**p) * f.cell_measure) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        value = float((np.sum(a**p) * f.cell_measure) ** (1.0 / p))
+    if value == 0.0 or math.isinf(value):
+        # a**p may have left the float range: take powers of |f| / max|f|
+        m = float(a.max())
+        if m > 0.0:
+            value = m * float((np.sum((a / m) ** p) * f.cell_measure) ** (1.0 / p))
+    return value
 
 
 def weak_quasinorm(f: Signal, r: float) -> float:

@@ -244,10 +244,10 @@ def _haar_synthesis_axis(coeffs: np.ndarray, axis: int, L: int) -> np.ndarray:
 
 
 def _dense_analysis_axis(
-    values: np.ndarray, axis: int, L: int, matrix: np.ndarray
+    values: np.ndarray, axis: int, matrix: np.ndarray
 ) -> np.ndarray:
-    weighted = matrix * 2.0**-L
-    moved = np.tensordot(weighted, values, axes=(1, axis))
+    """Contract one axis with the cached profile matrix, read in place."""
+    moved = np.tensordot(matrix, values, axes=(1, axis))
     return np.moveaxis(moved, 0, axis)
 
 
@@ -265,10 +265,13 @@ def coefficients(f: Signal, family: AdaptedFamily) -> CoefficientField:
         for axis in range(f.d):
             tensor = _haar_analysis_axis(tensor, axis, f.L)
     else:
+        # the cell measure is a power of two, so scaling the input once
+        # instead of each matrix rounds every product the same way (outside
+        # the subnormal range)
+        tensor = tensor * f.cell_measure
         for axis in range(f.d):
-            tensor = _dense_analysis_axis(
-                tensor, axis, f.L, family.profile_matrix(axis, f.L)
-            )
+            matrix = family.profile_matrix(axis, f.L)
+            tensor = _dense_analysis_axis(tensor, axis, matrix)
     return CoefficientField(f.d, f.L, family, tensor)
 
 

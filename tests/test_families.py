@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from dyadicpara import AdaptedFamily, ContractError, adaptedness_check, rectangle
+from dyadicpara import (
+    AdaptedFamily,
+    ContractError,
+    adaptedness_check,
+    families,
+    rectangle,
+)
 
 
 def test_kind_validation():
@@ -113,3 +119,17 @@ def test_almost_orthogonality_bound():
             worst = max(worst, rho / bound)
     assert np.isfinite(worst)
     assert worst < 100.0
+
+
+@pytest.mark.parametrize("kind", ["abs-haar", "gaussian-smooth"])
+def test_profile_matrix_does_not_cache_rows(kind):
+    # rows other tests cached would hide new ones, so start the row caches empty
+    families._step_profile_cached.cache_clear()
+    families._gaussian_profile_cached.cache_clear()
+    fam = AdaptedFamily.make(kind, 1, N=5)  # a matrix key no other test builds
+    misses = families._profile_matrix_cached.cache_info().misses
+    matrix = fam.profile_matrix(0, 7)
+    assert families._profile_matrix_cached.cache_info().misses == misses + 1
+    assert families._step_profile_cached.cache_info().currsize == 0
+    assert families._gaussian_profile_cached.cache_info().currsize == 0
+    assert np.array_equal(matrix[(1 << 3) + 5], fam.axis_profile(0, 3, 5, 7))

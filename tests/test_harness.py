@@ -14,6 +14,7 @@ from dyadicpara import (
     normalize,
     rectangle,
 )
+from dyadicpara.cli import main
 from dyadicpara.harness import (
     SUITES,
     ExperimentConfig,
@@ -179,6 +180,24 @@ def test_cli_transform_inverse_malformed_keys_exit_2(tmp_path, entries):
     r = _cli("transform", "--inverse", "--in", str(coef))
     assert r.returncode == 2
     assert "contract error" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "name, text, args",
+    [
+        ("f.json", '{"d": 1, "L": 3, "values": [0.0, 0.', ["norm"]),
+        ("c.json", '{"d": 1, "L": 3, "family": {"kind": "ha', ["transform", "--inverse"]),
+        ("f.csv", "x\n", ["norm", "--d", "1", "--L", "3"]),
+        ("f.csv", None, ["norm", "--d", "1", "--L", "3"]),
+    ],
+    ids=["norm-truncated-json", "inverse-truncated-json", "csv-not-a-number", "missing"],
+)
+def test_cli_unreadable_input_exit_2(tmp_path, capsys, name, text, args):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    assert main([*args, "--in", str(path)]) == 2
+    assert f"contract error: cannot read {path}" in capsys.readouterr().err
 
 
 def test_cli_verify_pass():

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dyadicpara import (
     AdaptedFamily,
     ContractError,
+    ResourceError,
     Signal,
     bmo_norm_1param,
     coefficients,
@@ -83,6 +86,26 @@ def test_product_bmo_constant():
 def test_product_bmo_needs_d2():
     with pytest.raises(ContractError):
         product_bmo_lower(Signal.zeros(1, 3))
+
+
+def test_rectangle_row_matrix_refused_up_front():
+    f = Signal.zeros(2, 8)  # 255^2 rectangles x 2^16 cells: 4 GiB of rows
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            product_bmo_lower(f)
+        with pytest.raises(ResourceError):
+            energy_in_region(f, np.ones((256, 256), dtype=bool))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_rectangle_row_matrix_below_cap_runs():
+    f = _haar_signal(rectangle((3, 5), (6, 1)), 7, d=2)  # 127^2 x 2^14: 252 MiB
+    region = np.ones((128, 128), dtype=bool)
+    assert energy_in_region(f, region) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_product_bmo_disjoint_pair():

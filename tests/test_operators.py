@@ -270,6 +270,15 @@ def test_condexp_rejects_overlap():
         )
 
 
+def test_condexp_rejects_nested_pair_apart_in_input():
+    # the nested pair (1, 1) ⊃ (3, 7) is neither adjacent in the input nor first
+    ivs = [interval(3, 7), interval(2, 0), interval(3, 2), interval(1, 1)]
+    with pytest.raises(ContractError, match=r"\[1, 1\] and \[3, 7\] overlap"):
+        conditional_expectation(Signal.zeros(1, 4), ivs)
+    with pytest.raises(ContractError, match="overlap"):
+        conditional_expectation(Signal.zeros(1, 4), [interval(2, 3), interval(2, 3)])
+
+
 def test_condexp_exact_properties(rng):
     for _ in range(50):
         f = Signal(1, 5, rng.standard_normal(32))

@@ -26,6 +26,23 @@ def test_lp_examples():
     assert lp_norm(haar, np.inf) == 1.0
 
 
+@pytest.mark.parametrize("c, p", [(10.0, 400.0), (1e-5, 100.0), (-1e200, 2.0)])
+def test_lp_no_overflow_or_underflow(c, p):
+    assert lp_norm(Signal.constant(1, 4, c), p) == abs(c)
+    half = c * Signal.indicator(rectangle((1, 0)), 4)
+    assert lp_norm(half, p) == pytest.approx(abs(c) * 0.5 ** (1 / p), rel=1e-14)
+
+
+def test_lp_in_range_unchanged(rng):
+    # the fallback only replaces an inf or 0.0 result; finite values stay exact
+    for p in (0.5, 1.0, 2.0, 3.7, 40.0):
+        for d, L in ((1, 6), (2, 3)):
+            scale = 10.0 ** rng.integers(-3, 4)
+            f = Signal(d, L, rng.standard_normal(((1 << L),) * d) * scale)
+            a = np.abs(f.values)
+            assert lp_norm(f, p) == float((np.sum(a**p) * f.cell_measure) ** (1.0 / p))
+
+
 def test_lp_contract():
     with pytest.raises(ContractError):
         lp_norm(Signal.zeros(1, 2), 0.0)

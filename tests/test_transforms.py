@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,49 @@ def test_mean_blocks_complete_reconstruction(rng):
     field = coefficients(f, AdaptedFamily.haar(2))
     assert field.oscillatory_energy() < field.energy()
     assert np.abs(reconstruct(field).values - f.values).max() < 1e-11
+
+
+def _scaled_matrix_oracle(f, family):
+    """Dense analysis that scales each profile matrix by 2^-L per axis."""
+    values = f.values.astype(float)
+    for axis in range(f.d):
+        matrix = family.profile_matrix(axis, f.L) * 2.0**-f.L
+        values = np.moveaxis(np.tensordot(matrix, values, axes=(1, axis)), 0, axis)
+    return values
+
+
+_DENSE_FAMILIES = [
+    lambda d: AdaptedFamily.abs_haar(d),
+    lambda d: AdaptedFamily.smooth(d),
+    lambda d: AdaptedFamily.smooth(d, zero_pattern=[a % 2 == 0 for a in range(d)]),
+    lambda d: AdaptedFamily.smooth_bump(d),
+    lambda d: AdaptedFamily.make("haar", d, [a % 2 == 1 for a in range(d)]),
+]
+
+
+@pytest.mark.parametrize("make", _DENSE_FAMILIES)
+@pytest.mark.parametrize("d, L", [(1, 7), (2, 5), (3, 3)])
+def test_dense_transform_matches_scaled_matrix_oracle(rng, make, d, L):
+    family = make(d)
+    shape = ((1 << L),) * d
+    inputs = [rng.standard_normal(shape) * scale for scale in (1e-6, 1.0, 1e5)]
+    inputs += [rng.random(shape) < 0.5, np.ones(shape, dtype=bool)]
+    for values in inputs:
+        f = Signal(d, L, values.astype(float))
+        want = _scaled_matrix_oracle(f, family)
+        assert np.array_equal(coefficients(f, family).tensor, want)
+
+
+def test_dense_transform_makes_no_matrix_copy():
+    L = 11
+    n = 1 << L
+    family = AdaptedFamily.abs_haar(1)
+    family.profile_matrix(0, L)  # warm the cache
+    f = Signal(1, L, np.ones(n))
+    tracemalloc.start()
+    try:
+        coefficients(f, family)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 // 8
