@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CalibrationError, ContractError
 from .families import AdaptedFamily
 from .lattice import DyadicInterval, DyadicRectangle, RectangleCollection, dilate
-from .operators import OperatorSpec, governing_operator, restricted_operator
+from .operators import OperatorSpec, _above_dyadic, governing_operator, restricted_operator
 from .paraproducts import ParaproductSpec, eval_B, eval_Lambda, slot_operator_specs
 from .signals import Signal, lp_norm
 from .transforms import lattice_rectangles
@@ -153,7 +153,7 @@ def _omega_sets(t_values, kappa, nu, t0_spec):
         omega |= inflated.values > OMEGA_FRACTION * 2.0 ** (-nu * ell)
     if omega.any():
         spread = governing_operator(Signal.from_mask(omega), t0_spec)
-        omega_tilde = spread.values > 0.5
+        omega_tilde = _above_dyadic(spread.values, 0.5)
     else:
         omega_tilde = np.zeros(grid_shape, dtype=bool)
     return omega_ell, omega, omega_tilde
@@ -418,7 +418,7 @@ def shadow_layer_decay(
     prev = np.zeros_like(shadow_mask)
     total = 0.0
     for k in range(cap + 1):
-        mask = spread > 2.0 ** (-1 - k)
+        mask = _above_dyadic(spread, 2.0 ** (-1 - k))
         ring = mask & ~prev
         prev = mask
         if ring.any():

@@ -131,7 +131,10 @@ def _step_row(k: int, j: int, L: int, zero: bool) -> np.ndarray:
     return out
 
 
-_step_profile_cached = functools.lru_cache(maxsize=None)(_step_row)
+# bounded: a row is 2^L floats (64 KiB at L=13), and the caches live as long
+# as the process
+_ROW_CACHE_SIZE = 256
+_step_profile_cached = functools.lru_cache(maxsize=_ROW_CACHE_SIZE)(_step_row)
 
 
 def _step_profile(k, j, L, zero):
@@ -155,14 +158,16 @@ def _gaussian_row(k: int, j: int, L: int, zero: bool) -> np.ndarray:
     return out
 
 
-_gaussian_profile_cached = functools.lru_cache(maxsize=None)(_gaussian_row)
+_gaussian_profile_cached = functools.lru_cache(maxsize=_ROW_CACHE_SIZE)(_gaussian_row)
 
 
 def _gaussian_profile(k, j, L, zero):
     return _gaussian_profile_cached(int(k), int(j), int(L), bool(zero))
 
 
-@functools.lru_cache(maxsize=None)
+# bounded: a matrix is 4^L floats (512 MiB at L=13); with eight entries the
+# C01-C12 suite configurations still build each of their matrices once
+@functools.lru_cache(maxsize=8)
 def _profile_matrix_cached(family: AdaptedFamily, axis: int, L: int) -> np.ndarray:
     # rows come from the uncached builders: the matrix is the only copy kept
     row = _gaussian_row if family.is_smooth else _step_row

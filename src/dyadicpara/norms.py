@@ -63,18 +63,34 @@ def _rectangle_energy_rows(f: Signal):
     return rects, energies, rows.reshape(len(rects), f.values.size)
 
 
+def _rows_inside(rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Which cell rows lie inside the flat region mask.
+
+    Tested over row chunks of at most _INSIDE_CHUNK_BYTES, so the boolean
+    temporary stays small next to the row matrix; a matrix within one
+    chunk is tested in a single expression.
+    """
+    outside = ~flat
+    step = max(1, _INSIDE_CHUNK_BYTES // rows.shape[1])
+    inside = np.empty(len(rows), dtype=bool)
+    for i in range(0, len(rows), step):
+        inside[i : i + step] = ~np.any(rows[i : i + step] & outside, axis=1)
+    return inside
+
+
 def energy_in_region(f: Signal, mask: np.ndarray) -> float:
     """Sum of squared Haar coefficients of rectangles inside the region."""
     _, energies, rows = _rectangle_energy_rows(f)
     flat = np.asarray(mask, dtype=bool).ravel()
-    inside = ~np.any(rows & ~flat, axis=1)
-    return float(energies[inside].sum())
+    return float(energies[_rows_inside(rows, flat)].sum())
 
 
 # exact-marginal greedy only below this n_rects^2 * n_cells budget
 _EXACT_GREEDY_OPS = 1 << 26
 # largest n_rects x n_cells boolean matrix the region energies may build
 _ROW_MATRIX_BYTES = 1 << 30
+# largest rows-by-cells temporary of one inside-the-region test
+_INSIDE_CHUNK_BYTES = 1 << 21
 
 
 def product_bmo_lower(f: Signal, budget: int = 16) -> float:
@@ -96,7 +112,7 @@ def product_bmo_lower(f: Signal, budget: int = 16) -> float:
     counts = rows.sum(axis=1)
 
     def inside_energy(mask):
-        return float(energies[~np.any(rows & ~mask, axis=1)].sum())
+        return float(energies[_rows_inside(rows, mask)].sum())
 
     def region_value(mask):
         covered = int(mask.sum())

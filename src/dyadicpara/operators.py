@@ -91,6 +91,19 @@ def maximal_function(f: Signal, family: AdaptedFamily) -> Signal:
     return governing_operator(f, OperatorSpec.all_max(family))
 
 
+# The abs-Haar maximal function of an indicator takes dyadic values,
+# multiples of 2^-(dL) with dL <= 18, but the 2^(k/2) normalisations leave a
+# few ulps of rounding on them, to either side depending on the order of
+# summation.  Raising a dyadic threshold by far less than 2^-(dL) decides an
+# exact tie as exact arithmetic does: not above.
+_TIE_SLACK = 2.0**-30
+
+
+def _above_dyadic(values: np.ndarray, threshold: float) -> np.ndarray:
+    """values > threshold, for the maximal function of an indicator."""
+    return values > threshold * (1.0 + _TIE_SLACK)
+
+
 def governing_operator(
     f: Signal,
     spec: OperatorSpec,

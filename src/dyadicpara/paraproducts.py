@@ -27,6 +27,7 @@ from .operators import (
     MAX,
     SQUARE,
     OperatorSpec,
+    _above_dyadic,
     conditional_expectation,
     governing_operator,
     maximal_function,
@@ -265,7 +266,7 @@ def haar_surgery(spec: ParaproductSpec, f1: Signal, f2: Signal) -> dict:
     m2 = maximal_function(f2, mf).values
     e_mask = (m1 > 1.0) | (m2 > 1.0)
     m_ind = maximal_function(Signal.from_mask(e_mask), mf).values
-    f_mask = m_ind > 0.5
+    f_mask = _above_dyadic(m_ind, 0.5)
     pieces = maximal_intervals_in_mask(f_mask)
     g1 = conditional_expectation(f1, pieces)
     g2 = conditional_expectation(f2, pieces)

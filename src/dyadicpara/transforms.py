@@ -175,19 +175,26 @@ def _rectangle_weights(
     Mean slots count as level 0 when `means` is set and weigh 0 otherwise;
     with a collection, rectangles outside it weigh 0 as well.  The powers
     come from a table of Python floats, so each weight equals the scalar
-    2.0 ** (levels_sum * power) bit for bit.
+    2.0 ** (levels_sum * power) bit for bit.  Without a collection (or with
+    `means`) the result is a shared read-only array.
     """
+    weights = _weight_table(d, L, power, means)
+    if means or collection is None:
+        return weights
+    return np.where(_collection_slots(collection, d, L), weights, 0.0)
+
+
+@functools.lru_cache(maxsize=32)
+def _weight_table(d: int, L: int, power: float, means: bool) -> np.ndarray:
     table = np.array([2.0 ** (s * power) for s in range(d * L + 1)])
     levels = np.zeros(1 << L, dtype=np.intp)
     levels[1:] = np.repeat(np.arange(L), 1 << np.arange(L))
     weights = table[functools.reduce(np.add.outer, [levels] * d)]
-    if means:
-        return weights
-    if collection is None:
-        keep = functools.reduce(np.logical_and.outer, [np.arange(1 << L) > 0] * d)
-    else:
-        keep = _collection_slots(collection, d, L)
-    return np.where(keep, weights, 0.0)
+    if not means:
+        rect = functools.reduce(np.logical_and.outer, [np.arange(1 << L) > 0] * d)
+        weights = np.where(rect, weights, 0.0)
+    weights.flags.writeable = False
+    return weights
 
 
 def _collection_slots(collection, d: int, L: int) -> np.ndarray:
@@ -251,11 +258,39 @@ def _dense_analysis_axis(
     return np.moveaxis(moved, 0, axis)
 
 
+# axis length from which a step family's diagonal blocks beat the dense
+# product (measured with one BLAS thread: at d=1 the blocks win from 2^9,
+# at d=2 from 2^8; d=3 grids stop at 2^6)
+_STEP_BLOCKS_MIN_N = 1 << 9
+
+
+def _step_analysis_axis(
+    values: np.ndarray, axis: int, matrix: np.ndarray
+) -> np.ndarray:
+    """`_dense_analysis_axis` for a step-profile matrix, reading only the
+    entries that can be nonzero.
+
+    Row 2^k + j of a step matrix vanishes outside the 2^(L-k) cells of
+    interval (k, j), so level k is the diagonal of the rows 2^k .. 2^(k+1)-1
+    cut into 2^k column groups: n·L entries per axis instead of n².
+    """
+    n = matrix.shape[0]
+    pre = int(np.prod(values.shape[:axis], dtype=np.intp))
+    a = values.reshape(pre, n, -1)
+    out = np.zeros(a.shape)
+    for k in range(n.bit_length() - 1):
+        m, w = 1 << k, n >> k
+        block = matrix[m : 2 * m].reshape(m, m, w).diagonal(axis1=0, axis2=1)
+        out[:, m : 2 * m] = np.einsum("pjcq,cj->pjq", a.reshape(pre, m, w, -1), block)
+    return out.reshape(values.shape)
+
+
 def coefficients(f: Signal, family: AdaptedFamily) -> CoefficientField:
     """Inner products of f against every representable rectangle profile.
 
     The orthonormal Haar family uses the per-axis cascade and also fills
-    the mean blocks; other families use dense per-axis profile matrices and
+    the mean blocks; other families contract with per-axis profile matrices
+    (step families on large grids read only their diagonal blocks) and
     populate rectangle entries only.
     """
     if family.d != f.d:
@@ -265,13 +300,15 @@ def coefficients(f: Signal, family: AdaptedFamily) -> CoefficientField:
         for axis in range(f.d):
             tensor = _haar_analysis_axis(tensor, axis, f.L)
     else:
+        step_blocks = not family.is_smooth and (1 << f.L) >= _STEP_BLOCKS_MIN_N
+        analysis = _step_analysis_axis if step_blocks else _dense_analysis_axis
         # the cell measure is a power of two, so scaling the input once
         # instead of each matrix rounds every product the same way (outside
         # the subnormal range)
         tensor = tensor * f.cell_measure
         for axis in range(f.d):
             matrix = family.profile_matrix(axis, f.L)
-            tensor = _dense_analysis_axis(tensor, axis, matrix)
+            tensor = analysis(tensor, axis, matrix)
     return CoefficientField(f.d, f.L, family, tensor)
 
 

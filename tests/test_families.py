@@ -133,3 +133,42 @@ def test_profile_matrix_does_not_cache_rows(kind):
     assert families._step_profile_cached.cache_info().currsize == 0
     assert families._gaussian_profile_cached.cache_info().currsize == 0
     assert np.array_equal(matrix[(1 << 3) + 5], fam.axis_profile(0, 3, 5, 7))
+
+
+@pytest.mark.parametrize("kind", ["haar", "abs-haar"])
+@pytest.mark.parametrize("zero", [False, True])
+def test_step_matrix_vanishes_outside_diagonal_blocks(kind, zero):
+    # the step-block transform reads only these blocks: row 2^k + j is zero
+    # outside the 2^(L-k) cells of interval (k, j)
+    build = families._profile_matrix_cached.__wrapped__  # uncached: 512 MiB at L=13
+    for L in range(1, 14):
+        matrix = build(AdaptedFamily.make(kind, 1, (zero,)), 0, L)
+        n = 1 << L
+        inside = sum(
+            np.count_nonzero(
+                matrix[1 << k : 2 << k].reshape(1 << k, 1 << k, n >> k).diagonal(axis1=0, axis2=1)
+            )
+            for k in range(L)
+        )
+        assert np.count_nonzero(matrix) == inside == n * L
+        del matrix
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [
+        ("_profile_matrix_cached", lambda i: (AdaptedFamily.make("abs-haar", 1, N=100 + i), 0, 2)),
+        ("_step_profile_cached", lambda i: (9, i, 10, False)),
+        ("_gaussian_profile_cached", lambda i: (9, i, 10, True)),
+    ],
+)
+def test_profile_caches_evict_past_their_bound(name, key):
+    cached = getattr(families, name)
+    bound = cached.cache_info().maxsize
+    assert bound is not None
+    for i in range(bound + 1):
+        cached(*key(i))
+    info = cached.cache_info()
+    assert info.currsize == bound
+    cached(*key(0))  # the least recently used entry was evicted
+    assert cached.cache_info().misses == info.misses + 1

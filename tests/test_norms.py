@@ -17,7 +17,7 @@ from dyadicpara import (
     product_bmo_lower,
     rectangle,
 )
-from dyadicpara.norms import energy_in_region
+from dyadicpara.norms import _rectangle_energy_rows, _rows_inside, energy_in_region
 
 
 def _haar_signal(rect, L, d=1):
@@ -106,6 +106,25 @@ def test_rectangle_row_matrix_below_cap_runs():
     f = _haar_signal(rectangle((3, 5), (6, 1)), 7, d=2)  # 127^2 x 2^14: 252 MiB
     region = np.ones((128, 128), dtype=bool)
     assert energy_in_region(f, region) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_region_energy_temporary_stays_small(rng):
+    f = Signal(2, 6, rng.standard_normal((64, 64)))
+    mask = rng.random((64, 64)) < 0.7
+    _, energies, rows = _rectangle_energy_rows(f)
+    flat = mask.ravel()
+    inside = _rows_inside(rows, flat)
+    assert np.array_equal(inside, ~np.any(rows & ~flat, axis=1))
+    want = float(energies[inside].sum())
+    del rows
+    tracemalloc.start()
+    try:
+        got = energy_in_region(f, mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 1.25 * 63 * 63 * 64 * 64  # the row matrix and a quarter
 
 
 def test_product_bmo_disjoint_pair():

@@ -23,6 +23,7 @@ from dyadicpara import (
 )
 
 import level_tuple_oracle as oracle
+from dyadicpara.operators import _above_dyadic
 
 
 def _haar_signal(rect, L, d=1):
@@ -322,3 +323,32 @@ def test_governing_rejects_foreign_field(rng):
         governing_operator(f, spec, field=own).values,
         governing_operator(f, spec).values,
     )
+
+
+def _exact_density_above(mask, j):
+    """Cells lying in a lattice rectangle where the mask's density exceeds
+    2^-j, in integer arithmetic."""
+    d, L = mask.ndim, mask.shape[0].bit_length() - 1
+    out = np.zeros(mask.shape, dtype=bool)
+    for levels in itertools.product(range(L), repeat=d):
+        widths = [1 << (L - k) for k in levels]
+        shape = [s for k, w in zip(levels, widths) for s in (1 << k, w)]
+        counts = mask.astype(np.int64).reshape(shape).sum(axis=tuple(range(1, 2 * d, 2)))
+        above = (counts << j) > math.prod(widths)
+        for axis, w in enumerate(widths):
+            above = np.repeat(above, w, axis=axis)
+        out |= above
+    return out
+
+
+@pytest.mark.parametrize("d, L", [(1, 8), (1, 10), (1, 12), (2, 6), (2, 9)])
+def test_indicator_maximal_function_decides_dyadic_ties_exactly(rng, d, L):
+    # both transform paths (the dense product below 2^9 cells per axis, the
+    # step blocks from there) round exact dyadic densities by a few ulps
+    family = AdaptedFamily.abs_haar(d)
+    for fill in (0.5, 0.1):
+        mask = rng.random(((1 << L),) * d) < fill
+        values = maximal_function(Signal.from_mask(mask), family).values
+        for j in range(1, 7):
+            got = _above_dyadic(values, 2.0**-j)
+            assert np.array_equal(got, _exact_density_above(mask, j))

@@ -7,15 +7,19 @@ from dyadicpara import (
     AdaptedFamily,
     CoefficientField,
     ContractError,
+    RectangleCollection,
     ResolutionError,
     Signal,
     UnsupportedFamilyError,
     coefficients,
     lattice_rectangles,
     lp_norm,
+    families,
     reconstruct,
     rectangle,
+    transforms,
 )
+from dyadicpara.transforms import _dense_analysis_axis, _rectangle_weights, _step_analysis_axis
 
 
 def _haar_signal(rect, L, d=1):
@@ -152,6 +156,11 @@ def _scaled_matrix_oracle(f, family):
     return values
 
 
+def _oracle_inputs(rng, shape):
+    inputs = [rng.standard_normal(shape) * scale for scale in (1e-6, 1.0, 1e5)]
+    return inputs + [(rng.random(shape) < 0.5) * 1.0, np.ones(shape)]
+
+
 _DENSE_FAMILIES = [
     lambda d: AdaptedFamily.abs_haar(d),
     lambda d: AdaptedFamily.smooth(d),
@@ -165,25 +174,160 @@ _DENSE_FAMILIES = [
 @pytest.mark.parametrize("d, L", [(1, 7), (2, 5), (3, 3)])
 def test_dense_transform_matches_scaled_matrix_oracle(rng, make, d, L):
     family = make(d)
-    shape = ((1 << L),) * d
-    inputs = [rng.standard_normal(shape) * scale for scale in (1e-6, 1.0, 1e5)]
-    inputs += [rng.random(shape) < 0.5, np.ones(shape, dtype=bool)]
-    for values in inputs:
-        f = Signal(d, L, values.astype(float))
+    for values in _oracle_inputs(rng, ((1 << L),) * d):
+        f = Signal(d, L, values)
         want = _scaled_matrix_oracle(f, family)
         assert np.array_equal(coefficients(f, family).tensor, want)
 
 
-def test_dense_transform_makes_no_matrix_copy():
-    L = 11
-    n = 1 << L
-    family = AdaptedFamily.abs_haar(1)
+def _transform_peak(family, L):
+    """tracemalloc peak of one d=1 transform with its matrix cached."""
     family.profile_matrix(0, L)  # warm the cache
-    f = Signal(1, L, np.ones(n))
+    f = Signal(1, L, np.ones(1 << L))
     tracemalloc.start()
     try:
         coefficients(f, family)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < n * n * 8 // 8
+    return peak
+
+
+def test_dense_transform_makes_no_matrix_copy():
+    n = 1 << 11
+    assert _transform_peak(AdaptedFamily.abs_haar(1), 11) < n * n * 8 // 8
+
+
+def test_smooth_dense_transform_makes_no_matrix_copy():
+    # smooth families keep the dense product at every size
+    n = 1 << 11
+    assert _transform_peak(AdaptedFamily.smooth(1), 11) < n * n * 8 // 8
+
+
+def _dense_oracle(f, family):
+    """`coefficients` of a non-orthonormal family through the dense
+    per-axis product, at every grid size."""
+    tensor = f.values * f.cell_measure
+    for axis in range(f.d):
+        tensor = _dense_analysis_axis(tensor, axis, family.profile_matrix(axis, f.L))
+    return tensor
+
+
+def _signed_step(d):
+    """A step family with signed rows on some axes.  At d=1 a haar family
+    with its zero flag is the orthonormal basis (the cascade), so the
+    flagged step family there is abs-haar with the flag set."""
+    return AdaptedFamily.make("haar" if d > 1 else "abs-haar", d, [a % 2 == 0 for a in range(d)])
+
+
+_STEP_FAMILIES = [AdaptedFamily.abs_haar, _signed_step]
+
+
+def _step_scale(values):
+    """max of |M|·|values| with the step matrix |M| (entries 2^(k/2) on the
+    cells of (k, j), no matrix built) on every axis: the scale of the
+    rounding error of either order of summation.  It is max|dense| for
+    abs-haar on nonnegative input; signed rows on a constant input have
+    exact coefficients 0, so there max|dense| is itself rounding noise."""
+    L = values.shape[0].bit_length() - 1
+    a = np.abs(values)
+    for axis in range(values.ndim):
+        a = np.moveaxis(a, axis, -1)
+        sums = [np.zeros(a.shape[:-1] + (1,))]
+        sums += [a.reshape(a.shape[:-1] + (1 << k, -1)).sum(-1) * 2.0 ** (k / 2 - L) for k in range(L)]
+        a = np.moveaxis(np.concatenate(sums, axis=-1), -1, axis)
+    return a.max()
+
+
+@pytest.fixture
+def drop_profile_matrices():
+    yield
+    families._profile_matrix_cached.cache_clear()  # d=1 L=13 holds 512 MiB
+
+
+@pytest.mark.parametrize("make", _STEP_FAMILIES)
+@pytest.mark.parametrize("d, L", [(1, 9), (1, 10), (1, 11), (1, 12), (1, 13), (2, 9)])
+def test_step_blocks_match_dense_oracle(rng, drop_profile_matrices, make, d, L):
+    family = make(d)
+    assert (1 << L) >= transforms._STEP_BLOCKS_MIN_N
+    for values in _oracle_inputs(rng, ((1 << L),) * d):
+        f = Signal(d, L, values)
+        want = _dense_oracle(f, family)
+        got = coefficients(f, family).tensor
+        assert np.abs(got - want).max() <= 1e-12 * _step_scale(values)
+
+
+@pytest.mark.parametrize("make", _STEP_FAMILIES)
+def test_step_blocks_below_crossover_match_dense(rng, make):
+    d, L = 3, 6
+    family = make(d)
+    for values in _oracle_inputs(rng, ((1 << L),) * d):
+        want = got = values * 2.0 ** (-d * L)
+        for axis in range(d):
+            matrix = family.profile_matrix(axis, L)
+            want = _dense_analysis_axis(want, axis, matrix)
+            got = _step_analysis_axis(got, axis, matrix)
+        assert np.abs(got - want).max() <= 1e-12 * _step_scale(values)
+
+
+@pytest.mark.parametrize(
+    "family, L, helper",
+    [
+        (AdaptedFamily.abs_haar(1), 9, "_step_analysis_axis"),
+        (AdaptedFamily.abs_haar(1), 8, "_dense_analysis_axis"),
+        (AdaptedFamily.smooth(1), 9, "_dense_analysis_axis"),
+        (AdaptedFamily.make("haar", 2, (True, False)), 9, "_step_analysis_axis"),
+        (AdaptedFamily.smooth_bump(2), 9, "_dense_analysis_axis"),
+        (AdaptedFamily.make("haar", 3, (False, True, False)), 6, "_dense_analysis_axis"),
+    ],
+)
+def test_coefficients_reads_one_matrix_per_axis(monkeypatch, family, L, helper):
+    calls = []
+    profile_matrix = AdaptedFamily.profile_matrix
+
+    def counted_matrix(self, axis, L):
+        calls.append(("profile_matrix", axis))
+        return profile_matrix(self, axis, L)
+
+    monkeypatch.setattr(AdaptedFamily, "profile_matrix", counted_matrix)
+    for name in ("_step_analysis_axis", "_dense_analysis_axis"):
+        def counted(values, axis, matrix, _name=name, _fn=getattr(transforms, name)):
+            calls.append((_name, axis))
+            return _fn(values, axis, matrix)
+
+        monkeypatch.setattr(transforms, name, counted)
+    coefficients(Signal.zeros(family.d, L), family)
+    assert calls == [
+        call for axis in range(family.d) for call in (("profile_matrix", axis), (helper, axis))
+    ]
+
+
+@pytest.mark.parametrize("d, L", [(1, 5), (2, 3), (3, 2)])
+@pytest.mark.parametrize("power", [0.5, 1.0, 1.5])
+def test_rectangle_weights_equal_scalar_powers(rng, d, L, power):
+    lattice = lattice_rectangles(d, L)
+    members = [r for r in lattice if rng.random() < 0.5]
+    collection = RectangleCollection.of(members, L - 1)
+
+    def level(i):
+        return (i.bit_length() - 1) if i else 0
+
+    slots = {tuple((1 << a.level) + a.position for a in r.axes) for r in members}
+    for means, col in ((False, None), (True, None), (False, collection)):
+        for _ in range(2):  # the second call reads the cached table
+            got = _rectangle_weights(d, L, power, col, means=means)
+            for idx in np.ndindex(got.shape):
+                kept = idx in slots if col is not None else means or min(idx) > 0
+                want = 2.0 ** (sum(level(i) for i in idx) * power) if kept else 0.0
+                assert got[idx] == want
+
+
+def test_rectangle_weight_tables_are_shared_read_only():
+    table = _rectangle_weights(2, 4, 0.5)
+    assert _rectangle_weights(2, 4, 0.5) is table
+    with pytest.raises(ValueError):
+        table[1, 1] = 0.0
+    collection = RectangleCollection.of([rectangle((0, 0), (1, 1))], 3)
+    masked = _rectangle_weights(2, 4, 0.5, collection)
+    masked[1, 3] = 7.0  # a fresh array, not the table
+    assert table[1, 3] == 2.0**0.5
