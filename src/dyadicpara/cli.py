@@ -37,8 +37,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_rect(text: str):
-    pairs = [part.split(",") for part in text.split(";")]
-    return [[int(k), int(j)] for k, j in pairs]
+    try:
+        pairs = [part.split(",") for part in text.split(";")]
+        return [[int(k), int(j)] for k, j in pairs]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected pairs \"k,j;k,j\", got {text!r}") from None
+
+
+def _parse_levels(text: str):
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected levels \"L,L,...\", got {text!r}") from None
 
 
 def build_parser() -> _Parser:
@@ -61,7 +71,7 @@ def build_parser() -> _Parser:
         default="random-haar",
     )
     g.add_argument("--c", type=float, default=1.0, help="constant value")
-    g.add_argument("--rect", type=str, default=None, help='pairs "k,j;k,j"')
+    g.add_argument("--rect", type=_parse_rect, default=None, help='pairs "k,j;k,j"')
 
     n = sub.add_parser("norm", help="evaluate a norm of a stored signal")
     common(n)
@@ -99,7 +109,7 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("sweep", help="norm-ratio stability across resolutions")
     common(s)
-    s.add_argument("--L-list", dest="L_list", type=str, default=None)
+    s.add_argument("--L-list", dest="L_list", type=_parse_levels, default=None)
     s.add_argument("--trials", type=int, default=None)
     s.add_argument("--p1", type=float, default=None)
     s.add_argument("--p2", type=float, default=None)
@@ -146,7 +156,7 @@ def _cmd_gen(args) -> int:
     if args.kind in ("indicator", "bump"):
         if not args.rect:
             raise DyadicError("--rect is required for indicator/bump")
-        params["rect"] = _parse_rect(args.rect)
+        params["rect"] = args.rect
     f = generate_signal(args.kind, d, L, seed=seed, params=params)
     if args.out:
         _save_signal(f, args.out)
@@ -216,16 +226,15 @@ def _cmd_paraproduct(args) -> int:
 
 def _make_config(args, suite=None) -> ExperimentConfig:
     if getattr(args, "config", None):
-        cfg = ExperimentConfig.from_file(args.config)
+        cfg = _read(ExperimentConfig.from_file, args.config)
     else:
         cfg = ExperimentConfig()
     cfg.suite = suite or cfg.suite
     for name in ("d", "L", "trials", "seed", "p1", "p2", "r", "family", "out", "format"):
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "L_list") and args.L_list:
-        raw = args.L_list
-        cfg.L_list = tuple(int(x) for x in str(raw).split(","))
+    if getattr(args, "L_list", None):
+        cfg.L_list = args.L_list
     return cfg
 
 

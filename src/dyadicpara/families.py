@@ -169,14 +169,25 @@ def _gaussian_profile(k, j, L, zero):
 # C01-C12 suite configurations still build each of their matrices once
 @functools.lru_cache(maxsize=8)
 def _profile_matrix_cached(family: AdaptedFamily, axis: int, L: int) -> np.ndarray:
-    # rows come from the uncached builders: the matrix is the only copy kept
-    row = _gaussian_row if family.is_smooth else _step_row
     zero = family.zero_pattern[axis]
     n = 1 << L
     out = np.zeros((n, n))
-    for k in range(L):
-        for j in range(1 << k):
-            out[(1 << k) + j] = row(k, j, L, zero)
+    if family.is_smooth:
+        # rows come from the uncached builder: the matrix is the only copy kept
+        for k in range(L):
+            for j in range(1 << k):
+                out[(1 << k) + j] = _gaussian_row(k, j, L, zero)
+    else:
+        # rows 2^k .. 2^(k+1)-1 cut into 2^k column groups of width w hold
+        # the step of (k, j) in group j (the layout that
+        # transforms._step_analysis_axis reads): one write per level
+        for k in range(L):
+            m, w = 1 << k, n >> k
+            step = np.full(w, 2.0 ** (k / 2.0))
+            if zero:
+                step[w // 2 :] *= -1.0
+            diag = np.arange(m)
+            out[m : 2 * m].reshape(m, m, w)[diag, diag] = step
     out.flags.writeable = False
     return out
 

@@ -12,6 +12,7 @@ import csv
 import datetime
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -46,7 +47,7 @@ from .paraproducts import (
     slot_operator_specs,
     standard_triple,
 )
-from .signals import Signal, conjugate_exponent, lp_norm, weak_quasinorm
+from .signals import Signal, _check_resolution, conjugate_exponent, lp_norm, weak_quasinorm
 from .transforms import CoefficientField, coefficients, lattice_rectangles, reconstruct
 
 SUITE_NAMES = (
@@ -82,10 +83,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data) -> "ExperimentConfig":
+        """Raises TypeError for data that is not an object and for an
+        integer field holding anything but an integer."""
+        if not isinstance(data, dict):
+            raise TypeError("an experiment config is a JSON object")
         known = {f.name for f in cls.__dataclass_fields__.values()}
         kwargs = {k: v for k, v in data.items() if k in known}
+        for name in ("d", "L", "trials", "seed"):
+            if name in kwargs:
+                kwargs[name] = operator.index(kwargs[name])
         if "L_list" in kwargs:
-            kwargs["L_list"] = tuple(int(x) for x in kwargs["L_list"])
+            kwargs["L_list"] = tuple(operator.index(x) for x in kwargs["L_list"])
         return cls(**kwargs)
 
     @classmethod
@@ -100,6 +108,7 @@ class ExperimentConfig:
 
 def generate_signal(kind: str, d: int, L: int, seed: int = 0, params=None) -> Signal:
     """Deterministic test signals; identical arguments give identical data."""
+    _check_resolution(d, L)
     params = dict(params or {})
     if kind == "constant":
         return Signal.constant(d, L, float(params.get("c", 1.0)))
@@ -638,10 +647,19 @@ SUITES = {
 }
 
 
+def _check_config(cfg: ExperimentConfig, levels):
+    """Refuses a configuration no trial can run on, before any trial."""
+    if cfg.trials < 1:
+        raise ContractError(f"trials must be >= 1, got {cfg.trials}")
+    for L in levels:
+        _check_resolution(cfg.d, L)
+
+
 def run_suite(cfg: ExperimentConfig):
     """Run one named suite; returns (report, exit_code)."""
     if cfg.suite not in SUITES:
         raise KeyError(cfg.suite)
+    _check_config(cfg, [cfg.L])
     report = SUITES[cfg.suite](cfg)
     write_report(report, cfg)
     if report["passed"]:
@@ -665,6 +683,7 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     """
     if len(cfg.L_list) < 2:
         raise ContractError("a sweep needs at least two resolutions")
+    _check_config(cfg, cfg.L_list)
     spec = standard_triple(cfg.d, cfg.family)
     rows = []
     skipped = 0

@@ -15,11 +15,22 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError
-from .lattice import DyadicRectangle, level_cap
+from .lattice import DEFAULT_LEVEL_CAPS, DyadicRectangle, level_cap
 
 
 def _grid_shape(d: int, L: int) -> tuple:
     return ((1 << L),) * d
+
+
+def _check_resolution(d: int, L: int):
+    """The range check of `Signal`, for callers about to form a 2^L grid.
+    It reads the cap table as `level_cap` does, so that it adds no second
+    public call per signal."""
+    if d < 1:
+        raise ContractError("parameter count d must be >= 1")
+    top = DEFAULT_LEVEL_CAPS.get(d, 3) + 1
+    if not 0 <= L <= top:
+        raise ContractError(f"resolution L={L} outside [0, {top}] for d={d}")
 
 
 @dataclass(frozen=True)

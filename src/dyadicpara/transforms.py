@@ -157,9 +157,19 @@ def _spread(coeffs: np.ndarray, axis: int, L: int, op) -> np.ndarray:
 
     Every cell receives the `op`-aggregate (np.add or np.maximum) of the
     mean slot and of the slots of all intervals containing it, in that
-    order: run = op(run, block_k), then each entry covers both halves of
-    its interval.  O(2^L) per fiber.
+    order.  A small tensor gathers those L+1 slots per cell in one call and
+    folds them along the level axis; that axis is never the innermost one,
+    so numpy folds it in order and the result equals the cascade's bit for
+    bit.
     """
+    if coeffs.size <= _SMALL_SIZE_MAX:
+        return op.reduce(coeffs.take(_ancestor_slots(L), axis=axis), axis=axis)
+    return _spread_cascade(coeffs, axis, L, op)
+
+
+def _spread_cascade(coeffs: np.ndarray, axis: int, L: int, op) -> np.ndarray:
+    """`_spread` level by level: run = op(run, block_k), then each entry
+    covers both halves of its interval.  O(2^L) per fiber."""
     a = np.moveaxis(coeffs, axis, -1)
     run = a[..., 0:1]
     for k in range(L):
@@ -215,16 +225,88 @@ def _collection_slots(collection, d: int, L: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fast Haar cascade (orthonormal analysis/synthesis along one axis)
+# Haar analysis/synthesis along one axis, and per-axis matrix products
 # ---------------------------------------------------------------------------
+
+# Tensor size (entries) up to which a per-axis move is one gather (spread,
+# synthesis) or one matrix product (analysis) instead of the level cascade,
+# whose cost there is numpy call overhead.  Measured with one BLAS thread,
+# µs per call on axis 0 (best of 9 x 500 calls; runs on the shared 2-vCPU
+# host move by up to 40%), cascade -> one call:
+#
+#   shape         spread      synthesis    analysis
+#   (256,)        34 -> 9.3   44 -> 9.3    43 -> 14
+#   (512,)        36 -> 15    55 -> 22     59 -> 107
+#   (1024,)       41 -> 25    49 -> 32
+#   (2048,)       42 -> 57    97 -> 56
+#   (4096,)       58 -> 80    118 -> 161
+#   (16, 16)      32 -> 3.0   31 -> 6.5    32 -> 3.4
+#   (32, 32)      29 -> 6.8   46 -> 21     59 -> 7.1
+#   (8, 8, 8)     34 -> 3.4   29 -> 13     39 -> 6.5
+#
+# The gather holds L+1 entries per cell, so it loses on long axes: at d=1
+# the spread from 2^11 cells, synthesis from 2^12.  (64, 64) and
+# (16, 16, 16) still win, but size alone decides, and 2^10 covers every
+# grid of the C01-C12 configurations.
+_SMALL_SIZE_MAX = 1 << 10
+# At d=1 the analysis product is a matrix-vector product that reads all n²
+# entries of the matrix; it loses from n = 2^9 (table above).
+_HAAR_MATRIX_MAX_N = 1 << 8
+
+
+# the small-tensor tables are keyed by L <= 10 only: 0.98 MiB at most, together
+_SMALL_L_COUNT = _SMALL_SIZE_MAX.bit_length()
+
+
+@functools.lru_cache(maxsize=_SMALL_L_COUNT)
+def _ancestor_slots(L: int) -> np.ndarray:
+    """(L+1, 2^L) slot table: row 0 the mean slot, row k+1 the slot of each
+    cell's level-k interval."""
+    cells = np.arange(1 << L)
+    levels = np.arange(L)[:, None]
+    table = np.zeros((L + 1, 1 << L), dtype=np.intp)
+    table[1:] = (1 << levels) + (cells >> (L - levels))
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=_SMALL_L_COUNT)
+def _synthesis_scales(L: int) -> np.ndarray:
+    """h_I(cell) per entry of `_ancestor_slots`: +-2^(k/2) for I at level
+    k, the sign that of the half of I holding the cell; 1 for the mean
+    slot."""
+    cells = np.arange(1 << L)
+    scales = np.ones((L + 1, 1 << L))
+    for k in range(L):
+        right = (cells >> (L - k - 1)) & 1
+        scales[k + 1] = np.where(right, -1.0, 1.0) * 2.0 ** (k / 2.0)
+    scales.flags.writeable = False
+    return scales
+
+
+@functools.lru_cache(maxsize=_SMALL_L_COUNT)
+def _haar_analysis_matrix(L: int) -> np.ndarray:
+    """The cascade's analysis as an n x n matrix: the cascade applied to
+    the identity."""
+    matrix = np.ascontiguousarray(_haar_analysis_cascade(np.eye(1 << L), 0, L))
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _haar_analysis_axis(values: np.ndarray, axis: int, L: int) -> np.ndarray:
-    """Orthonormal Haar analysis along one axis in O(2^L) per fiber.
+    """Orthonormal Haar analysis along one axis.
 
     Output fiber layout: index 0 the mean coefficient, index 2^k + j the
-    coefficient against h_(k,j).
+    coefficient against h_(k,j).  A small tensor takes one product with the
+    analysis matrix, which sums in another order than the cascade.
     """
+    if values.size <= _SMALL_SIZE_MAX and (1 << L) <= _HAAR_MATRIX_MAX_N:
+        return _dense_analysis_axis(values, axis, _haar_analysis_matrix(L))
+    return _haar_analysis_cascade(values, axis, L)
+
+
+def _haar_analysis_cascade(values: np.ndarray, axis: int, L: int) -> np.ndarray:
+    """`_haar_analysis_axis` in O(2^L) per fiber, fine to coarse."""
     a = np.moveaxis(values, axis, -1)
     n = a.shape[-1]
     out = np.empty_like(a)
@@ -239,6 +321,18 @@ def _haar_analysis_axis(values: np.ndarray, axis: int, L: int) -> np.ndarray:
 
 
 def _haar_synthesis_axis(coeffs: np.ndarray, axis: int, L: int) -> np.ndarray:
+    """Inverse of `_haar_analysis_axis`.  A small tensor gathers each cell's
+    L+1 slots, scales them by `_synthesis_scales` and sums coarse to fine as
+    `_spread` does, bit for bit the cascade's result."""
+    if coeffs.size <= _SMALL_SIZE_MAX:
+        trailing = (1,) * (coeffs.ndim - axis - 1)
+        scales = _synthesis_scales(L).reshape((L + 1, 1 << L) + trailing)
+        terms = coeffs.take(_ancestor_slots(L), axis=axis) * scales
+        return np.add.reduce(terms, axis=axis)
+    return _haar_synthesis_cascade(coeffs, axis, L)
+
+
+def _haar_synthesis_cascade(coeffs: np.ndarray, axis: int, L: int) -> np.ndarray:
     a = np.moveaxis(coeffs, axis, -1)
     vals = a[..., 0:1]
     for k in range(L):
@@ -253,9 +347,15 @@ def _haar_synthesis_axis(coeffs: np.ndarray, axis: int, L: int) -> np.ndarray:
 def _dense_analysis_axis(
     values: np.ndarray, axis: int, matrix: np.ndarray
 ) -> np.ndarray:
-    """Contract one axis with the cached profile matrix, read in place."""
-    moved = np.tensordot(matrix, values, axes=(1, axis))
-    return np.moveaxis(moved, 0, axis)
+    """Contract one axis with a cached matrix, read in place: the product
+    that np.tensordot forms, without its Python overhead.  The transposes
+    are np.moveaxis to and from the front, with the permutations spelled
+    out."""
+    others = tuple(i for i in range(values.ndim) if i != axis)
+    moved = values.transpose((axis,) + others)
+    out = np.dot(matrix, moved.reshape(len(matrix), -1)).reshape(moved.shape)
+    back = tuple(range(1, axis + 1)) + (0,) + tuple(range(axis + 1, values.ndim))
+    return out.transpose(back)
 
 
 # axis length from which a step family's diagonal blocks beat the dense
@@ -288,14 +388,15 @@ def _step_analysis_axis(
 def coefficients(f: Signal, family: AdaptedFamily) -> CoefficientField:
     """Inner products of f against every representable rectangle profile.
 
-    The orthonormal Haar family uses the per-axis cascade and also fills
-    the mean blocks; other families contract with per-axis profile matrices
+    The orthonormal Haar family uses the per-axis Haar analysis (the
+    cascade, or one matrix product on small tensors) and also fills the
+    mean blocks; other families contract with per-axis profile matrices
     (step families on large grids read only their diagonal blocks) and
     populate rectangle entries only.
     """
     if family.d != f.d:
         raise ContractError("family and signal parameter counts differ")
-    tensor = f.values.astype(float)
+    tensor = f.values
     if family.is_orthonormal_basis:
         for axis in range(f.d):
             tensor = _haar_analysis_axis(tensor, axis, f.L)
@@ -318,7 +419,7 @@ def reconstruct(c: CoefficientField) -> Signal:
         raise UnsupportedFamilyError(
             "reconstruction requires the orthonormal haar family"
         )
-    values = c.tensor.astype(float)
+    values = c.tensor
     for axis in range(c.d):
         values = _haar_synthesis_axis(values, axis, c.L)
     return Signal(c.d, c.L, values)

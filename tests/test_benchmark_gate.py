@@ -1,12 +1,16 @@
-"""The benchmark's full-size restricted-weak pass against its recorded
-reference outputs (class labels and kappa included), run untraced.
+"""The benchmark's full-size passes against their recorded reference
+outputs (class labels and kappa included) and traced call counts.
 
 At d=1 L=12 the abs-Haar transforms take the step-block path, which the
-smoke-size benchmark tests never reach.
+smoke-size benchmark tests never reach.  A traced pass also fails when a
+public function of the package is called more or less often than the
+recorded counts say, or when one is added or removed.
 """
 
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -22,3 +26,12 @@ def test_rw_d1_L12_pass_matches_reference():
     run.one_pass(traced=False)
     assert run.problems == []
     assert (run.attempted, run.failed) == (1, 0)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_traced_pass_matches_reference_and_call_counts(workload):
+    run = Run(WORKLOADS[workload], seed=0, smoke=False)
+    assert run.reference is not None
+    _, tracer, _ = run.one_pass(traced=True)
+    assert run.problems == []
+    assert tracer.call_counts() == run.call_counts

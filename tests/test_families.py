@@ -172,3 +172,21 @@ def test_profile_caches_evict_past_their_bound(name, key):
     assert info.currsize == bound
     cached(*key(0))  # the least recently used entry was evicted
     assert cached.cache_info().misses == info.misses + 1
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        AdaptedFamily.abs_haar(1),
+        AdaptedFamily.make("abs-haar", 1, (True,)),
+        AdaptedFamily.make("haar", 2, (True, False)),
+    ],
+)
+@pytest.mark.parametrize("L", [0, 1, 2, 5, 9])
+def test_step_profile_matrix_equals_its_rows(family, L):
+    for axis in range(family.d):
+        want = np.zeros((1 << L, 1 << L))
+        for k in range(L):
+            for j in range(1 << k):
+                want[(1 << k) + j] = family.axis_profile(axis, k, j, L)
+        assert np.array_equal(family.profile_matrix(axis, L), want)

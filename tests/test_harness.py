@@ -200,6 +200,59 @@ def test_cli_unreadable_input_exit_2(tmp_path, capsys, name, text, args):
     assert f"contract error: cannot read {path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "--kind", "indicator", "--rect", "1"],
+        ["gen", "--kind", "indicator", "--rect", "a,b"],
+        ["sweep", "--L-list", "5,x"],
+    ],
+    ids=["rect-one-number", "rect-not-numbers", "L-list-not-numbers"],
+)
+def test_cli_malformed_argument_exit_64(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 64
+    assert "error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["gen", "--L", "-1"], "resolution L=-1"),
+        (["gen", "--kind", "constant", "--L", "99"], "resolution L=99"),
+        (["verify", "norms", "--L", "-2", "--trials", "2"], "resolution L=-2"),
+        (["sweep", "--L-list", "3,-1", "--trials", "2"], "resolution L=-1"),
+        (["verify", "norms", "--config", "/nonexistent.json"], "cannot read /nonexistent.json"),
+        (["verify", "identities", "--L", "3", "--trials", "0"], "trials must be >= 1"),
+        (["sweep", "--L-list", "3,4", "--trials", "0"], "trials must be >= 1"),
+    ],
+    ids=["gen-negative-L", "gen-L-above-cap", "verify-negative-L", "sweep-negative-L",
+         "missing-config", "verify-no-trials", "sweep-no-trials"],
+)
+def test_cli_refused_arguments_exit_2(capsys, args, message):
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['[1, 2]', '{"trials": "5"}', '{"d": 1.5}', '{"L_list": [3, 4.5]}'],
+    ids=["not-an-object", "string-trials", "float-d", "float-level"],
+)
+def test_cli_malformed_config_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["verify", "norms", "--L", "3", "--trials", "2", "--config", str(path)]) == 2
+    assert f"cannot read {path}" in capsys.readouterr().err
+
+
+def test_run_suite_refuses_zero_trials():
+    cfg = ExperimentConfig(suite="identities", d=1, L=3, trials=0)
+    with pytest.raises(ContractError):
+        run_suite(cfg)
+
+
 def test_cli_verify_pass():
     r = _cli("verify", "norms", "--d", "1", "--L", "5", "--trials", "5", "--seed", "1")
     assert r.returncode == 0

@@ -11,6 +11,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dyadicpara import (
     AdaptedFamily,
@@ -27,6 +29,7 @@ from dyadicpara import (
     rectangle,
     standard_triple,
 )
+from dyadicpara import families, transforms
 from dyadicpara.families import KINDS
 from dyadicpara.norms import _extended_square
 
@@ -148,3 +151,77 @@ def test_collection_finer_than_lattice_refused(rng, d, L):
         eval_L(spec, fs, finest)
     with pytest.raises(ResolutionError):
         eval_B(spec, fs[:2], finest)
+
+
+# grids on both sides of transforms._SMALL_SIZE_MAX, where the per-axis
+# kernels switch from one gather or product to the level cascade
+PROPERTY_GRIDS = [(1, 5), (1, 11), (2, 3), (2, 6), (3, 2), (3, 4)]
+
+
+def _drawn_collection(data, d, L, rng):
+    kind = data.draw(st.sampled_from(COLLECTIONS + ["sparse"]), label="collection")
+    if kind != "sparse":
+        return _collection(kind, d, L, rng)
+    rects = [r for r in lattice_rectangles(d, L) if rng.random() < 0.05]
+    return RectangleCollection.of(rects, L)
+
+
+def _drawn_family(data, d):
+    kind = data.draw(st.sampled_from(KINDS), label="kind")
+    zeros = data.draw(st.tuples(*[st.booleans()] * d), label="zero_pattern")
+    return AdaptedFamily.make(kind, d, zeros)
+
+
+def _property_case(test):
+    """Runs `test(data, d, L, rng)` on a drawn grid and seed; the profile
+    matrices of a d=1 L=11 grid (32 MiB each) are dropped afterwards."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def run(data):
+        d, L = data.draw(st.sampled_from(PROPERTY_GRIDS), label="grid")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        try:
+            test(data, d, L, rng)
+        finally:
+            if (1 << L) > transforms._SMALL_SIZE_MAX:
+                families._profile_matrix_cached.cache_clear()
+
+    run.__name__ = test.__name__
+    return run
+
+
+@_property_case
+def test_governing_operator_matches_oracle_property(data, d, L, rng):
+    family = _drawn_family(data, d)
+    sigma = tuple(
+        data.draw(st.sampled_from(["square", "max"] if zero else ["max"]), label=f"sigma{j}")
+        for j, zero in enumerate(family.zero_pattern)
+    )
+    pi = tuple(data.draw(st.permutations(range(d)), label="pi"))
+    spec = OperatorSpec(family, sigma, pi)
+    collection = _drawn_collection(data, d, L, rng)
+    (f,) = _signals(rng, d, L, 1)
+    got = governing_operator(f, spec, collection).values
+    want = oracle.governing_operator(f, spec, collection).values
+    _assert_matches(got, want, d == 1 or set(sigma) == {"max"})
+
+
+@_property_case
+def test_eval_L_matches_oracle_property(data, d, L, rng):
+    n = data.draw(st.integers(2, 3), label="n")
+    slots = [_drawn_family(data, d) for _ in range(n + 1)]
+    # every coordinate needs two mean-zero slots: flag the first two of a
+    # drawn slot order
+    patterns = [list(fam.zero_pattern) for fam in slots]
+    for j in range(d):
+        for v in data.draw(st.permutations(range(n + 1)), label=f"zero slots {j}")[:2]:
+            patterns[v][j] = True
+    spec = ParaproductSpec(
+        tuple(AdaptedFamily.make(fam.kind, d, tuple(p)) for fam, p in zip(slots, patterns))
+    )
+    collection = _drawn_collection(data, d, L, rng)
+    fs = _signals(rng, d, L, n + 1)
+    got = eval_L(spec, fs, collection).values
+    want = oracle.eval_L(spec, fs, collection).values
+    _assert_matches(got, want, d == 1)

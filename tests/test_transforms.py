@@ -223,19 +223,27 @@ def _signed_step(d):
 _STEP_FAMILIES = [AdaptedFamily.abs_haar, _signed_step]
 
 
+def _abs_step_axis(a, axis, mean_row=False):
+    """|M|·a along one axis for a nonnegative a, with M a step matrix
+    (entries ±2^(k/2-L) on the cells of (k, j), no matrix built) whose row
+    0 is the Haar mean row 2^-L when `mean_row` is set and 0 otherwise."""
+    L = a.shape[axis].bit_length() - 1
+    a = np.moveaxis(a, axis, -1)
+    first = a.sum(-1, keepdims=True) * 2.0**-L if mean_row else np.zeros(a.shape[:-1] + (1,))
+    sums = [first]
+    sums += [a.reshape(a.shape[:-1] + (1 << k, -1)).sum(-1) * 2.0 ** (k / 2 - L) for k in range(L)]
+    return np.moveaxis(np.concatenate(sums, axis=-1), -1, axis)
+
+
 def _step_scale(values):
-    """max of |M|·|values| with the step matrix |M| (entries 2^(k/2) on the
-    cells of (k, j), no matrix built) on every axis: the scale of the
-    rounding error of either order of summation.  It is max|dense| for
-    abs-haar on nonnegative input; signed rows on a constant input have
-    exact coefficients 0, so there max|dense| is itself rounding noise."""
-    L = values.shape[0].bit_length() - 1
+    """max of |M|·|values| with the step matrix |M| on every axis: the
+    scale of the rounding error of either order of summation.  It is
+    max|dense| for abs-haar on nonnegative input; signed rows on a constant
+    input have exact coefficients 0, so there max|dense| is itself rounding
+    noise."""
     a = np.abs(values)
     for axis in range(values.ndim):
-        a = np.moveaxis(a, axis, -1)
-        sums = [np.zeros(a.shape[:-1] + (1,))]
-        sums += [a.reshape(a.shape[:-1] + (1 << k, -1)).sum(-1) * 2.0 ** (k / 2 - L) for k in range(L)]
-        a = np.moveaxis(np.concatenate(sums, axis=-1), -1, axis)
+        a = _abs_step_axis(a, axis)
     return a.max()
 
 
@@ -300,6 +308,60 @@ def test_coefficients_reads_one_matrix_per_axis(monkeypatch, family, L, helper):
     assert calls == [
         call for axis in range(family.d) for call in (("profile_matrix", axis), (helper, axis))
     ]
+
+
+# (d, L, one call): grids on both sides of transforms._SMALL_SIZE_MAX
+_KERNEL_GRIDS = [
+    (1, 5, True), (1, 10, True), (1, 11, False),
+    (2, 3, True), (2, 5, True), (2, 6, False),
+    (3, 2, True), (3, 3, True), (3, 4, False),
+]
+
+
+@pytest.mark.parametrize("d, L, small", _KERNEL_GRIDS)
+def test_small_spread_and_synthesis_equal_cascade(rng, d, L, small):
+    assert ((1 << (d * L)) <= transforms._SMALL_SIZE_MAX) == small
+    # every slot holds a value, the mean slots included
+    for values in _oracle_inputs(rng, ((1 << L),) * d):
+        for axis in range(d):
+            for op in (np.add, np.maximum):
+                got = transforms._spread(values, axis, L, op)
+                assert np.array_equal(got, transforms._spread_cascade(values, axis, L, op))
+            got = transforms._haar_synthesis_axis(values, axis, L)
+            assert np.array_equal(got, transforms._haar_synthesis_cascade(values, axis, L))
+
+
+# (d, L, matrix product): grids on both sides of both analysis bounds
+_ANALYSIS_GRIDS = [
+    (1, 8, True), (1, 9, False), (2, 5, True), (2, 6, False), (3, 3, True), (3, 4, False),
+]
+
+
+@pytest.mark.parametrize("d, L, matrix", _ANALYSIS_GRIDS)
+def test_small_haar_analysis_matches_cascade(rng, d, L, matrix):
+    small = (1 << (d * L)) <= transforms._SMALL_SIZE_MAX
+    assert (small and (1 << L) <= transforms._HAAR_MATRIX_MAX_N) == matrix
+    for values in _oracle_inputs(rng, ((1 << L),) * d):
+        for axis in range(d):
+            got = transforms._haar_analysis_axis(values, axis, L)
+            want = transforms._haar_analysis_cascade(values, axis, L)
+            scale = _abs_step_axis(np.abs(values), axis, mean_row=True).max()
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def test_small_tensor_tables_stay_small():
+    """Every table the one-call paths can cache, each level count once."""
+    small_L = range(transforms._SMALL_SIZE_MAX.bit_length())
+    total = sum(
+        transforms._ancestor_slots(L).nbytes + transforms._synthesis_scales(L).nbytes
+        for L in small_L
+    )
+    total += sum(
+        transforms._haar_analysis_matrix(L).nbytes
+        for L in small_L
+        if (1 << L) <= transforms._HAAR_MATRIX_MAX_N
+    )
+    assert total <= 3 << 20
 
 
 @pytest.mark.parametrize("d, L", [(1, 5), (2, 3), (3, 2)])
