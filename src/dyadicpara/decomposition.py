@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -88,6 +88,16 @@ def classify_rectangles(
     return labels
 
 
+def _member_quantiles(t_values: Signal, collection: RectangleCollection, frac: float = FRACTION):
+    """Per member R, the m-th largest value of T on R with
+    m = floor(frac * cells) + 1: |R intersect {T > t}| <= frac |R| iff this
+    quantile is <= t.  Lazy, so a caller may stop at the first member."""
+    for rect in collection.members:
+        block = t_values.values[rect.cell_slices(t_values.L)].ravel()
+        m = math.floor(block.size * frac) + 1
+        yield float(np.partition(block, block.size - m)[block.size - m])
+
+
 def hypothesis_holds(
     t_values: Signal,
     collection: RectangleCollection,
@@ -95,13 +105,7 @@ def hypothesis_holds(
     frac: float = FRACTION,
 ) -> bool:
     """True iff |R intersect {T > threshold}| <= frac |R| for all members."""
-    for rect in collection.members:
-        block = t_values.values[rect.cell_slices(t_values.L)].ravel()
-        m = math.floor(block.size * frac) + 1
-        q = np.partition(block, block.size - m)[block.size - m]
-        if q > threshold:
-            return False
-    return True
+    return not any(q > threshold for q in _member_quantiles(t_values, collection, frac))
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +124,6 @@ class DecompositionState:
     omega_ell: dict  # level index -> boolean grid
     omega: np.ndarray
     omega_tilde: np.ndarray
-    labels: dict = dc_field(default_factory=dict)
-    lambdas: dict = dc_field(default_factory=dict)
-    good_set: Optional[np.ndarray] = None
 
     @property
     def omega_measure(self) -> float:
@@ -289,21 +290,29 @@ def technical_lemma_check(
             f"measured level sets {measured}"
         )
     holding = [j for j in range(3) if measured[j]]
-    failing = [j for j in range(3) if not measured[j]]
+    result = _class_bound(collection, spec, fs, ops, lambdas, holding, tol)
+    result["good_set_measure"] = None
+    if len(collection):
+        good = collection.shadow_mask().copy()
+        for j in holding:
+            good &= t_vals[j].values <= lambdas[j]
+        result["good_set_measure"] = float(good.mean())
+    return result
+
+
+def _class_bound(collection, spec, fs, ops, lambdas, holding, tol: float) -> dict:
+    """Sum(collection) against the conclusion selected by the holding slots:
+    the shadow measure, one restricted L^2 norm per failing slot, and the
+    explicit constant of `_conclusion_bound`.  The hypotheses themselves
+    are the caller's to check."""
     shadow = collection.shadow_measure()
     restricted_norms = {
         j: lp_norm(restricted_operator(fs[j], ops[j], collection), 2.0)
-        for j in failing
+        for j in range(3)
+        if j not in holding
     }
     total = sum_over(collection, spec, *fs)
     bound, constant, kind = _conclusion_bound(holding, lambdas, shadow, restricted_norms)
-
-    shadow_mask = collection.shadow_mask() if len(collection) else None
-    good = None
-    if shadow_mask is not None:
-        good = shadow_mask.copy()
-        for j in holding:
-            good &= t_vals[j].values <= lambdas[j]
     return {
         "conclusion": kind,
         "constant": constant,
@@ -314,7 +323,6 @@ def technical_lemma_check(
         "shadow": shadow,
         "holding": holding,
         "restricted_norms": restricted_norms,
-        "good_set_measure": None if good is None else float(good.mean()),
     }
 
 
@@ -472,6 +480,105 @@ def _group_classes(labels_list, lattice, clamp, leading: int):
     return main, leftover
 
 
+def _decompose(
+    cfg: RestrictedWeakConfig, spec: ParaproductSpec, f1: Signal, f2: Signal, leading: int
+):
+    """The decomposition behind both pipelines.
+
+    Slots 0..leading-1 build the exceptional sets; those slots and slot 2
+    are labelled.  A main class holds its hypothesis in every labelled
+    slot, a leftover class only in the leading slots; every failing slot
+    enters its bound through a restricted L^2 norm.  Returns the shared
+    report, the exceptional-set state, the restricted third input and the
+    measured input norms.
+    """
+    if spec.n != 2 or spec.d != f1.d:
+        raise ContractError("pipeline needs a bilinear spec matching the inputs")
+    norms = []
+    for f, p, name in ((f1, cfg.p1, "f1"), (f2, cfg.p2, "f2")):
+        nrm = lp_norm(f, p)
+        if abs(nrm - 1.0) > 1e-8:
+            raise ContractError(f"{name} must be normalized in L^{p}; got {nrm}")
+        norms.append(nrm)
+    d, L = f1.d, f1.L
+    e3 = (
+        np.ones(((1 << L),) * d, dtype=bool)
+        if cfg.e3_mask is None
+        else np.asarray(cfg.e3_mask, dtype=bool)
+    )
+    if float(e3.mean()) != 1.0:
+        raise ContractError("E_3 must have measure one (the full torus)")
+
+    ops = slot_operator_specs(spec)[:3]
+    state = build_exceptional_sets(
+        f1, f2, cfg.p1, cfg.p2, ops[0], ops[1] if leading == 2 else None, kappa=cfg.kappa
+    )
+    kappa = state.kappa
+    if state.omega_tilde_measure >= 0.5:
+        raise CalibrationError("inflated exceptional set still covers half the torus")
+
+    e3_prime = e3 & ~state.omega_tilde
+    base = cfg.f3 if cfg.f3 is not None else Signal.constant(d, L, 1.0)
+    f3 = Signal(d, L, np.clip(base.values, -1.0, 1.0)).restrict(e3_prime)
+    fs = (f1, f2, f3)
+    labelled = list(range(leading)) + [2]
+    t_values = dict(enumerate(state.t_values))
+    t_values[2] = governing_operator(f3, ops[2])
+    labels = [
+        classify_rectangles(fs[j], ops[j], kappa, clamp=cfg.clamp, values=t_values[j])
+        for j in labelled
+    ]
+    main, leftover = _group_classes(labels, lattice_rectangles(d, L), cfg.clamp, leading)
+
+    rows = []
+    for kind, classes in (("main", main), ("leftover", leftover)):
+        holding = labelled if kind == "main" else labelled[:leading]
+        for ells, rects in sorted(classes.items()):
+            collection = RectangleCollection.of(rects, L)
+            lambdas = [None] * 3
+            for j, e in zip(labelled, ells):
+                lambdas[j] = kappa * 2.0 ** (e + 1)
+            if len(holding) == 3:
+                check = technical_lemma_check(
+                    collection, spec, fs, lambdas, (True, True, True),
+                    op_specs=ops, tol=cfg.tol,
+                )
+            else:
+                for j in holding:
+                    if not hypothesis_holds(t_values[j], collection, lambdas[j]):
+                        raise ContractError(f"hypothesis {j + 1} fails on {kind} class {ells}")
+                check = _class_bound(collection, spec, fs, ops, lambdas, holding, cfg.tol)
+            row = {
+                "class": kind,
+                "labels": list(ells),
+                "size": len(rects),
+                **{k: check[k] for k in ("sum", "shadow", "bound", "margin", "ok")},
+            }
+            for j, norm in check["restricted_norms"].items():
+                row[f"restricted_t{j + 1}_norm"] = norm
+            if kind == "main":
+                row["shadow_reference"] = min(
+                    2.0 ** (-p * e) for p, e in zip((cfg.p1, cfg.p2), ells[:leading])
+                )
+            rows.append(row)
+
+    total = math.fsum(row["sum"] for row in rows)
+    whole = eval_Lambda(spec, fs)
+    report = {
+        "kappa": kappa,
+        "nu": state.nu,
+        "omega_tilde_measure": state.omega_tilde_measure,
+        "e3_prime_measure": float(e3_prime.mean()),
+        "e3_prime_convention": "complement-of-inflated-set",
+        "classes": rows,
+        "total": total,
+        "partition_defect": abs(total - whole),
+        "all_class_bounds_ok": all(row["ok"] for row in rows),
+        "finite": bool(np.isfinite(total)),
+    }
+    return report, state, f3, norms
+
+
 def restricted_weak_type_pipeline(
     cfg: RestrictedWeakConfig,
     spec: ParaproductSpec,
@@ -481,128 +588,25 @@ def restricted_weak_type_pipeline(
     """Full decomposition run for normalized inputs on the unit torus.
 
     Requires ||f1||_p1 = ||f2||_p2 = 1 and |E_3| = 1.  Builds the
-    exceptional sets, restricts the third input to the complement of the
-    inflated set, classifies every rectangle, and checks the explicit
-    summation bound of each class.  Returns the per-class table, the total
-    mass, and the duality pairing comparisons.
+    exceptional sets from both inputs, restricts the third input to the
+    complement of the inflated set, classifies every rectangle, and checks
+    the explicit summation bound of each class.  Returns the per-class
+    table, the total mass, and the duality pairing comparisons.
     """
-    if spec.n != 2 or spec.d != f1.d:
-        raise ContractError("pipeline needs a bilinear spec matching the inputs")
-    for f, p, name in ((f1, cfg.p1, "f1"), (f2, cfg.p2, "f2")):
-        nrm = lp_norm(f, p)
-        if abs(nrm - 1.0) > 1e-8:
-            raise ContractError(f"{name} must be normalized in L^{p}; got {nrm}")
-    d, L = f1.d, f1.L
-    e3 = (
-        np.ones(((1 << L),) * d, dtype=bool)
-        if cfg.e3_mask is None
-        else np.asarray(cfg.e3_mask, dtype=bool)
-    )
-    if float(e3.mean()) != 1.0:
-        raise ContractError("E_3 must have measure one (the full torus)")
-
-    t1, t2, t3 = slot_operator_specs(spec)[:3]
-    state = build_exceptional_sets(f1, f2, cfg.p1, cfg.p2, t1, t2, kappa=cfg.kappa)
-    kappa = state.kappa
-    if state.omega_tilde_measure >= 0.5:
-        raise CalibrationError("inflated exceptional set still covers half the torus")
-
-    e3_prime = e3 & ~state.omega_tilde
-    base = cfg.f3 if cfg.f3 is not None else Signal.constant(d, L, 1.0)
-    f3 = Signal(d, L, np.clip(base.values, -1.0, 1.0)).restrict(e3_prime)
-
-    labels1 = classify_rectangles(f1, t1, kappa, clamp=cfg.clamp, values=state.t_values[0])
-    labels2 = classify_rectangles(f2, t2, kappa, clamp=cfg.clamp, values=state.t_values[1])
-    labels3 = classify_rectangles(f3, t3, kappa, clamp=cfg.clamp)
-    state.labels = {1: labels1, 2: labels2, 3: labels3}
-    lattice = lattice_rectangles(d, L)
-    main, leftover = _group_classes(
-        [labels1, labels2, labels3], lattice, cfg.clamp, leading=2
-    )
-
-    rows = []
-    all_ok = True
-    total_parts = []
-    for ells, rects in sorted(main.items()):
-        collection = RectangleCollection.of(rects, L)
-        lambdas = tuple(kappa * 2.0 ** (e + 1) for e in ells)
-        state.lambdas[ells] = lambdas
-        check = technical_lemma_check(
-            collection, spec, (f1, f2, f3), lambdas, (True, True, True),
-            op_specs=(t1, t2, t3), tol=cfg.tol,
-        )
-        row = {
-            "class": "main",
-            "labels": list(ells),
-            "size": len(rects),
-            "sum": check["sum"],
-            "shadow": check["shadow"],
-            "bound": check["bound"],
-            "margin": check["margin"],
-            "ok": check["ok"],
-            "shadow_reference": min(
-                2.0 ** (-cfg.p1 * ells[0]), 2.0 ** (-cfg.p2 * ells[1])
-            ),
-        }
-        rows.append(row)
-        all_ok &= check["ok"]
-        total_parts.append(check["sum"])
-
-    for ells, rects in sorted(leftover.items()):
-        collection = RectangleCollection.of(rects, L)
-        lambdas = tuple(kappa * 2.0 ** (e + 1) for e in ells)
-        t3_norm = lp_norm(restricted_operator(f3, t3, collection), 2.0)
-        shadow = collection.shadow_measure()
-        for j, (tv, lam) in enumerate(zip(state.t_values, lambdas)):
-            if not hypothesis_holds(tv, collection, lam):
-                raise ContractError(
-                    f"leading hypothesis {j + 1} fails on leftover class {ells}"
-                )
-        total = sum_over(collection, spec, f1, f2, f3)
-        bound = (100.0 / 98.0) * lambdas[0] * lambdas[1] * math.sqrt(shadow) * t3_norm
-        ok = total <= bound * (1.0 + cfg.tol) + 1e-300
-        rows.append(
-            {
-                "class": "leftover",
-                "labels": list(ells),
-                "size": len(rects),
-                "sum": total,
-                "shadow": shadow,
-                "bound": bound,
-                "margin": bound - total,
-                "ok": ok,
-                "restricted_t3_norm": t3_norm,
-            }
-        )
-        all_ok &= ok
-        total_parts.append(total)
-
-    total = math.fsum(total_parts)
-    whole = eval_Lambda(spec, (f1, f2, f3))
+    report, state, f3, _ = _decompose(cfg, spec, f1, f2, leading=2)
+    total = report["total"]
     b_out = eval_B(spec, (f1, f2))
-    pairing = abs(
-        float(np.sum(b_out.values * f3.values)) * f1.cell_measure
-    )
+    pairing = abs(float(np.sum(b_out.values * f3.values)) * f1.cell_measure)
     pairing_abs = float(np.sum(np.abs(b_out.values) * np.abs(f3.values))) * f1.cell_measure
     # absolute slack for cancellation dust when the pairing is near zero
     slack = cfg.tol * max(total, lp_norm(b_out, 1.0), 1.0)
-
     return {
-        "kappa": kappa,
-        "nu": state.nu,
+        **report,
         "omega_measure": state.omega_measure,
-        "omega_tilde_measure": state.omega_tilde_measure,
-        "e3_prime_measure": float(e3_prime.mean()),
-        "e3_prime_convention": "complement-of-inflated-set",
-        "classes": rows,
-        "total": total,
-        "partition_defect": abs(total - whole),
         "pairing": pairing,
         "pairing_le_total": pairing <= total + slack,
         "pairing_abs": pairing_abs,
         "pairing_abs_le_total": pairing_abs <= total + slack,
-        "all_class_bounds_ok": bool(all_ok),
-        "finite": bool(np.isfinite(total)),
     }
 
 
@@ -612,99 +616,17 @@ def endpoint_pipeline(
     f1: Signal,
     f2: Signal,
 ) -> dict:
-    """Bounded-second-input variant: ||f2||_inf = 1 replaces the L^p2
-    normalization, the exceptional sets are built from the first input
-    alone, and the second slot enters every bound through its restricted
-    L^2 norm, reported also as a multiple of |sh|^(1/2) ||f2||_inf.
+    """Bounded-second-input variant: ||f2||_inf = 1 (cfg.p2 = inf) replaces
+    the L^p2 normalization, the exceptional sets are built from the first
+    input alone, and the second slot enters every bound through its
+    restricted L^2 norm, reported also as a multiple of |sh|^(1/2) ||f2||_inf.
     """
-    if spec.n != 2 or spec.d != f1.d:
-        raise ContractError("pipeline needs a bilinear spec matching the inputs")
-    if abs(lp_norm(f1, cfg.p1) - 1.0) > 1e-8:
-        raise ContractError("f1 must be normalized in L^p1")
-    sup2 = lp_norm(f2, np.inf)
-    if abs(sup2 - 1.0) > 1e-8:
-        raise ContractError("f2 must be normalized in L^inf")
-    d, L = f1.d, f1.L
-
-    t1, t2, t3 = slot_operator_specs(spec)[:3]
-    state = build_exceptional_sets(
-        f1, f2, cfg.p1, float("inf"), t1, None, kappa=cfg.kappa
-    )
-    kappa = state.kappa
-    if state.omega_tilde_measure >= 0.5:
-        raise CalibrationError("inflated exceptional set still covers half the torus")
-
-    e3 = (
-        np.ones(((1 << L),) * d, dtype=bool)
-        if cfg.e3_mask is None
-        else np.asarray(cfg.e3_mask, dtype=bool)
-    )
-    if float(e3.mean()) != 1.0:
-        raise ContractError("E_3 must have measure one (the full torus)")
-    e3_prime = e3 & ~state.omega_tilde
-    base = cfg.f3 if cfg.f3 is not None else Signal.constant(d, L, 1.0)
-    f3 = Signal(d, L, np.clip(base.values, -1.0, 1.0)).restrict(e3_prime)
-
-    t3_values = governing_operator(f3, t3)
-    labels1 = classify_rectangles(f1, t1, kappa, clamp=cfg.clamp, values=state.t_values[0])
-    labels3 = classify_rectangles(f3, t3, kappa, clamp=cfg.clamp, values=t3_values)
-    state.labels = {1: labels1, 3: labels3}
-    lattice = lattice_rectangles(d, L)
-    main, leftover = _group_classes([labels1, labels3], lattice, cfg.clamp, leading=1)
-
-    rows = []
-    all_ok = True
-    total_parts = []
-    localization_constants = []
-    for key, rects in sorted(list(main.items()) + list(leftover.items())):
-        is_main = key in main
-        collection = RectangleCollection.of(rects, L)
-        shadow = collection.shadow_measure()
-        t2_norm = lp_norm(restricted_operator(f2, t2, collection), 2.0)
-        if shadow > 0:
-            localization_constants.append(t2_norm / (math.sqrt(shadow) * sup2))
-        total = sum_over(collection, spec, f1, f2, f3)
-        lam1 = kappa * 2.0 ** (key[0] + 1)
-        if not hypothesis_holds(state.t_values[0], collection, lam1):
-            raise ContractError(f"first-slot hypothesis fails on class {key}")
-        if is_main:
-            ell3 = key[1]
-            lam3 = kappa * 2.0 ** (ell3 + 1)
-            if not hypothesis_holds(t3_values, collection, lam3):
-                raise ContractError(f"third-slot hypothesis fails on class {key}")
-            bound = (100.0 / 98.0) * lam1 * lam3 * math.sqrt(shadow) * t2_norm
-        else:
-            t3_norm = lp_norm(restricted_operator(f3, t3, collection), 2.0)
-            bound = (100.0 / 99.0) * lam1 * t2_norm * t3_norm
-        ok = total <= bound * (1.0 + cfg.tol) + 1e-300
-        rows.append(
-            {
-                "class": "main" if is_main else "leftover",
-                "labels": list(key),
-                "size": len(rects),
-                "sum": total,
-                "shadow": shadow,
-                "bound": bound,
-                "margin": bound - total,
-                "ok": ok,
-                "restricted_t2_norm": t2_norm,
-            }
-        )
-        all_ok &= ok
-        total_parts.append(total)
-
-    total = math.fsum(total_parts)
-    whole = eval_Lambda(spec, (f1, f2, f3))
-    return {
-        "kappa": kappa,
-        "nu": state.nu,
-        "omega_tilde_measure": state.omega_tilde_measure,
-        "e3_prime_measure": float(e3_prime.mean()),
-        "e3_prime_convention": "complement-of-inflated-set",
-        "classes": rows,
-        "total": total,
-        "partition_defect": abs(total - whole),
-        "all_class_bounds_ok": bool(all_ok),
-        "max_localization_constant": max(localization_constants, default=0.0),
-        "finite": bool(np.isfinite(total)),
-    }
+    if cfg.p2 != float("inf"):
+        raise ContractError(f"the endpoint variant needs p2 = inf, got {cfg.p2}")
+    report, _, _, (_, sup2) = _decompose(cfg, spec, f1, f2, leading=1)
+    constants = [
+        row["restricted_t2_norm"] / (math.sqrt(row["shadow"]) * sup2)
+        for row in report["classes"]
+        if row["shadow"] > 0
+    ]
+    return {**report, "max_localization_constant": max(constants, default=0.0)}

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .decomposition import (
     RestrictedWeakConfig,
+    _member_quantiles,
     endpoint_pipeline,
     localization_experiment,
     restricted_weak_type_pipeline,
@@ -128,11 +129,13 @@ def generate_signal(kind: str, d: int, L: int, seed: int = 0, params=None) -> Si
 
 
 def random_haar(rng: np.random.Generator, d: int, L: int) -> Signal:
+    _check_resolution(d, L)
     tensor = rng.standard_normal(((1 << L),) * d)
     return reconstruct(CoefficientField(d, L, AdaptedFamily.haar(d), tensor))
 
 
 def random_cells(rng: np.random.Generator, d: int, L: int) -> Signal:
+    _check_resolution(d, L)
     return Signal(d, L, rng.standard_normal(((1 << L),) * d))
 
 
@@ -473,7 +476,7 @@ def suite_technical_lemma(cfg: ExperimentConfig) -> dict:
         idx = rng.choice(len(lattice), size=size, replace=False)
         collection = RectangleCollection.of([lattice[i] for i in idx], L)
         t_vals = [governing_operator(f, t) for f, t in zip(fs, tspecs)]
-        qs = [_collection_quantile_max(t, collection) for t in t_vals]
+        qs = [max([0.0, *_member_quantiles(t, collection)]) for t in t_vals]
         pattern = trial % 3
         lambdas = list(qs)
         flags = [True, True, True]
@@ -512,15 +515,6 @@ def suite_technical_lemma(cfg: ExperimentConfig) -> dict:
         realized=realized,
     )
     return _report(cfg, checks)
-
-
-def _collection_quantile_max(t_values: Signal, collection: RectangleCollection) -> float:
-    worst = 0.0
-    for rect in collection.members:
-        block = t_values.values[rect.cell_slices(t_values.L)].ravel()
-        m = math.floor(block.size * 0.01) + 1
-        worst = max(worst, float(np.partition(block, block.size - m)[block.size - m]))
-    return worst
 
 
 def suite_localization(cfg: ExperimentConfig) -> dict:

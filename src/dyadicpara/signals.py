@@ -61,14 +61,17 @@ class Signal:
 
     @classmethod
     def zeros(cls, d: int, L: int) -> "Signal":
+        _check_resolution(d, L)
         return cls(d, L, np.zeros(_grid_shape(d, L)))
 
     @classmethod
     def constant(cls, d: int, L: int, c: float) -> "Signal":
+        _check_resolution(d, L)
         return cls(d, L, np.full(_grid_shape(d, L), float(c)))
 
     @classmethod
     def indicator(cls, rect: DyadicRectangle, L: int) -> "Signal":
+        _check_resolution(rect.d, L)
         out = np.zeros(_grid_shape(rect.d, L))
         out[rect.cell_slices(L)] = 1.0
         return cls(rect.d, L, out)

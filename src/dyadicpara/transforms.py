@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ContractError, ResolutionError, UnsupportedFamilyError
 from .families import AdaptedFamily
 from .lattice import DyadicInterval, DyadicRectangle, enumerate_rectangles
-from .signals import Signal
+from .signals import Signal, _check_resolution
 
 
 def lattice_levels(L: int) -> range:
@@ -57,6 +57,7 @@ class CoefficientField:
     tensor: np.ndarray = field(compare=False)
 
     def __post_init__(self):
+        _check_resolution(self.d, self.L)
         arr = np.asarray(self.tensor, dtype=float)
         if arr.shape != ((1 << self.L),) * self.d:
             raise ContractError("coefficient tensor has the wrong shape")
@@ -111,6 +112,7 @@ class CoefficientField:
     @classmethod
     def from_json(cls, data) -> "CoefficientField":
         d, L = int(data["d"]), int(data["L"])
+        _check_resolution(d, L)
         fam = AdaptedFamily.make(
             data["family"]["kind"], d, tuple(data["family"]["zero_pattern"])
         )

@@ -385,6 +385,27 @@ def test_endpoint_requires_sup_normalization(triple2, rng):
         endpoint_pipeline(cfg, triple2, f1, f2)
 
 
+def test_endpoint_e3_contract(triple2, rng):
+    f1 = normalize(random_haar(rng, 2, 4), 2.0)
+    f2 = normalize(random_haar(rng, 2, 4), np.inf)
+    bad = np.zeros((16, 16), dtype=bool)
+    bad[0] = True
+    cfg = RestrictedWeakConfig(p1=2.0, p2=float("inf"), e3_mask=bad)
+    with pytest.raises(ContractError, match="E_3"):
+        endpoint_pipeline(cfg, triple2, f1, f2)
+
+
+@pytest.mark.parametrize("p2", [2.0, 4.0])
+def test_endpoint_refuses_finite_p2(triple2, rng, p2):
+    # the endpoint measures ||f2||_p2 and builds nu from p2, so a finite
+    # p2 would silently run a different variant
+    f1 = normalize(random_haar(rng, 2, 4), 2.0)
+    f2 = normalize(random_haar(rng, 2, 4), np.inf)
+    cfg = RestrictedWeakConfig(p1=2.0, p2=p2)
+    with pytest.raises(ContractError, match="p2 = inf"):
+        endpoint_pipeline(cfg, triple2, f1, f2)
+
+
 def test_endpoint_spike_produces_vanishing_leftovers(triple1, rng):
     # the positive-label branch of the endpoint variant: a tall spike in
     # the first slot yields leftover classes whose mass vanishes exactly

@@ -182,6 +182,15 @@ def test_cli_transform_inverse_malformed_keys_exit_2(tmp_path, entries):
     assert "contract error" in r.stderr
 
 
+def test_cli_transform_inverse_huge_resolution_exit_2(tmp_path, capsys):
+    coef = tmp_path / "c.json"
+    data = coefficients(Signal.zeros(1, 4), AdaptedFamily.haar(1)).to_json()
+    data["L"] = 40
+    coef.write_text(json.dumps(data))
+    assert main(["transform", "--inverse", "--in", str(coef)]) == 2
+    assert "resolution L=40" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "name, text, args",
     [

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dyadicpara import (
     AdaptedFamily,
+    CoefficientField,
     ContractError,
     ExponentTuple,
     Signal,
@@ -15,6 +16,8 @@ from dyadicpara import (
     rectangle,
     weak_quasinorm,
 )
+from dyadicpara.harness import random_cells, random_haar
+from dyadicpara.lattice import level_cap
 
 
 def test_lp_examples():
@@ -113,6 +116,37 @@ def test_signal_contracts():
         Signal(1, 3, np.zeros(7))
     with pytest.raises(ContractError):
         Signal.constant(1, 20, 1.0)  # beyond the resolution cap
+
+
+def _field_json(d, L):
+    return {
+        "d": d,
+        "L": L,
+        "family": {"kind": "haar", "zero_pattern": [True] * d},
+        "mean_blocks": [],
+        "entries": [],
+    }
+
+
+CONSTRUCTORS = {
+    "zeros": lambda d, L: Signal.zeros(d, L),
+    "constant": lambda d, L: Signal.constant(d, L, 1.0),
+    "indicator": lambda d, L: Signal.indicator(rectangle(*[(0, 0)] * d), L),
+    "random_haar": lambda d, L: random_haar(np.random.default_rng(0), d, L),
+    "random_cells": lambda d, L: random_cells(np.random.default_rng(0), d, L),
+    "field": lambda d, L: CoefficientField(d, L, AdaptedFamily.haar(d), np.zeros(1)),
+    "field_json": lambda d, L: CoefficientField.from_json(_field_json(d, L)),
+}
+
+
+@pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+@pytest.mark.parametrize("d", [1, 2])
+def test_constructors_check_resolution_first(make, d):
+    # range-checked before any 2^L grid is formed: a negative L used to
+    # fail in the shift, and a huge one in the allocation
+    for L in (-1, level_cap(d) + 2, 40):
+        with pytest.raises(ContractError, match="resolution"):
+            make(d, L)
 
 
 def test_signal_immutable_and_arithmetic():
