@@ -501,13 +501,10 @@ def _decompose(
             raise ContractError(f"{name} must be normalized in L^{p}; got {nrm}")
         norms.append(nrm)
     d, L = f1.d, f1.L
-    e3 = (
-        np.ones(((1 << L),) * d, dtype=bool)
-        if cfg.e3_mask is None
-        else np.asarray(cfg.e3_mask, dtype=bool)
-    )
-    if float(e3.mean()) != 1.0:
-        raise ContractError("E_3 must have measure one (the full torus)")
+    grid = ((1 << L),) * d
+    e3 = np.ones(grid, bool) if cfg.e3_mask is None else np.asarray(cfg.e3_mask, bool)
+    if e3.shape != grid or float(e3.mean()) != 1.0:
+        raise ContractError(f"E_3 must be the full torus: a {grid} mask of ones")
 
     ops = slot_operator_specs(spec)[:3]
     state = build_exceptional_sets(

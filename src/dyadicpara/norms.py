@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, ResourceError
+from .errors import ContractError
 from .families import AdaptedFamily
 from .signals import Signal, lp_norm
-from .transforms import _rectangle_weights, _spread, coefficients, lattice_rectangles
+from .transforms import _gather, _rectangle_weights, _spread
+from .transforms import coefficients, lattice_rectangles
 
 
 def _extended_square(f: Signal) -> np.ndarray:
@@ -46,51 +47,34 @@ def bmo_norm_1param(f: Signal) -> float:
     return float(np.sqrt(best))
 
 
-def _rectangle_energy_rows(f: Signal):
-    """Squared Haar coefficient and boolean cell row of each lattice rectangle."""
-    n_bytes = ((1 << f.L) - 1) ** f.d << (f.d * f.L)
-    if n_bytes > _ROW_MATRIX_BYTES:
-        raise ResourceError(
-            f"the rectangle-by-cell matrix at d={f.d} L={f.L} needs "
-            f"{n_bytes} bytes, over the cap of {_ROW_MATRIX_BYTES}"
-        )
+def _rectangle_energies(f: Signal):
+    """Lattice rectangles and the squared Haar coefficient of each."""
     field = coefficients(f, AdaptedFamily.haar(f.d))
     rects = lattice_rectangles(f.d, f.L)
-    energies = np.array([field.rectangle_coefficient(r) ** 2 for r in rects])
-    rows = np.zeros((len(rects),) + f.values.shape, dtype=bool)
-    for row, r in zip(rows, rects):
-        row[r.cell_slices(f.L)] = True
-    return rects, energies, rows.reshape(len(rects), f.values.size)
+    return rects, np.array([field.rectangle_coefficient(r) ** 2 for r in rects])
 
 
-def _rows_inside(rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Which cell rows lie inside the flat region mask.
-
-    Tested over row chunks of at most _INSIDE_CHUNK_BYTES, so the boolean
-    temporary stays small next to the row matrix; a matrix within one
-    chunk is tested in a single expression.
-    """
-    outside = ~flat
-    step = max(1, _INSIDE_CHUNK_BYTES // rows.shape[1])
-    inside = np.empty(len(rows), dtype=bool)
-    for i in range(0, len(rows), step):
-        inside[i : i + step] = ~np.any(rows[i : i + step] & outside, axis=1)
-    return inside
+def _per_rectangle(cells: np.ndarray, L: int, op) -> np.ndarray:
+    """The `op`-aggregate of each lattice rectangle's cells, in
+    `lattice_rectangles` order: the rectangle slots of the gathered tensor,
+    raveled row-major.  With np.logical_and it tells which rectangles lie
+    inside a region, since a rectangle does when all its cells do."""
+    for axis in range(cells.ndim):
+        cells = _gather(cells, axis, L, op)
+    return cells[(slice(1, None),) * cells.ndim].ravel()
 
 
 def energy_in_region(f: Signal, mask: np.ndarray) -> float:
     """Sum of squared Haar coefficients of rectangles inside the region."""
-    _, energies, rows = _rectangle_energy_rows(f)
-    flat = np.asarray(mask, dtype=bool).ravel()
-    return float(energies[_rows_inside(rows, flat)].sum())
+    region = np.asarray(mask, dtype=bool)
+    if region.shape != f.values.shape:
+        raise ContractError(f"region mask shape {region.shape} is not the grid's")
+    _, energies = _rectangle_energies(f)
+    return float(energies[_per_rectangle(region, f.L, np.logical_and)].sum())
 
 
 # exact-marginal greedy only below this n_rects^2 * n_cells budget
 _EXACT_GREEDY_OPS = 1 << 26
-# largest n_rects x n_cells boolean matrix the region energies may build
-_ROW_MATRIX_BYTES = 1 << 30
-# largest rows-by-cells temporary of one inside-the-region test
-_INSIDE_CHUNK_BYTES = 1 << 21
 
 
 def product_bmo_lower(f: Signal, budget: int = 16) -> float:
@@ -106,32 +90,39 @@ def product_bmo_lower(f: Signal, budget: int = 16) -> float:
     """
     if f.d < 2:
         raise ContractError("the product norm needs d >= 2")
-    _, energies, rows = _rectangle_energy_rows(f)
-    n_rects, n_cells = rows.shape
-    cell = f.cell_measure
-    counts = rows.sum(axis=1)
+    rects, energies = _rectangle_energies(f)
+    if not rects:  # a one-cell grid (L = 0) has no rectangle coefficients
+        return 0.0
+    L, cell = f.L, f.cell_measure
+    counts = _per_rectangle(np.ones(f.values.shape, dtype=np.intp), L, np.add)
 
     def inside_energy(mask):
-        return float(energies[_rows_inside(rows, mask)].sum())
+        return float(energies[_per_rectangle(mask, L, np.logical_and)].sum())
 
     def region_value(mask):
         covered = int(mask.sum())
         return inside_energy(mask) / (covered * cell) if covered else 0.0
 
-    exact = n_rects * n_rects * n_cells <= _EXACT_GREEDY_OPS
+    def with_rect(mask, rect):
+        grown = mask.copy()
+        grown[rect.cell_slices(L)] = True
+        return grown
+
+    marked = np.zeros(f.values.shape, dtype=bool)
+    exact = len(rects) ** 2 * marked.size <= _EXACT_GREEDY_OPS
 
     # single rectangles; own coefficient alone already certifies a bound
-    best = float(np.max(energies / (counts * cell))) if n_rects else 0.0
+    best = float(np.max(energies / (counts * cell)))
     if exact:
-        best = max(best, max(region_value(rows[i]) for i in range(n_rects)))
+        best = max(best, max(region_value(with_rect(marked, r)) for r in rects))
 
-    marked = np.zeros(n_cells, dtype=bool)
     current = 0.0
     for _ in range(max(budget, 0)):
-        added = (~marked & rows).sum(axis=1)
+        added = _per_rectangle((~marked).astype(np.intp), L, np.add)
         if exact:
-            trial = marked | rows
-            covered = ~np.any(rows[None, :, :] & ~trial[:, None, :], axis=2)
+            covered = np.array(
+                [_per_rectangle(with_rect(marked, r), L, np.logical_and) for r in rects]
+            )
             gains = covered @ energies - current
         else:
             gains = np.where(added > 0, energies, 0.0)
@@ -142,7 +133,7 @@ def product_bmo_lower(f: Signal, budget: int = 16) -> float:
         pick = int(np.argmax(ratio))
         if ratio[pick] <= 0.0:
             break
-        marked = marked | rows[pick]
+        marked[rects[pick].cell_slices(L)] = True
         current = inside_energy(marked)
         best = max(best, region_value(marked))
         if marked.all():

@@ -25,11 +25,6 @@ from .lattice import DyadicInterval, DyadicRectangle, enumerate_rectangles
 from .signals import Signal, _check_resolution
 
 
-def lattice_levels(L: int) -> range:
-    """Interval levels whose profiles are representable at resolution L."""
-    return range(L)
-
-
 def lattice_rectangles(d: int, L: int, cap=None) -> list:
     """All rectangles addressable by a resolution-L coefficient tensor."""
     if L < 1:
@@ -63,10 +58,6 @@ class CoefficientField:
             raise ContractError("coefficient tensor has the wrong shape")
         arr.flags.writeable = False
         object.__setattr__(self, "tensor", arr)
-
-    @property
-    def has_mean_blocks(self) -> bool:
-        return self.family.is_orthonormal_basis
 
     def rectangle_coefficient(self, rect: DyadicRectangle) -> float:
         idx = tuple(flat_index(a.level, a.position) for a in rect.axes)
@@ -150,7 +141,7 @@ def _key_slot(part, L: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Per-axis dyadic spread and rectangle weights in coefficient layout
+# Per-axis dyadic spread and gather, and rectangle weights in coefficient layout
 # ---------------------------------------------------------------------------
 
 
@@ -177,6 +168,20 @@ def _spread_cascade(coeffs: np.ndarray, axis: int, L: int, op) -> np.ndarray:
     for k in range(L):
         run = np.repeat(op(run, a[..., (1 << k) : (1 << (k + 1))]), 2, axis=-1)
     return np.moveaxis(run, -1, axis)
+
+
+def _gather(cells: np.ndarray, axis: int, L: int, op) -> np.ndarray:
+    """Move one axis from cells to coefficient layout, fine to coarse: the
+    mirror of `_spread`.  Slot 2^k + j receives the `op`-aggregate (np.add
+    or np.logical_and, in the dtype of `cells`) of the cells of interval
+    (k, j), and the mean slot that of the whole axis.  O(2^L) per fiber."""
+    run = np.moveaxis(cells, axis, -1)
+    out = np.empty_like(run)
+    for k in range(L - 1, -1, -1):
+        run = op(run[..., 0::2], run[..., 1::2])
+        out[..., (1 << k) : (1 << (k + 1))] = run
+    out[..., 0] = run[..., 0]
+    return np.moveaxis(out, -1, axis)
 
 
 def _rectangle_weights(

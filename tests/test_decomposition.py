@@ -395,6 +395,20 @@ def test_endpoint_e3_contract(triple2, rng):
         endpoint_pipeline(cfg, triple2, f1, f2)
 
 
+@pytest.mark.parametrize("shape", [(3,), (16, 16)])
+@pytest.mark.parametrize(
+    "pipeline, p2", [(restricted_weak_type_pipeline, 2.0), (endpoint_pipeline, np.inf)]
+)
+def test_e3_mask_of_wrong_shape_refused(triple1, rng, pipeline, p2, shape):
+    # all true, so only the shape is wrong: (3,) used to die in a broadcast,
+    # (16, 16) to broadcast and be refused later by Signal
+    f1 = normalize(random_haar(rng, 1, 4), 2.0)
+    f2 = normalize(random_haar(rng, 1, 4), p2)
+    cfg = RestrictedWeakConfig(p1=2.0, p2=p2, e3_mask=np.ones(shape, dtype=bool))
+    with pytest.raises(ContractError, match="E_3"):
+        pipeline(cfg, triple1, f1, f2)
+
+
 @pytest.mark.parametrize("p2", [2.0, 4.0])
 def test_endpoint_refuses_finite_p2(triple2, rng, p2):
     # the endpoint measures ||f2||_p2 and builds nu from p2, so a finite

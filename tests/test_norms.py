@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dyadicpara import (
     AdaptedFamily,
     ContractError,
-    ResourceError,
     Signal,
     bmo_norm_1param,
     coefficients,
@@ -17,7 +18,9 @@ from dyadicpara import (
     product_bmo_lower,
     rectangle,
 )
-from dyadicpara.norms import _rectangle_energy_rows, _rows_inside, energy_in_region
+from dyadicpara.norms import energy_in_region
+
+import region_row_oracle as oracle
 
 
 def _haar_signal(rect, L, d=1):
@@ -83,23 +86,29 @@ def test_product_bmo_constant():
     )
 
 
+def test_product_bmo_one_cell_grid():
+    # L = 0 has no lattice rectangle; this used to raise ValueError
+    assert product_bmo_lower(Signal.constant(2, 0, 3.0)) == 0.0
+
+
 def test_product_bmo_needs_d2():
     with pytest.raises(ContractError):
         product_bmo_lower(Signal.zeros(1, 3))
 
 
-def test_rectangle_row_matrix_refused_up_front():
-    f = Signal.zeros(2, 8)  # 255^2 rectangles x 2^16 cells: 4 GiB of rows
+def test_region_energies_at_d2_L8_stay_small():
+    # the row path needed 255^2 rectangles x 2^16 cells: 4 GiB of rows
+    f = _haar_signal(rectangle((5, 9), (7, 100)), 8, d=2)
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceError):
-            product_bmo_lower(f)
-        with pytest.raises(ResourceError):
-            energy_in_region(f, np.ones((256, 256), dtype=bool))
+        lower = product_bmo_lower(f)
+        energy = energy_in_region(f, np.ones((256, 256), dtype=bool))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < 64 << 20
+    assert energy == pytest.approx(1.0, rel=1e-12)
+    assert lower == pytest.approx(2.0**6, rel=1e-10)  # 1 / sqrt(2^-12)
 
 
 def test_rectangle_row_matrix_below_cap_runs():
@@ -111,9 +120,9 @@ def test_rectangle_row_matrix_below_cap_runs():
 def test_region_energy_temporary_stays_small(rng):
     f = Signal(2, 6, rng.standard_normal((64, 64)))
     mask = rng.random((64, 64)) < 0.7
-    _, energies, rows = _rectangle_energy_rows(f)
+    _, energies, rows = oracle._rectangle_energy_rows(f)
     flat = mask.ravel()
-    inside = _rows_inside(rows, flat)
+    inside = oracle._rows_inside(rows, flat)
     assert np.array_equal(inside, ~np.any(rows & ~flat, axis=1))
     want = float(energies[inside].sum())
     del rows
@@ -125,6 +134,28 @@ def test_region_energy_temporary_stays_small(rng):
         tracemalloc.stop()
     assert got == want
     assert peak < 1.25 * 63 * 63 * 64 * 64  # the row matrix and a quarter
+
+
+@pytest.mark.parametrize("shape", [(4096,), (64, 63), (64, 64, 1)])
+def test_region_mask_needs_grid_shape(shape):
+    with pytest.raises(ContractError, match="region mask"):
+        energy_in_region(Signal.zeros(2, 6), np.ones(shape, dtype=bool))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    grid=st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.3, 0.7, 0.9, 1.0]),
+)
+def test_region_energies_equal_row_oracle_property(grid, seed, density):
+    # d=2 L=5 is the first grid past the exact-greedy budget
+    d, L = grid
+    rng = np.random.default_rng(seed)
+    f = Signal(d, L, rng.standard_normal(((1 << L),) * d))
+    mask = rng.random(((1 << L),) * d) < density
+    assert energy_in_region(f, mask) == oracle.energy_in_region(f, mask)
+    assert product_bmo_lower(f) == oracle.product_bmo_lower(f)
 
 
 def test_product_bmo_disjoint_pair():

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadicpara import (
     AdaptedFamily,
@@ -329,6 +331,38 @@ def test_small_spread_and_synthesis_equal_cascade(rng, d, L, small):
                 assert np.array_equal(got, transforms._spread_cascade(values, axis, L, op))
             got = transforms._haar_synthesis_axis(values, axis, L)
             assert np.array_equal(got, transforms._haar_synthesis_cascade(values, axis, L))
+
+
+def _interval_reduce(cells, axis, L, op):
+    """Slot by slot: the `op`-reduction of the cells of each interval, the
+    whole axis for the mean slot."""
+    out = np.empty_like(cells)
+    for idx in range(1 << L):
+        k, j = transforms.index_interval(idx) or (0, 0)
+        lo, hi = j << (L - k), (j + 1) << (L - k)
+        src = np.take(cells, range(lo, hi), axis=axis)
+        np.moveaxis(out, axis, 0)[idx] = op.reduce(src, axis=axis)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid=st.sampled_from([(1, 0), (1, 1), (1, 6), (2, 1), (2, 3), (2, 5), (3, 2), (3, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gather_equals_interval_reduction_property(grid, seed):
+    d, L = grid
+    rng = np.random.default_rng(seed)
+    shape = ((1 << L),) * d
+    cases = [
+        (rng.integers(-9, 10, shape), np.add),
+        (rng.random(shape) < rng.choice([0.5, 0.9, 1.0]), np.logical_and),
+    ]
+    for cells, op in cases:
+        for axis in range(d):
+            got = transforms._gather(cells, axis, L, op)
+            assert got.dtype == cells.dtype
+            assert np.array_equal(got, _interval_reduce(cells, axis, L, op))
 
 
 # (d, L, matrix product): grids on both sides of both analysis bounds
