@@ -18,13 +18,19 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CalibrationError, ContractError
+from .errors import CalibrationError, ContractError, ResolutionError
 from .families import AdaptedFamily
-from .lattice import DyadicInterval, DyadicRectangle, RectangleCollection, dilate
+from .lattice import (
+    DyadicInterval,
+    DyadicRectangle,
+    RectangleCollection,
+    _rectangle_tuple,
+    dilate,
+)
 from .operators import OperatorSpec, _above_dyadic, governing_operator, restricted_operator
 from .paraproducts import ParaproductSpec, eval_B, eval_Lambda, slot_operator_specs
 from .signals import Signal, lp_norm
-from .transforms import lattice_rectangles
+from .transforms import _gather, lattice_rectangles
 
 FRACTION = 0.01  # bad-set fraction per hypothesis
 OMEGA_FRACTION = 0.01  # threshold scale in the level-set union
@@ -53,17 +59,38 @@ def _block_quantiles(values: np.ndarray, levels, L: int, frac: float) -> np.ndar
     return np.partition(v, cells - m, axis=-1)[..., cells - m]
 
 
-def _greatest_level(q: float, kappa: float, clamp: int) -> Optional[int]:
-    """Largest integer l with kappa * 2^l < q, clamped to [-clamp, clamp];
-    None when q <= 0 (no level set reaches the fraction)."""
-    if q <= 0.0:
-        return None
-    ell = int(math.floor(math.log2(q / kappa)))
-    while kappa * 2.0**ell >= q:
-        ell -= 1
-    while kappa * 2.0 ** (ell + 1) < q:
-        ell += 1
-    return max(min(ell, clamp), -clamp)
+def _positive(name: str, value, upper: float = math.inf) -> float:
+    """`value` as a finite float in (0, upper]; a ContractError otherwise."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not (0.0 < number <= upper and math.isfinite(number)):
+        bound = "finite and > 0" if upper == math.inf else f"in (0, {upper:g}]"
+        raise ContractError(f"{name} must be {bound}, got {value!r}")
+    return number
+
+
+def _greatest_levels(q: np.ndarray, kappa: float, clamp: int) -> list:
+    """Per quantile, the largest integer l with kappa * 2^l < q, clamped to
+    [-clamp, clamp]; None where q <= 0 (no level set reaches the fraction).
+
+    The first guess is a difference of logarithms and every comparison is
+    against ldexp(kappa, l), so no finite positive kappa overflows.  The
+    search never leaves [-clamp, clamp]: stopping at a bound gives the
+    clamped label.
+    """
+    positive = q > 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        guess = np.floor(np.log2(np.where(positive, q, 1.0)) - math.log2(kappa))
+        ell = np.clip(guess, -clamp, clamp).astype(np.int64)
+        while (down := (ell > -clamp) & (np.ldexp(kappa, ell) >= q)).any():
+            ell -= down
+        while (up := (ell < clamp) & (np.ldexp(kappa, ell + 1) < q)).any():
+            ell += up
+    labels = ell.astype(object)
+    labels[~positive] = None
+    return labels.tolist()
 
 
 def classify_rectangles(
@@ -75,27 +102,23 @@ def classify_rectangles(
     values: Optional[Signal] = None,
 ) -> dict:
     """Label each lattice rectangle with the greatest l such that
-    |R intersect {T f > kappa 2^l}| >= frac * |R|  (None if no l works)."""
+    |R intersect {T f > kappa 2^l}| >= frac * |R|  (None if no l works).
+
+    The quantiles fill one coefficient-layout tensor, one level tuple per
+    block; its rectangle slots in row-major order are the rectangles in
+    `lattice_rectangles` order, which is the order of the returned dict.
+    """
+    kappa, frac = _positive("kappa", kappa), _positive("frac", frac, 1.0)
     g = values if values is not None else governing_operator(f, op)
-    labels = {}
-    for levels in itertools.product(range(g.L), repeat=g.d):
-        qs = _block_quantiles(g.values, levels, g.L, frac)
-        for pos in itertools.product(*[range(1 << k) for k in levels]):
-            rect = DyadicRectangle(
-                tuple(DyadicInterval(k, p) for k, p in zip(levels, pos))
-            )
-            labels[rect] = _greatest_level(float(qs[pos]), kappa, clamp)
-    return labels
-
-
-def _member_quantiles(t_values: Signal, collection: RectangleCollection, frac: float = FRACTION):
-    """Per member R, the m-th largest value of T on R with
-    m = floor(frac * cells) + 1: |R intersect {T > t}| <= frac |R| iff this
-    quantile is <= t.  Lazy, so a caller may stop at the first member."""
-    for rect in collection.members:
-        block = t_values.values[rect.cell_slices(t_values.L)].ravel()
-        m = math.floor(block.size * frac) + 1
-        yield float(np.partition(block, block.size - m)[block.size - m])
+    d, L = g.d, g.L
+    if L == 0:
+        return {}
+    q = np.empty(((1 << L),) * d)
+    for levels in itertools.product(range(L), repeat=d):
+        block = tuple(slice(1 << k, 2 << k) for k in levels)
+        q[block] = _block_quantiles(g.values, levels, L, frac)
+    labels = _greatest_levels(q[(slice(1, None),) * d].ravel(), kappa, clamp)
+    return dict(zip(_rectangle_tuple(d, L - 1), labels))
 
 
 def hypothesis_holds(
@@ -104,8 +127,26 @@ def hypothesis_holds(
     threshold: float,
     frac: float = FRACTION,
 ) -> bool:
-    """True iff |R intersect {T > threshold}| <= frac |R| for all members."""
-    return not any(q > threshold for q in _member_quantiles(t_values, collection, frac))
+    """True iff |R intersect {T > threshold}| <= frac |R| for all members.
+
+    The exceedances are add-gathered to coefficient layout (with leaf slots
+    when a member sits at the grid level), so each member reads its count
+    at its slot."""
+    frac = _positive("frac", frac, 1.0)
+    if not collection.members:
+        return True
+    if collection.d != t_values.d:
+        raise ContractError("collection and operator parameter counts differ")
+    L = t_values.L
+    levels, slots = collection._levels_slots
+    top = int(levels.max())
+    if top > L:
+        raise ResolutionError(f"a level-{top} member is below resolution L={L}")
+    count = (t_values.values > threshold).astype(float)
+    for axis in range(t_values.d):
+        count = _gather(count, axis, L, np.add, leaves=top == L)
+    allowed = np.floor(np.ldexp(1.0, (L - levels).sum(axis=1)) * frac)
+    return bool(np.all(count[tuple(slots.T)] <= allowed))
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +181,10 @@ def _omega_sets(t_values, kappa, nu, t0_spec):
     top = max(float(t.values.max()) for t in t_values)
     omega_ell = {}
     ell = 0
-    while kappa * 2.0**ell < top:
+    while math.ldexp(kappa, ell) < top:
         mask = np.zeros(grid_shape, dtype=bool)
         for t in t_values:
-            mask |= t.values > kappa * 2.0**ell
+            mask |= t.values > math.ldexp(kappa, ell)
         if not mask.any():
             break
         omega_ell[ell] = mask
@@ -177,6 +218,8 @@ def build_exceptional_sets(
     Passing t2=None builds the sets from the first input alone (the
     bounded-second-input endpoint variant).
     """
+    if kappa is not None:
+        kappa = _positive("kappa", kappa)
     nu = min(p1, p2) / 4.0
     if t0_spec is None:
         t0_spec = OperatorSpec.all_max(AdaptedFamily.abs_haar(f1.d))
@@ -199,7 +242,7 @@ def build_exceptional_sets(
         )
 
     if kappa is not None:
-        return state_at(float(kappa))
+        return state_at(kappa)
     k = 1.0
     while k <= kappa_limit:
         state = state_at(k)
@@ -462,21 +505,30 @@ class RestrictedWeakConfig:
     tol: float = 1e-10
 
 
-def _effective(label: Optional[int], clamp: int) -> int:
-    return -clamp if label is None else label
-
-
 def _group_classes(labels_list, lattice, clamp, leading: int):
     """Split rectangles into main classes (all `leading` front labels <= 0,
     keyed by the full label vector) and leftover classes keyed by the front
-    labels whenever one of them is positive."""
+    labels whenever one of them is positive.
+
+    Every label dict lists the rectangles of `lattice` in its order.  One
+    stable sort of the stacked label vectors groups them, so each class
+    lists its rectangles in lattice order."""
+    if not lattice:
+        return {}, {}
+    ells = np.array([list(lab.values()) for lab in labels_list], dtype=float)
+    ells = np.nan_to_num(ells, nan=-clamp).astype(np.int64)  # None -> -clamp
+    ells[leading:, (ells[:leading] > 0).any(axis=0)] = 0  # leftover: front labels only
+    order = np.lexsort(ells)
+    ells = ells[:, order]
+    starts = np.flatnonzero(np.diff(ells, axis=1).any(axis=0)) + 1
+    keys = ells[:, np.r_[0, starts]].T.tolist()
     main, leftover = {}, {}
-    for rect in lattice:
-        ells = tuple(_effective(lab[rect], clamp) for lab in labels_list)
-        if all(e <= 0 for e in ells[:leading]):
-            main.setdefault(ells, []).append(rect)
+    for key, members in zip(keys, np.split(order, starts)):
+        rects = [lattice[i] for i in members.tolist()]
+        if all(e <= 0 for e in key[:leading]):
+            main[tuple(key)] = rects
         else:
-            leftover.setdefault(ells[:leading], []).append(rect)
+            leftover[tuple(key[:leading])] = rects
     return main, leftover
 
 

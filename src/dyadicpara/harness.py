@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .decomposition import (
+    FRACTION,
     RestrictedWeakConfig,
-    _member_quantiles,
     endpoint_pipeline,
     localization_experiment,
     restricted_weak_type_pipeline,
@@ -460,6 +460,18 @@ def suite_domination(cfg: ExperimentConfig) -> dict:
     return _report(cfg, checks)
 
 
+def _hypothesis_threshold(t: Signal, collection: RectangleCollection) -> float:
+    """The least threshold at which the hypothesis holds on every member
+    (0 for none): the largest over members R of the m-th largest value of
+    T on R, m = floor(FRACTION * cells) + 1."""
+    top = 0.0
+    for rect in collection.members:
+        block = t.values[rect.cell_slices(t.L)].ravel()
+        m = math.floor(block.size * FRACTION) + 1
+        top = max(top, float(np.partition(block, block.size - m)[block.size - m]))
+    return top
+
+
 def suite_technical_lemma(cfg: ExperimentConfig) -> dict:
     checks = []
     d, L = cfg.d, cfg.L
@@ -476,7 +488,7 @@ def suite_technical_lemma(cfg: ExperimentConfig) -> dict:
         idx = rng.choice(len(lattice), size=size, replace=False)
         collection = RectangleCollection.of([lattice[i] for i in idx], L)
         t_vals = [governing_operator(f, t) for f, t in zip(fs, tspecs)]
-        qs = [max([0.0, *_member_quantiles(t, collection)]) for t in t_vals]
+        qs = [_hypothesis_threshold(t, collection) for t in t_vals]
         pattern = trial % 3
         lambdas = list(qs)
         flags = [True, True, True]

@@ -10,6 +10,7 @@ such cells, so measures are dyadic rationals and float-exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -190,6 +191,14 @@ def enumerate_rectangles(d: int, L: int, cap: Optional[int] = None) -> list:
     return [DyadicRectangle(combo) for combo in itertools.product(axis, repeat=d)]
 
 
+@functools.lru_cache(maxsize=4)
+def _rectangle_tuple(d: int, L: int) -> tuple:
+    """`enumerate_rectangles(d, L)` without the cap, built once per (d, L)
+    from the intervals directly, so it calls no public function."""
+    axis = [DyadicInterval(k, j) for k in range(L + 1) for j in range(1 << k)]
+    return tuple(DyadicRectangle(combo) for combo in itertools.product(axis, repeat=d))
+
+
 @dataclass(frozen=True)
 class GridBox:
     """Axis-aligned union of grid cells, one half-open index range per axis."""
@@ -246,14 +255,11 @@ class RectangleCollection:
     L: int
 
     def __post_init__(self):
-        ds = {r.d for r in self.members}
-        if len(ds) > 1:
+        if len({len(r.axes) for r in self.members}) > 1:
             raise ContractError("rectangles in a collection must share d")
-        for r in self.members:
-            if max(r.levels) > self.L:
-                raise ResolutionError(
-                    f"rectangle {r.to_json()} is below resolution L={self.L}"
-                )
+        if self.members and self._levels_slots[0].max() > self.L:
+            r = min(r for r in self.members if max(r.levels) > self.L)
+            raise ResolutionError(f"rectangle {r.to_json()} is below resolution L={self.L}")
 
     @classmethod
     def of(cls, rects: Iterable[DyadicRectangle], L: int) -> "RectangleCollection":
@@ -274,13 +280,31 @@ class RectangleCollection:
     def __contains__(self, rect: DyadicRectangle) -> bool:
         return rect in self.members
 
+    @functools.cached_property
+    def _levels_slots(self) -> tuple:
+        """(levels, slots): per member and axis, the interval level k and its
+        slot 2^k + j.  A level-L interval's slot lies past the 2^L slots of
+        a coefficient axis, in the leaf block of an axis of 2^(L+1)."""
+        d = self.d or 1
+        axes = [a for r in self.members for a in r.axes]
+        levels = np.array([a.level for a in axes], dtype=np.intp).reshape(-1, d)
+        positions = np.array([a.position for a in axes], dtype=np.intp).reshape(-1, d)
+        return levels, (1 << levels) + positions
+
     def shadow_mask(self) -> np.ndarray:
-        """Boolean grid marking every cell covered by some member."""
+        """Boolean grid marking every cell covered by some member: the
+        members' slots OR-spread to the cells, with leaf slots when a member
+        sits at level L."""
+        from .transforms import _spread
+
         d = self.d if self.members else 1
-        out = np.zeros(((1 << self.L),) * d, dtype=bool)
-        for r in self.members:
-            out[r.cell_slices(self.L)] = True
-        return out
+        levels, slots = self._levels_slots
+        width = (2 if self.members and levels.max() == self.L else 1) << self.L
+        marks = np.zeros((width,) * d, dtype=bool)
+        marks[tuple(slots.T)] = True
+        for axis in range(d):
+            marks = _spread(marks, axis, self.L, np.logical_or)
+        return marks
 
     def shadow_measure(self) -> float:
         if not self.members:

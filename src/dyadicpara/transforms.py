@@ -148,13 +148,17 @@ def _key_slot(part, L: int) -> int:
 def _spread(coeffs: np.ndarray, axis: int, L: int, op) -> np.ndarray:
     """Move one axis from coefficient layout to cells, coarse to fine.
 
-    Every cell receives the `op`-aggregate (np.add or np.maximum) of the
-    mean slot and of the slots of all intervals containing it, in that
-    order.  A small tensor gathers those L+1 slots per cell in one call and
-    folds them along the level axis; that axis is never the innermost one,
-    so numpy folds it in order and the result equals the cascade's bit for
-    bit.
+    Every cell receives the `op`-aggregate (np.add, np.maximum or
+    np.logical_or) of the mean slot and of the slots of all intervals
+    containing it, in that order.  An axis of 2^(L+1) slots also holds one
+    leaf slot 2^L + j per cell j, folded in last.  A small tensor gathers
+    those L+1 slots per cell in one call and folds them along the level
+    axis; that axis is never the innermost one, so numpy folds it in order
+    and the result equals the cascade's bit for bit.
     """
+    if coeffs.shape[axis] == 2 << L:
+        coeffs, leaves = np.split(coeffs, 2, axis=axis)
+        return op(_spread(coeffs, axis, L, op), leaves)
     if coeffs.size <= _SMALL_SIZE_MAX:
         return op.reduce(coeffs.take(_ancestor_slots(L), axis=axis), axis=axis)
     return _spread_cascade(coeffs, axis, L, op)
@@ -170,11 +174,24 @@ def _spread_cascade(coeffs: np.ndarray, axis: int, L: int, op) -> np.ndarray:
     return np.moveaxis(run, -1, axis)
 
 
-def _gather(cells: np.ndarray, axis: int, L: int, op) -> np.ndarray:
+def _gather(cells: np.ndarray, axis: int, L: int, op, leaves: bool = False) -> np.ndarray:
     """Move one axis from cells to coefficient layout, fine to coarse: the
     mirror of `_spread`.  Slot 2^k + j receives the `op`-aggregate (np.add
     or np.logical_and, in the dtype of `cells`) of the cells of interval
-    (k, j), and the mean slot that of the whole axis.  O(2^L) per fiber."""
+    (k, j), and the mean slot that of the whole axis.  With `leaves` the
+    axis gets 2^(L+1) slots, and leaf slot 2^L + j holds cell j.  A small
+    add-gather is one product with the 0/1 `_interval_matrix`, exact for
+    integer counts."""
+    if op is np.add and cells.size <= _SMALL_SIZE_MAX and (1 << L) <= _HAAR_MATRIX_MAX_N:
+        out = _dense_analysis_axis(cells, axis, _interval_matrix(L))
+        out = out.astype(cells.dtype, copy=False)
+    else:
+        out = _gather_cascade(cells, axis, L, op)
+    return np.concatenate([out, cells], axis=axis) if leaves else out
+
+
+def _gather_cascade(cells: np.ndarray, axis: int, L: int, op) -> np.ndarray:
+    """`_gather` level by level, pairing neighbours.  O(2^L) per fiber."""
     run = np.moveaxis(cells, axis, -1)
     out = np.empty_like(run)
     for k in range(L - 1, -1, -1):
@@ -216,18 +233,19 @@ def _weight_table(d: int, L: int, power: float, means: bool) -> np.ndarray:
 
 def _collection_slots(collection, d: int, L: int) -> np.ndarray:
     """Boolean coefficient-layout tensor marking the collection's members."""
-    if collection.members and collection.d != d:
-        raise ContractError("collection and signal parameter counts differ")
-    rows = []
-    for rect in collection.members:
-        if max(rect.levels) >= L:
-            raise ResolutionError(
-                f"rectangle {rect.to_json()} is finer than the coefficient "
-                f"lattice at resolution {L}"
-            )
-        rows.append([(1 << a.level) + a.position for a in rect.axes])
     keep = np.zeros(((1 << L),) * d, dtype=bool)
-    keep[tuple(np.array(rows, dtype=np.intp).reshape(-1, d).T)] = True
+    if not collection.members:
+        return keep
+    if collection.d != d:
+        raise ContractError("collection and signal parameter counts differ")
+    levels, slots = collection._levels_slots
+    if levels.max() >= L:
+        rect = min(r for r in collection.members if max(r.levels) >= L)
+        raise ResolutionError(
+            f"rectangle {rect.to_json()} is finer than the coefficient "
+            f"lattice at resolution {L}"
+        )
+    keep[tuple(slots.T)] = True
     return keep
 
 
@@ -257,7 +275,10 @@ def _collection_slots(collection, d: int, L: int) -> np.ndarray:
 # grid of the C01-C12 configurations.
 _SMALL_SIZE_MAX = 1 << 10
 # At d=1 the analysis product is a matrix-vector product that reads all n²
-# entries of the matrix; it loses from n = 2^9 (table above).
+# entries of the matrix; it loses from n = 2^9 (table above).  The same
+# bound holds for the add-gather's interval matrix: µs per call, all axes
+# of a 0/1 tensor, cascade -> products: (16, 16) 31 -> 5.9, (256,) 17 ->
+# 11, (8, 8, 8) 51 -> 10.
 _HAAR_MATRIX_MAX_N = 1 << 8
 
 
@@ -289,6 +310,16 @@ def _synthesis_scales(L: int) -> np.ndarray:
         scales[k + 1] = np.where(right, -1.0, 1.0) * 2.0 ** (k / 2.0)
     scales.flags.writeable = False
     return scales
+
+
+@functools.lru_cache(maxsize=_SMALL_L_COUNT)
+def _interval_matrix(L: int) -> np.ndarray:
+    """The add-gather as an n x n 0/1 matrix: row 2^k + j marks the cells
+    of interval (k, j), row 0 every cell."""
+    matrix = np.zeros((1 << L, 1 << L))
+    matrix[_ancestor_slots(L), np.arange(1 << L)] = 1.0
+    matrix.flags.writeable = False
+    return matrix
 
 
 @functools.lru_cache(maxsize=_SMALL_L_COUNT)

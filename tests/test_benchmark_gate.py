@@ -1,5 +1,6 @@
 """The benchmark's full-size passes against their recorded reference
-outputs (class labels and kappa included) and traced call counts.
+outputs (class labels and kappa included) and traced call counts, at
+input sets 0 and 1.
 
 At d=1 L=12 the abs-Haar transforms take the step-block path, which the
 smoke-size benchmark tests never reach.  A traced pass also fails when a
@@ -28,9 +29,10 @@ def test_rw_d1_L12_pass_matches_reference():
     assert (run.attempted, run.failed) == (1, 0)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_traced_pass_matches_reference_and_call_counts(workload):
-    run = Run(WORKLOADS[workload], seed=0, smoke=False)
+def test_traced_pass_matches_reference_and_call_counts(workload, seed):
+    run = Run(WORKLOADS[workload], seed=seed, smoke=False)
     assert run.reference is not None
     _, tracer, _ = run.one_pass(traced=True)
     assert run.problems == []

@@ -434,3 +434,68 @@ def test_endpoint_spike_produces_vanishing_leftovers(triple1, rng):
     assert leftovers, "expected at least one positive-label class"
     assert all(row["sum"] == 0.0 for row in leftovers)
     assert rep["all_class_bounds_ok"]
+
+
+# -- contracts of the tensor-native classification ----------------------------
+
+
+@pytest.mark.parametrize("d, L", [(1, 0), (1, 1), (1, 5), (2, 0), (2, 1), (2, 3), (3, 0), (3, 1), (3, 2)])
+def test_labels_come_in_lattice_order(rng, d, L):
+    # _group_classes reads the label vectors in this order
+    tf = Signal(d, L, np.abs(rng.standard_normal(((1 << L),) * d)))
+    labels = classify_rectangles(None, _max_spec(d), 0.5, values=tf)
+    assert list(labels) == lattice_rectangles(d, L)
+
+
+@pytest.mark.parametrize("kappa", [0, 0.0, -1.0, float("nan"), float("inf"), -float("inf"), "x", None])
+def test_classify_refuses_bad_kappa(kappa):
+    # f=None: the refusal comes before any operator is computed
+    with pytest.raises(ContractError, match="kappa"):
+        classify_rectangles(None, _max_spec(), kappa)
+
+
+@pytest.mark.parametrize("frac", [0, -0.1, 1.0 + 1e-12, 2.0, float("nan"), float("inf")])
+def test_classify_and_hypothesis_refuse_bad_frac(frac):
+    tf = Signal(1, 4, np.arange(16.0))
+    with pytest.raises(ContractError, match="frac"):
+        classify_rectangles(None, _max_spec(), 1.0, frac=frac)
+    with pytest.raises(ContractError, match="frac"):
+        hypothesis_holds(tf, RectangleCollection.of([rectangle((0, 0))], 4), 1.0, frac=frac)
+
+
+def test_classify_tiny_kappa_clamps_instead_of_overflowing():
+    # q / kappa overflows at kappa = 1e-320; the log-difference search does not
+    tf = Signal(1, 4, np.arange(16.0))
+    labels = classify_rectangles(None, _max_spec(), 1e-320, values=tf, clamp=40)
+    assert set(labels.values()) == {40}
+    labels = classify_rectangles(None, _max_spec(), 1e300, values=tf, clamp=40)
+    assert set(labels.values()) == {-40}
+
+
+def test_hypothesis_with_frac_one_always_holds():
+    # |R cut {T > t}| <= |R| always; the partition index used to wrap to -1
+    tf = Signal(1, 4, np.arange(16.0))
+    whole = RectangleCollection.of([rectangle((0, 0))], 4)
+    assert hypothesis_holds(tf, whole, 14.5, frac=1.0)
+    assert not hypothesis_holds(tf, whole, 14.5, frac=1.0 / 32)
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan")])
+def test_exceptional_sets_refuse_bad_kappa(triple2, kappa):
+    t1, t2, _ = slot_operator_specs(triple2)
+    one = Signal.constant(2, 4, 1.0)
+    with pytest.raises(ContractError, match="kappa"):
+        build_exceptional_sets(one, one, 2.0, 2.0, t1, t2, kappa=kappa)
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0])
+@pytest.mark.parametrize(
+    "pipeline, p2", [(restricted_weak_type_pipeline, 2.0), (endpoint_pipeline, np.inf)]
+)
+def test_pipelines_refuse_bad_kappa(triple1, rng, pipeline, p2, kappa):
+    # both used to die with OverflowError inside the level-set loop
+    f1 = normalize(random_haar(rng, 1, 4), 2.0)
+    f2 = normalize(random_haar(rng, 1, 4), p2)
+    cfg = RestrictedWeakConfig(p1=2.0, p2=p2, kappa=kappa)
+    with pytest.raises(ContractError, match="kappa"):
+        pipeline(cfg, triple1, f1, f2)

@@ -360,9 +360,13 @@ def test_gather_equals_interval_reduction_property(grid, seed):
     ]
     for cells, op in cases:
         for axis in range(d):
+            want = _interval_reduce(cells, axis, L, op)
             got = transforms._gather(cells, axis, L, op)
             assert got.dtype == cells.dtype
-            assert np.array_equal(got, _interval_reduce(cells, axis, L, op))
+            assert np.array_equal(got, want)
+            # leaf slots 2^L + j hold the cells themselves
+            got = transforms._gather(cells, axis, L, op, leaves=True)
+            assert np.array_equal(got, np.concatenate([want, cells], axis=axis))
 
 
 # (d, L, matrix product): grids on both sides of both analysis bounds
@@ -391,7 +395,7 @@ def test_small_tensor_tables_stay_small():
         for L in small_L
     )
     total += sum(
-        transforms._haar_analysis_matrix(L).nbytes
+        transforms._haar_analysis_matrix(L).nbytes + transforms._interval_matrix(L).nbytes
         for L in small_L
         if (1 << L) <= transforms._HAAR_MATRIX_MAX_N
     )
