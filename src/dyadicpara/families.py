@@ -18,6 +18,7 @@ integral by subtracting a constant on a window of width 4|I| around c(I).
 from __future__ import annotations
 
 import functools
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,13 +166,29 @@ def _gaussian_profile(k, j, L, zero):
     return _gaussian_profile_cached(int(k), int(j), int(L), bool(zero))
 
 
-# bounded: a matrix is 4^L floats (512 MiB at L=13); with eight entries the
-# C01-C12 suite configurations still build each of their matrices once
+def _zero_matrix(n: int) -> np.ndarray:
+    """A writable n x n float64 zero matrix on a private anonymous mapping
+    without transparent huge pages.
+
+    numpy asks for huge pages on every array of 4 MiB or more, so writing
+    the n·L nonzero entries of a step matrix into np.zeros would fault in
+    whole 2 MiB pages: all 128 MiB at n = 2^12, against 16 MiB of 4 KiB
+    pages.  Pages never written read as zeros and take no memory."""
+    buf = mmap.mmap(-1, n * n * 8, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(n, n)
+
+
+# bounded: a matrix spans 4^L floats of address space (512 MiB at L=13); a
+# step matrix keeps only the pages of its diagonal blocks resident (about
+# 16 MiB at L=12, 32 MiB at L=13), a smooth one all of them.  With eight
+# entries the C01-C12 suite configurations still build each matrix once
 @functools.lru_cache(maxsize=8)
 def _profile_matrix_cached(family: AdaptedFamily, axis: int, L: int) -> np.ndarray:
     zero = family.zero_pattern[axis]
     n = 1 << L
-    out = np.zeros((n, n))
+    out = _zero_matrix(n)
     if family.is_smooth:
         # rows come from the uncached builder: the matrix is the only copy kept
         for k in range(L):

@@ -110,6 +110,8 @@ class ExperimentConfig:
 def generate_signal(kind: str, d: int, L: int, seed: int = 0, params=None) -> Signal:
     """Deterministic test signals; identical arguments give identical data."""
     _check_resolution(d, L)
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     params = dict(params or {})
     if kind == "constant":
         return Signal.constant(d, L, float(params.get("c", 1.0)))
@@ -657,6 +659,8 @@ def _check_config(cfg: ExperimentConfig, levels):
     """Refuses a configuration no trial can run on, before any trial."""
     if cfg.trials < 1:
         raise ContractError(f"trials must be >= 1, got {cfg.trials}")
+    if cfg.seed < 0:  # numpy's SeedSequence takes non-negative integers only
+        raise ContractError(f"seed must be >= 0, got {cfg.seed}")
     for L in levels:
         _check_resolution(cfg.d, L)
 

@@ -163,7 +163,7 @@ class Signal:
 
 def lp_norm(f: Signal, p: float) -> float:
     """(integral |f|^p)^(1/p) with cell-measure weighting; p=inf gives sup."""
-    if p <= 0:
+    if not p > 0:  # also refuses NaN
         raise ContractError("exponent p must be positive")
     a = np.abs(f.values)
     if np.isinf(p):
@@ -185,7 +185,7 @@ def weak_quasinorm(f: Signal, r: float) -> float:
     function, so the supremum is attained as lambda increases to one of the
     realized values; it equals max over values a of a * |{|f| >= a}|^(1/r).
     """
-    if r <= 0:
+    if not r > 0:  # also refuses NaN
         raise ContractError("exponent r must be positive")
     a = np.abs(f.values).ravel()
     vals, counts = np.unique(a, return_counts=True)

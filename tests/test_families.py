@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -140,7 +143,8 @@ def test_profile_matrix_does_not_cache_rows(kind):
 def test_step_matrix_vanishes_outside_diagonal_blocks(kind, zero):
     # the step-block transform reads only these blocks: row 2^k + j is zero
     # outside the 2^(L-k) cells of interval (k, j)
-    build = families._profile_matrix_cached.__wrapped__  # uncached: 512 MiB at L=13
+    # uncached; at L=13 it spans 512 MiB, of which about 32 MiB are resident
+    build = families._profile_matrix_cached.__wrapped__
     for L in range(1, 14):
         matrix = build(AdaptedFamily.make(kind, 1, (zero,)), 0, L)
         n = 1 << L
@@ -180,13 +184,41 @@ def test_profile_caches_evict_past_their_bound(name, key):
         AdaptedFamily.abs_haar(1),
         AdaptedFamily.make("abs-haar", 1, (True,)),
         AdaptedFamily.make("haar", 2, (True, False)),
+        AdaptedFamily.make("gaussian-smooth", 2, (False, True)),
+        AdaptedFamily.make("gaussian-bump", 1),
+        AdaptedFamily.make("haar", 1, (False,)),
     ],
 )
 @pytest.mark.parametrize("L", [0, 1, 2, 5, 9])
 def test_step_profile_matrix_equals_its_rows(family, L):
+    # every kind, step or smooth, shares one allocation path
     for axis in range(family.d):
         want = np.zeros((1 << L, 1 << L))
         for k in range(L):
             for j in range(1 << k):
                 want[(1 << k) + j] = family.axis_profile(axis, k, j, L)
-        assert np.array_equal(family.profile_matrix(axis, L), want)
+        matrix = family.profile_matrix(axis, L)
+        assert np.array_equal(matrix, want)
+        assert matrix.dtype == np.float64
+        assert matrix.flags.c_contiguous and not matrix.flags.writeable
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_step_profile_matrix_keeps_only_its_blocks_resident():
+    # a fresh process, so no other test's matrices count.  Its peak is read as
+    # VmHWM, not ru_maxrss: Linux carries ru_maxrss across exec, so a child
+    # of a large test process would start above any peak it reaches itself.
+    # n = 2^12 spans 128 MiB; the diagonal blocks touch about 16 MiB of it
+    code = (
+        "import re\n"
+        "from dyadicpara import AdaptedFamily\n"
+        "def peak_kib():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return int(re.search(r'VmHWM:\\s*(\\d+) kB', f.read()).group(1))\n"
+        "before = peak_kib()\n"
+        "matrix = AdaptedFamily.abs_haar(1).profile_matrix(0, 12)\n"
+        "print(peak_kib() - before)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 48 * 1024

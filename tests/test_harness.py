@@ -235,13 +235,30 @@ def test_cli_malformed_argument_exit_64(capsys, args):
         (["verify", "norms", "--config", "/nonexistent.json"], "cannot read /nonexistent.json"),
         (["verify", "identities", "--L", "3", "--trials", "0"], "trials must be >= 1"),
         (["sweep", "--L-list", "3,4", "--trials", "0"], "trials must be >= 1"),
+        (["verify", "identities", "--d", "1", "--L", "4", "--trials", "1", "--seed", "-5"],
+         "seed must be >= 0"),
+        (["gen", "--kind", "random-haar", "--d", "1", "--L", "4", "--seed", "-5"],
+         "seed must be >= 0"),
+        (["sweep", "--L-list", "3,4", "--trials", "1", "--seed", "-1"], "seed must be >= 0"),
     ],
     ids=["gen-negative-L", "gen-L-above-cap", "verify-negative-L", "sweep-negative-L",
-         "missing-config", "verify-no-trials", "sweep-no-trials"],
+         "missing-config", "verify-no-trials", "sweep-no-trials", "verify-negative-seed",
+         "gen-negative-seed", "sweep-negative-seed"],
 )
 def test_cli_refused_arguments_exit_2(capsys, args, message):
     assert main(args) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args", [["--norm", "lp", "--p", "nan"], ["--norm", "weak", "--r", "nan"]],
+    ids=["lp-p-nan", "weak-r-nan"],
+)
+def test_cli_norm_nan_exponent_exit_2(tmp_path, capsys, args):
+    path = tmp_path / "f.csv"
+    Signal.constant(1, 3, 1.0).save_csv(path)
+    assert main(["norm", "--in", str(path), "--d", "1", "--L", "3", *args]) == 2
+    assert "must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -51,6 +51,13 @@ def test_lp_contract():
         lp_norm(Signal.zeros(1, 2), 0.0)
 
 
+@pytest.mark.parametrize("norm", [lp_norm, weak_quasinorm])
+@pytest.mark.parametrize("exponent", [0.0, -1.0, float("nan")])
+def test_norms_refuse_an_exponent_that_is_not_positive(norm, exponent):
+    with pytest.raises(ContractError):
+        norm(Signal.constant(1, 2, 1.0), exponent)
+
+
 def test_weak_examples():
     quarter = Signal.indicator(rectangle((2, 0)), 4)
     assert weak_quasinorm(quarter, 0.5) == pytest.approx(1 / 16, rel=1e-15)

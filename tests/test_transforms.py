@@ -252,7 +252,7 @@ def _step_scale(values):
 @pytest.fixture
 def drop_profile_matrices():
     yield
-    families._profile_matrix_cached.cache_clear()  # d=1 L=13 holds 512 MiB
+    families._profile_matrix_cached.cache_clear()  # d=1 L=13: 32 MiB resident of 512
 
 
 @pytest.mark.parametrize("make", _STEP_FAMILIES)
