@@ -119,6 +119,11 @@ def governing_operator(
             "coefficient field does not match the operator family and grid"
         )
     d, L = f.d, f.L
+    # the cells of the whole lattice are kept on the field, per norm choice
+    # and nesting order
+    key = (tuple(spec.sigma), spec.pi)
+    if collection is None and key in field._cells:
+        return Signal(d, L, field._cells[key])
     acc = np.abs(field.tensor) * _rectangle_weights(d, L, 0.5, collection)
 
     # innermost norm first; a run of square coordinates sums squares
@@ -133,6 +138,8 @@ def governing_operator(
         acc = _spread(acc, coord, L, np.add)
         if i == d - 1 or spec.sigma[order[i + 1]] == MAX:
             acc = np.sqrt(acc)
+    if collection is None:
+        field._cells[key] = acc
     return Signal(d, L, acc)
 
 

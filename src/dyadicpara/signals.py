@@ -1,8 +1,8 @@
 """Discrete signals on uniform 2^L grids with L^p and weak-L^r norms.
 
 A signal stores one value per grid cell of the unit torus [0, 1)^d
-(row-major over axes); every cell has measure 2^(-dL).  Values are kept
-read-only after construction so signals can be shared freely.
+(row-major over axes); every cell has measure 2^(-dL).  Values are copied
+on construction and kept read-only, so signals can be shared freely.
 """
 
 from __future__ import annotations
@@ -33,11 +33,16 @@ def _check_resolution(d: int, L: int):
         raise ContractError(f"resolution L={L} outside [0, {top}] for d={d}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signal:
+    """Signals compare and hash by identity.  `_fields` holds the
+    coefficient field of each family that `transforms.coefficients` has
+    derived from this signal; it lives exactly as long as the signal."""
+
     d: int
     L: int
-    values: np.ndarray = field(compare=False)
+    values: np.ndarray
+    _fields: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.d < 1:
@@ -46,12 +51,14 @@ class Signal:
             raise ContractError(
                 f"resolution L={self.L} outside [0, {level_cap(self.d) + 1}] for d={self.d}"
             )
-        arr = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if arr.size != (1 << (self.d * self.L)):
+        arr = np.array(self.values, dtype=float, order="C")
+        grid = _grid_shape(self.d, self.L)
+        if arr.shape not in ((1 << (self.d * self.L),), grid):
             raise ContractError(
-                f"need 2^{self.d * self.L} values, got {arr.size}"
+                f"need 2^{self.d * self.L} values, flat or of shape {grid}, "
+                f"got shape {arr.shape}"
             )
-        arr = arr.reshape(_grid_shape(self.d, self.L))
+        arr = arr.reshape(grid)
         if not np.all(np.isfinite(arr)):
             raise ContractError("signal values must be finite")
         arr.flags.writeable = False

@@ -44,16 +44,23 @@ def index_interval(idx: int):
     return level, idx - (1 << level)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientField:
+    """Fields compare and hash by identity.  The tensor is copied on
+    construction, keeping its memory layout, and kept read-only.  `_cells`
+    holds the cell array that `operators.governing_operator` aggregates
+    from this field per (sigma, pi), over the whole lattice; it lives
+    exactly as long as the field."""
+
     d: int
     L: int
     family: AdaptedFamily
-    tensor: np.ndarray = field(compare=False)
+    tensor: np.ndarray
+    _cells: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         _check_resolution(self.d, self.L)
-        arr = np.asarray(self.tensor, dtype=float)
+        arr = np.array(self.tensor, dtype=float)
         if arr.shape != ((1 << self.L),) * self.d:
             raise ContractError("coefficient tensor has the wrong shape")
         arr.flags.writeable = False
@@ -430,10 +437,17 @@ def coefficients(f: Signal, family: AdaptedFamily) -> CoefficientField:
     cascade, or one matrix product on small tensors) and also fills the
     mean blocks; other families contract with per-axis profile matrices
     (step families on large grids read only their diagonal blocks) and
-    populate rectangle entries only.
+    populate rectangle entries only.  The field is derived once per signal
+    and family and kept on the signal; the profile matrices are fetched on
+    every call all the same.
     """
     if family.d != f.d:
         raise ContractError("family and signal parameter counts differ")
+    matrices = []
+    if not family.is_orthonormal_basis:
+        matrices = [family.profile_matrix(axis, f.L) for axis in range(f.d)]
+    if family in f._fields:
+        return f._fields[family]
     tensor = f.values
     if family.is_orthonormal_basis:
         for axis in range(f.d):
@@ -445,10 +459,10 @@ def coefficients(f: Signal, family: AdaptedFamily) -> CoefficientField:
         # instead of each matrix rounds every product the same way (outside
         # the subnormal range)
         tensor = tensor * f.cell_measure
-        for axis in range(f.d):
-            matrix = family.profile_matrix(axis, f.L)
+        for axis, matrix in enumerate(matrices):
             tensor = analysis(tensor, axis, matrix)
-    return CoefficientField(f.d, f.L, family, tensor)
+    out = f._fields[family] = CoefficientField(f.d, f.L, family, tensor)
+    return out
 
 
 def reconstruct(c: CoefficientField) -> Signal:

@@ -209,6 +209,14 @@ def test_cli_unreadable_input_exit_2(tmp_path, capsys, name, text, args):
     assert f"contract error: cannot read {path}" in capsys.readouterr().err
 
 
+def test_cli_misshapen_json_signal_exit_2(tmp_path, capsys):
+    # 16 values for d=2 L=2, nested as 2 x 8 instead of 4 x 4
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"d": 2, "L": 2, "values": [[0.0] * 8, [1.0] * 8]}))
+    assert main(["norm", "--in", str(path)]) == 2
+    assert "shape (4, 4)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -125,6 +125,43 @@ def test_signal_contracts():
         Signal.constant(1, 20, 1.0)  # beyond the resolution cap
 
 
+@pytest.mark.parametrize(
+    "d, L, shape",
+    [(2, 2, (2, 8)), (2, 2, (16, 1)), (1, 4, (4, 4)), (2, 2, (2, 2, 4)), (1, 0, ())],
+)
+def test_signal_refuses_a_misshapen_values_array(d, L, shape):
+    # the size fits, the shape is neither flat nor the grid
+    with pytest.raises(ContractError, match="shape"):
+        Signal(d, L, np.zeros(shape))
+
+
+def test_signal_copies_its_values():
+    v = np.zeros(8)
+    s = Signal(1, 3, v)
+    v[0] = 5.0
+    assert s.values[0] == 0.0
+    assert v.flags.writeable
+
+
+def test_field_copies_its_tensor():
+    t = np.arange(16.0).reshape(4, 4)
+    c = CoefficientField(2, 2, AdaptedFamily.haar(2), t)
+    t[0, 0] = 99.0
+    assert c.tensor[0, 0] == 0.0
+    assert t.flags.writeable
+    assert not c.tensor.flags.writeable
+
+
+def test_signals_and_fields_compare_by_identity():
+    a, b = Signal(1, 1, [0.0, 0.0]), Signal(1, 1, [1.0, 1.0])
+    assert a != b and hash(a) != hash(b)
+    assert a == a and Signal(1, 1, [0.0, 0.0]) != a
+    haar = AdaptedFamily.haar(1)
+    fa, fb = CoefficientField(1, 1, haar, [0.0, 0.0]), CoefficientField(1, 1, haar, [1.0, 1.0])
+    assert fa != fb and hash(fa) != hash(fb)
+    assert len({a, b, fa, fb}) == 4
+
+
 def _field_json(d, L):
     return {
         "d": d,

@@ -306,10 +306,15 @@ def test_coefficients_reads_one_matrix_per_axis(monkeypatch, family, L, helper):
             return _fn(values, axis, matrix)
 
         monkeypatch.setattr(transforms, name, counted)
-    coefficients(Signal.zeros(family.d, L), family)
-    assert calls == [
-        call for axis in range(family.d) for call in (("profile_matrix", axis), (helper, axis))
-    ]
+    f = Signal.zeros(family.d, L)
+    fetches = [("profile_matrix", axis) for axis in range(family.d)]
+    first = coefficients(f, family)
+    assert calls == fetches + [(helper, axis) for axis in range(family.d)]
+    # a second call on the same signal fetches every matrix again (the
+    # public call count) and serves the field it kept
+    calls.clear()
+    assert coefficients(f, family) is first
+    assert calls == fetches
 
 
 # (d, L, one call): grids on both sides of transforms._SMALL_SIZE_MAX
