@@ -294,7 +294,11 @@ class RectangleCollection:
     def shadow_mask(self) -> np.ndarray:
         """Boolean grid marking every cell covered by some member: the
         members' slots OR-spread to the cells, with leaf slots when a member
-        sits at level L."""
+        sits at level L.  Computed once per collection, shared read-only."""
+        return self._shadow_mask
+
+    @functools.cached_property
+    def _shadow_mask(self) -> np.ndarray:
         from .transforms import _spread
 
         d = self.d if self.members else 1
@@ -304,6 +308,7 @@ class RectangleCollection:
         marks[tuple(slots.T)] = True
         for axis in range(d):
             marks = _spread(marks, axis, self.L, np.logical_or)
+        marks.flags.writeable = False
         return marks
 
     def shadow_measure(self) -> float:

@@ -148,8 +148,58 @@ def _key_slot(part, L: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Per-axis dyadic spread and gather, and rectangle weights in coefficient layout
+# The per-axis fold engine, dyadic spread and gather, and rectangle weights
 # ---------------------------------------------------------------------------
+
+
+def _fold_up(values: np.ndarray, axis: int, L: int, pair) -> np.ndarray:
+    """Move one axis from cells to coefficient layout, fine to coarse.
+
+    At each level k from L-1 down to 0, `pair(even, odd, k)` maps the even
+    and odd entries of the run (the cells at first) to the level-k slots
+    and the run passed on; the mean slot takes the last run.  O(2^L) per
+    fiber; the output keeps the memory layout of `values`."""
+    run = np.moveaxis(values, axis, 0)
+    out = np.empty_like(run)
+    for k in range(L - 1, -1, -1):
+        out[1 << k : 2 << k], run = pair(run[0::2], run[1::2], k)
+    out[0] = run[0]
+    return np.moveaxis(out, 0, axis)
+
+
+def _fold_down(coeffs: np.ndarray, axis: int, L: int, children) -> np.ndarray:
+    """Move one axis from coefficient layout to cells, coarse to fine.
+
+    The run starts as the mean slot; at each level k from 0 to L-1,
+    `children(run, block, k)` maps it and the level-k slots to the left and
+    the right child of every entry, interleaved into the next run.  O(2^L)
+    per fiber; each level writes whole hyperplanes of a leading-axis view."""
+    a = np.moveaxis(coeffs, axis, 0)
+    run = a[0:1]
+    for k in range(L):
+        left, right = children(run, a[1 << k : 2 << k], k)
+        run = np.empty((2 * len(left),) + left.shape[1:], dtype=left.dtype)
+        run[0::2] = left
+        run[1::2] = right
+    return np.moveaxis(run, 0, axis)
+
+
+def _op_pair(op):
+    """The pairing of `_spread` and `_gather`: op(a, b) is both values
+    returned, the slots and the run, or the two children."""
+    def pair(a, b, k):
+        run = op(a, b)
+        return run, run
+    return pair
+
+
+def _haar_pair(even, odd, k):  # of cell integrals: difference stored, sum carried
+    return (even - odd) * 2.0 ** (k / 2.0), even + odd
+
+
+def _haar_children(run, block, k):
+    block = block * 2.0 ** (k / 2.0)
+    return run + block, run - block
 
 
 def _spread(coeffs: np.ndarray, axis: int, L: int, op) -> np.ndarray:
@@ -161,24 +211,14 @@ def _spread(coeffs: np.ndarray, axis: int, L: int, op) -> np.ndarray:
     leaf slot 2^L + j per cell j, folded in last.  A small tensor gathers
     those L+1 slots per cell in one call and folds them along the level
     axis; that axis is never the innermost one, so numpy folds it in order
-    and the result equals the cascade's bit for bit.
+    and the result equals the fold's bit for bit.
     """
     if coeffs.shape[axis] == 2 << L:
         coeffs, leaves = np.split(coeffs, 2, axis=axis)
         return op(_spread(coeffs, axis, L, op), leaves)
     if coeffs.size <= _SMALL_SIZE_MAX:
         return op.reduce(coeffs.take(_ancestor_slots(L), axis=axis), axis=axis)
-    return _spread_cascade(coeffs, axis, L, op)
-
-
-def _spread_cascade(coeffs: np.ndarray, axis: int, L: int, op) -> np.ndarray:
-    """`_spread` level by level: run = op(run, block_k), then each entry
-    covers both halves of its interval.  O(2^L) per fiber."""
-    a = np.moveaxis(coeffs, axis, -1)
-    run = a[..., 0:1]
-    for k in range(L):
-        run = np.repeat(op(run, a[..., (1 << k) : (1 << (k + 1))]), 2, axis=-1)
-    return np.moveaxis(run, -1, axis)
+    return _fold_down(coeffs, axis, L, _op_pair(op))
 
 
 def _gather(cells: np.ndarray, axis: int, L: int, op, leaves: bool = False) -> np.ndarray:
@@ -187,25 +227,14 @@ def _gather(cells: np.ndarray, axis: int, L: int, op, leaves: bool = False) -> n
     or np.logical_and, in the dtype of `cells`) of the cells of interval
     (k, j), and the mean slot that of the whole axis.  With `leaves` the
     axis gets 2^(L+1) slots, and leaf slot 2^L + j holds cell j.  A small
-    add-gather is one product with the 0/1 `_interval_matrix`, exact for
+    add-gather is one product with the 0/1 `_fold_matrix`, exact for
     integer counts."""
     if op is np.add and cells.size <= _SMALL_SIZE_MAX and (1 << L) <= _HAAR_MATRIX_MAX_N:
-        out = _dense_analysis_axis(cells, axis, _interval_matrix(L))
+        out = _dense_analysis_axis(cells, axis, _fold_matrix(L, haar=False))
         out = out.astype(cells.dtype, copy=False)
     else:
-        out = _gather_cascade(cells, axis, L, op)
+        out = _fold_up(cells, axis, L, _op_pair(op))
     return np.concatenate([out, cells], axis=axis) if leaves else out
-
-
-def _gather_cascade(cells: np.ndarray, axis: int, L: int, op) -> np.ndarray:
-    """`_gather` level by level, pairing neighbours.  O(2^L) per fiber."""
-    run = np.moveaxis(cells, axis, -1)
-    out = np.empty_like(run)
-    for k in range(L - 1, -1, -1):
-        run = op(run[..., 0::2], run[..., 1::2])
-        out[..., (1 << k) : (1 << (k + 1))] = run
-    out[..., 0] = run[..., 0]
-    return np.moveaxis(out, -1, axis)
 
 
 def _rectangle_weights(
@@ -261,10 +290,10 @@ def _collection_slots(collection, d: int, L: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Tensor size (entries) up to which a per-axis move is one gather (spread,
-# synthesis) or one matrix product (analysis) instead of the level cascade,
+# synthesis) or one matrix product (analysis) instead of the level fold,
 # whose cost there is numpy call overhead.  Measured with one BLAS thread,
 # µs per call on axis 0 (best of 9 x 500 calls; runs on the shared 2-vCPU
-# host move by up to 40%), cascade -> one call:
+# host move by up to 40%), level loop -> one call:
 #
 #   shape         spread      synthesis    analysis
 #   (256,)        34 -> 9.3   44 -> 9.3    43 -> 14
@@ -284,7 +313,7 @@ _SMALL_SIZE_MAX = 1 << 10
 # At d=1 the analysis product is a matrix-vector product that reads all n²
 # entries of the matrix; it loses from n = 2^9 (table above).  The same
 # bound holds for the add-gather's interval matrix: µs per call, all axes
-# of a 0/1 tensor, cascade -> products: (16, 16) 31 -> 5.9, (256,) 17 ->
+# of a 0/1 tensor, level loop -> products: (16, 16) 31 -> 5.9, (256,) 17 ->
 # 11, (8, 8, 8) 51 -> 10.
 _HAAR_MATRIX_MAX_N = 1 << 8
 
@@ -319,74 +348,42 @@ def _synthesis_scales(L: int) -> np.ndarray:
     return scales
 
 
-@functools.lru_cache(maxsize=_SMALL_L_COUNT)
-def _interval_matrix(L: int) -> np.ndarray:
-    """The add-gather as an n x n 0/1 matrix: row 2^k + j marks the cells
-    of interval (k, j), row 0 every cell."""
-    matrix = np.zeros((1 << L, 1 << L))
-    matrix[_ancestor_slots(L), np.arange(1 << L)] = 1.0
-    matrix.flags.writeable = False
-    return matrix
-
-
-@functools.lru_cache(maxsize=_SMALL_L_COUNT)
-def _haar_analysis_matrix(L: int) -> np.ndarray:
-    """The cascade's analysis as an n x n matrix: the cascade applied to
-    the identity."""
-    matrix = np.ascontiguousarray(_haar_analysis_cascade(np.eye(1 << L), 0, L))
+@functools.lru_cache(maxsize=2 * _SMALL_L_COUNT)
+def _fold_matrix(L: int, haar: bool) -> np.ndarray:
+    """A fine-to-coarse fold as an n x n matrix, `_fold_up` applied to the
+    identity: the add-gather (row 2^k + j marks the cells of interval
+    (k, j), row 0 every cell), or with `haar` the Haar analysis."""
+    n = 1 << L
+    pair = _haar_pair if haar else _op_pair(np.add)
+    matrix = _fold_up(np.eye(n) * (1.0 / n if haar else 1.0), 0, L, pair)
     matrix.flags.writeable = False
     return matrix
 
 
 def _haar_analysis_axis(values: np.ndarray, axis: int, L: int) -> np.ndarray:
-    """Orthonormal Haar analysis along one axis.
+    """Orthonormal Haar analysis along one axis: the fold of the cell
+    integrals by `_haar_pair`.
 
     Output fiber layout: index 0 the mean coefficient, index 2^k + j the
     coefficient against h_(k,j).  A small tensor takes one product with the
-    analysis matrix, which sums in another order than the cascade.
+    analysis matrix, which sums in another order than the fold.
     """
     if values.size <= _SMALL_SIZE_MAX and (1 << L) <= _HAAR_MATRIX_MAX_N:
-        return _dense_analysis_axis(values, axis, _haar_analysis_matrix(L))
-    return _haar_analysis_cascade(values, axis, L)
-
-
-def _haar_analysis_cascade(values: np.ndarray, axis: int, L: int) -> np.ndarray:
-    """`_haar_analysis_axis` in O(2^L) per fiber, fine to coarse."""
-    a = np.moveaxis(values, axis, -1)
-    n = a.shape[-1]
-    out = np.empty_like(a)
-    integ = a * (1.0 / n)  # cell integrals
-    for k in range(L - 1, -1, -1):
-        even = integ[..., 0::2]
-        odd = integ[..., 1::2]
-        out[..., (1 << k) : (1 << (k + 1))] = (even - odd) * 2.0 ** (k / 2.0)
-        integ = even + odd
-    out[..., 0] = integ[..., 0]
-    return np.moveaxis(out, -1, axis)
+        return _dense_analysis_axis(values, axis, _fold_matrix(L, haar=True))
+    return _fold_up(values * (1.0 / (1 << L)), axis, L, _haar_pair)
 
 
 def _haar_synthesis_axis(coeffs: np.ndarray, axis: int, L: int) -> np.ndarray:
-    """Inverse of `_haar_analysis_axis`.  A small tensor gathers each cell's
-    L+1 slots, scales them by `_synthesis_scales` and sums coarse to fine as
-    `_spread` does, bit for bit the cascade's result."""
+    """Inverse of `_haar_analysis_axis`: the fold to children run +-
+    block·2^(k/2).  A small tensor gathers each cell's L+1 slots, scales
+    them by `_synthesis_scales` and sums coarse to fine as `_spread` does,
+    bit for bit the fold's result."""
     if coeffs.size <= _SMALL_SIZE_MAX:
         trailing = (1,) * (coeffs.ndim - axis - 1)
         scales = _synthesis_scales(L).reshape((L + 1, 1 << L) + trailing)
         terms = coeffs.take(_ancestor_slots(L), axis=axis) * scales
         return np.add.reduce(terms, axis=axis)
-    return _haar_synthesis_cascade(coeffs, axis, L)
-
-
-def _haar_synthesis_cascade(coeffs: np.ndarray, axis: int, L: int) -> np.ndarray:
-    a = np.moveaxis(coeffs, axis, -1)
-    vals = a[..., 0:1]
-    for k in range(L):
-        block = a[..., (1 << k) : (1 << (k + 1))] * 2.0 ** (k / 2.0)
-        up = np.empty(a.shape[:-1] + (1 << (k + 1),), dtype=a.dtype)
-        up[..., 0::2] = vals + block
-        up[..., 1::2] = vals - block
-        vals = up
-    return np.moveaxis(vals, -1, axis)
+    return _fold_down(coeffs, axis, L, _haar_children)
 
 
 def _dense_analysis_axis(
@@ -403,43 +400,36 @@ def _dense_analysis_axis(
     return out.transpose(back)
 
 
-# axis length from which a step family's diagonal blocks beat the dense
-# product (measured with one BLAS thread: at d=1 the blocks win from 2^9,
-# at d=2 from 2^8; d=3 grids stop at 2^6)
+# axis length from which a step family folds instead of taking the dense
+# product with its profile matrix.  Measured with one BLAS thread, all axes,
+# the fold wins at d=1 from 2^9, at d=2 from 2^7 and at d=3 at 2^6
 _STEP_BLOCKS_MIN_N = 1 << 9
 
 
-def _step_analysis_axis(
-    values: np.ndarray, axis: int, matrix: np.ndarray
-) -> np.ndarray:
-    """`_dense_analysis_axis` for a step-profile matrix, reading only the
-    entries that can be nonzero.
+def _step_pair(even, odd, k):  # the integral of each interval, times 2^(k/2)
+    run = even + odd
+    return run * 2.0 ** (k / 2.0), run
 
-    Row 2^k + j of a step matrix vanishes outside the 2^(L-k) cells of
-    interval (k, j), so level k is the diagonal of the rows 2^k .. 2^(k+1)-1
-    cut into 2^k column groups: n·L entries per axis instead of n².
-    """
-    n = matrix.shape[0]
-    pre = int(np.prod(values.shape[:axis], dtype=np.intp))
-    a = values.reshape(pre, n, -1)
-    out = np.zeros(a.shape)
-    for k in range(n.bit_length() - 1):
-        m, w = 1 << k, n >> k
-        block = matrix[m : 2 * m].reshape(m, m, w).diagonal(axis1=0, axis2=1)
-        out[:, m : 2 * m] = np.einsum("pjcq,cj->pjq", a.reshape(pre, m, w, -1), block)
-    return out.reshape(values.shape)
+
+def _step_fold(values: np.ndarray, axis: int, L: int, zero: bool) -> np.ndarray:
+    """Step-family analysis along one axis of `values` already scaled by
+    the cell measure: `_step_pair`, or `_haar_pair` on an axis flagged mean
+    zero, and 0 in the mean slot, as row 0 of a step profile matrix."""
+    out = _fold_up(values, axis, L, _haar_pair if zero else _step_pair)
+    np.moveaxis(out, axis, 0)[0] = 0.0
+    return out
 
 
 def coefficients(f: Signal, family: AdaptedFamily) -> CoefficientField:
     """Inner products of f against every representable rectangle profile.
 
-    The orthonormal Haar family uses the per-axis Haar analysis (the
-    cascade, or one matrix product on small tensors) and also fills the
-    mean blocks; other families contract with per-axis profile matrices
-    (step families on large grids read only their diagonal blocks) and
-    populate rectangle entries only.  The field is derived once per signal
-    and family and kept on the signal; the profile matrices are fetched on
-    every call all the same.
+    The orthonormal Haar family uses the per-axis Haar analysis (the fold,
+    or one matrix product on small tensors) and also fills the mean blocks;
+    other families contract with per-axis profile matrices and populate
+    rectangle entries only.  Step families on large grids fold instead and
+    read no matrix entry.  The field is derived once per signal and family
+    and kept on the signal; the profile matrices are fetched on every call
+    all the same.
     """
     if family.d != f.d:
         raise ContractError("family and signal parameter counts differ")
@@ -453,14 +443,16 @@ def coefficients(f: Signal, family: AdaptedFamily) -> CoefficientField:
         for axis in range(f.d):
             tensor = _haar_analysis_axis(tensor, axis, f.L)
     else:
-        step_blocks = not family.is_smooth and (1 << f.L) >= _STEP_BLOCKS_MIN_N
-        analysis = _step_analysis_axis if step_blocks else _dense_analysis_axis
+        fold = not family.is_smooth and (1 << f.L) >= _STEP_BLOCKS_MIN_N
         # the cell measure is a power of two, so scaling the input once
         # instead of each matrix rounds every product the same way (outside
         # the subnormal range)
         tensor = tensor * f.cell_measure
         for axis, matrix in enumerate(matrices):
-            tensor = analysis(tensor, axis, matrix)
+            if fold:
+                tensor = _step_fold(tensor, axis, f.L, family.zero_pattern[axis])
+            else:
+                tensor = _dense_analysis_axis(tensor, axis, matrix)
     out = f._fields[family] = CoefficientField(f.d, f.L, family, tensor)
     return out
 

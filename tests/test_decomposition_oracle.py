@@ -114,7 +114,11 @@ def test_masks_equal_oracle_property(grid, seed, at_grid_level, empty):
     collection = _collection(rng, d, L, L if at_grid_level else max(L - 1, 0))
     if empty:
         collection = RectangleCollection.of([], L)
-    assert np.array_equal(collection.shadow_mask(), oracle.shadow_mask(collection))
+    mask = collection.shadow_mask()
+    assert np.array_equal(mask, oracle.shadow_mask(collection))
+    # computed once per collection, then shared read-only
+    assert collection.shadow_mask() is mask
+    assert not mask.flags.writeable
     for coeff_L in (L, L + 1):
         if any(max(r.levels) >= coeff_L for r in collection.members):
             for slots in (transforms._collection_slots, oracle._collection_slots):

@@ -39,7 +39,7 @@ _FAMILIES = {
 # d=1 on both sides of transforms._STEP_BLOCKS_MIN_N = 2^9
 _GRIDS = [(1, 8), (1, 9), (2, 4), (3, 3)]
 
-_ANALYSIS = ("_haar_analysis_axis", "_dense_analysis_axis", "_step_analysis_axis")
+_ANALYSIS = ("_haar_analysis_axis", "_dense_analysis_axis", "_step_fold")
 
 
 def _specs(family):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from dyadicpara import (
     standard_triple,
 )
 from dyadicpara.harness import surgery_corpus
+from dyadicpara.paraproducts import _abs_product
+from dyadicpara.transforms import _rectangle_weights
 
 
 def _haar_signal(rect, L, d=1):
@@ -116,6 +120,25 @@ def test_restricted_lambda_splits(triple1, rng):
     )
     assert split == pytest.approx(total, rel=1e-12)
     assert eval_Lambda(triple1, fs, collection=RectangleCollection.of([], L)) == 0.0
+
+
+@pytest.mark.parametrize("d, L", [(1, 6), (2, 3), (3, 2)])
+def test_lambda_equals_whole_tensor_fsum(rng, d, L):
+    """Summing only the nonzero terms gives the whole-tensor fsum bit for
+    bit, sign of zero included."""
+    spec = standard_triple(d, "haar")
+    fs = [Signal(d, L, rng.standard_normal(((1 << L),) * d)) for _ in range(3)]
+    lat = lattice_rectangles(d, L)
+    collections = [
+        None,
+        RectangleCollection.of([], L),
+        RectangleCollection.of([r for r in lat if rng.random() < 0.3], L),
+        RectangleCollection.of(lat, L),
+    ]
+    for collection in collections:
+        terms = _abs_product(spec, fs) * _rectangle_weights(d, L, 0.5, collection)
+        want = math.fsum(terms.ravel().tolist())
+        assert eval_Lambda(spec, fs, collection=collection).hex() == want.hex()
 
 
 def test_slot_operators_from_census():

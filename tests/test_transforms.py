@@ -21,7 +21,9 @@ from dyadicpara import (
     rectangle,
     transforms,
 )
-from dyadicpara.transforms import _dense_analysis_axis, _rectangle_weights, _step_analysis_axis
+from dyadicpara.transforms import _dense_analysis_axis, _rectangle_weights, _step_fold
+
+import cascade_oracle
 
 
 def _haar_signal(rect, L, d=1):
@@ -276,17 +278,17 @@ def test_step_blocks_below_crossover_match_dense(rng, make):
         for axis in range(d):
             matrix = family.profile_matrix(axis, L)
             want = _dense_analysis_axis(want, axis, matrix)
-            got = _step_analysis_axis(got, axis, matrix)
+            got = _step_fold(got, axis, L, family.zero_pattern[axis])
         assert np.abs(got - want).max() <= 1e-12 * _step_scale(values)
 
 
 @pytest.mark.parametrize(
     "family, L, helper",
     [
-        (AdaptedFamily.abs_haar(1), 9, "_step_analysis_axis"),
+        (AdaptedFamily.abs_haar(1), 9, "_step_fold"),
         (AdaptedFamily.abs_haar(1), 8, "_dense_analysis_axis"),
         (AdaptedFamily.smooth(1), 9, "_dense_analysis_axis"),
-        (AdaptedFamily.make("haar", 2, (True, False)), 9, "_step_analysis_axis"),
+        (AdaptedFamily.make("haar", 2, (True, False)), 9, "_step_fold"),
         (AdaptedFamily.smooth_bump(2), 9, "_dense_analysis_axis"),
         (AdaptedFamily.make("haar", 3, (False, True, False)), 6, "_dense_analysis_axis"),
     ],
@@ -300,10 +302,10 @@ def test_coefficients_reads_one_matrix_per_axis(monkeypatch, family, L, helper):
         return profile_matrix(self, axis, L)
 
     monkeypatch.setattr(AdaptedFamily, "profile_matrix", counted_matrix)
-    for name in ("_step_analysis_axis", "_dense_analysis_axis"):
-        def counted(values, axis, matrix, _name=name, _fn=getattr(transforms, name)):
+    for name in ("_step_fold", "_dense_analysis_axis"):
+        def counted(values, axis, *rest, _name=name, _fn=getattr(transforms, name)):
             calls.append((_name, axis))
-            return _fn(values, axis, matrix)
+            return _fn(values, axis, *rest)
 
         monkeypatch.setattr(transforms, name, counted)
     f = Signal.zeros(family.d, L)
@@ -333,9 +335,9 @@ def test_small_spread_and_synthesis_equal_cascade(rng, d, L, small):
         for axis in range(d):
             for op in (np.add, np.maximum):
                 got = transforms._spread(values, axis, L, op)
-                assert np.array_equal(got, transforms._spread_cascade(values, axis, L, op))
+                assert np.array_equal(got, cascade_oracle._spread_cascade(values, axis, L, op))
             got = transforms._haar_synthesis_axis(values, axis, L)
-            assert np.array_equal(got, transforms._haar_synthesis_cascade(values, axis, L))
+            assert np.array_equal(got, cascade_oracle._haar_synthesis_cascade(values, axis, L))
 
 
 def _interval_reduce(cells, axis, L, op):
@@ -387,7 +389,7 @@ def test_small_haar_analysis_matches_cascade(rng, d, L, matrix):
     for values in _oracle_inputs(rng, ((1 << L),) * d):
         for axis in range(d):
             got = transforms._haar_analysis_axis(values, axis, L)
-            want = transforms._haar_analysis_cascade(values, axis, L)
+            want = cascade_oracle._haar_analysis_cascade(values, axis, L)
             scale = _abs_step_axis(np.abs(values), axis, mean_row=True).max()
             assert np.abs(got - want).max() <= 1e-12 * scale
 
@@ -400,7 +402,8 @@ def test_small_tensor_tables_stay_small():
         for L in small_L
     )
     total += sum(
-        transforms._haar_analysis_matrix(L).nbytes + transforms._interval_matrix(L).nbytes
+        transforms._fold_matrix(L, haar=True).nbytes
+        + transforms._fold_matrix(L, haar=False).nbytes
         for L in small_L
         if (1 << L) <= transforms._HAAR_MATRIX_MAX_N
     )
