@@ -196,8 +196,8 @@ def _profile_matrix_cached(family: AdaptedFamily, axis: int, L: int) -> np.ndarr
                 out[(1 << k) + j] = _gaussian_row(k, j, L, zero)
     else:
         # rows 2^k .. 2^(k+1)-1 cut into 2^k column groups of width w hold
-        # the step of (k, j) in group j: one write per level.  Large grids
-        # fold instead (transforms._step_fold), reading no entry of it
+        # the step of (k, j) in group j: one write per level.  The step
+        # analysis (transforms._step_analysis_axis) reads no entry of it
         for k in range(L):
             m, w = 1 << k, n >> k
             step = np.full(w, 2.0 ** (k / 2.0))

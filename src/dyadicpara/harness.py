@@ -12,7 +12,6 @@ import csv
 import datetime
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -31,7 +30,7 @@ from .decomposition import (
 )
 from .errors import ContractError
 from .families import AdaptedFamily
-from .lattice import DyadicRectangle, RectangleCollection
+from .lattice import DyadicRectangle, RectangleCollection, _json_index
 from .norms import bmo_norm_1param, energy_in_region, h1_norm, product_bmo_lower
 from .operators import (
     OperatorSpec,
@@ -92,9 +91,9 @@ class ExperimentConfig:
         kwargs = {k: v for k, v in data.items() if k in known}
         for name in ("d", "L", "trials", "seed"):
             if name in kwargs:
-                kwargs[name] = operator.index(kwargs[name])
+                kwargs[name] = _json_index(kwargs[name])
         if "L_list" in kwargs:
-            kwargs["L_list"] = tuple(operator.index(x) for x in kwargs["L_list"])
+            kwargs["L_list"] = tuple(_json_index(x) for x in kwargs["L_list"])
         return cls(**kwargs)
 
     @classmethod

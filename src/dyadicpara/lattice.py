@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -27,6 +29,13 @@ DEFAULT_LEVEL_CAPS = {1: 12, 2: 8, 3: 5}
 
 def level_cap(d: int) -> int:
     return DEFAULT_LEVEL_CAPS.get(d, 3)
+
+
+def _json_index(value) -> int:
+    """An integer JSON field: TypeError for a bool or a fractional number."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True, order=True)
@@ -97,7 +106,7 @@ class DyadicInterval:
     @classmethod
     def from_json(cls, data) -> "DyadicInterval":
         k, j = data
-        return cls(int(k), int(j))
+        return cls(_json_index(k), _json_index(j))
 
 
 def halves(interval: DyadicInterval, max_level: Optional[int] = None):
@@ -234,8 +243,8 @@ def dilate(rect: DyadicRectangle, mu: float, L: int) -> GridBox:
     The result is rounded outward to resolution-L cells, so a reported
     disjointness from the box is always genuine.
     """
-    if mu < 1:
-        raise ContractError("dilation factor must be >= 1")
+    if not (math.isfinite(mu) and mu >= 1):
+        raise ContractError(f"dilation factor must be finite and >= 1, got {mu}")
     n = 1 << L
     ranges = []
     for axis in rect.axes:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError
-from .lattice import DEFAULT_LEVEL_CAPS, DyadicRectangle, level_cap
+from .lattice import DEFAULT_LEVEL_CAPS, DyadicRectangle, _json_index, level_cap
 
 
 def _grid_shape(d: int, L: int) -> tuple:
@@ -153,7 +153,7 @@ class Signal:
 
     @classmethod
     def from_json(cls, data) -> "Signal":
-        return cls(int(data["d"]), int(data["L"]), np.array(data["values"]))
+        return cls(_json_index(data["d"]), _json_index(data["L"]), np.array(data["values"]))
 
     def save_json(self, path):
         Path(path).write_text(json.dumps(self.to_json()))

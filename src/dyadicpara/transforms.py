@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ContractError, ResolutionError, UnsupportedFamilyError
 from .families import AdaptedFamily
-from .lattice import DyadicInterval, DyadicRectangle, enumerate_rectangles
+from .lattice import DyadicInterval, DyadicRectangle, _json_index, enumerate_rectangles
 from .signals import Signal, _check_resolution
 
 
@@ -109,7 +110,7 @@ class CoefficientField:
 
     @classmethod
     def from_json(cls, data) -> "CoefficientField":
-        d, L = int(data["d"]), int(data["L"])
+        d, L = _json_index(data["d"]), _json_index(data["L"])
         _check_resolution(d, L)
         fam = AdaptedFamily.make(
             data["family"]["kind"], d, tuple(data["family"]["zero_pattern"])
@@ -124,6 +125,8 @@ class CoefficientField:
                 raise ContractError(f"duplicate coefficient key {key}")
             seen.add(idx)
             tensor[idx] = float(v)
+            if not math.isfinite(tensor[idx]):
+                raise ContractError(f"coefficient {v!r} at key {key} is not finite")
         return cls(d, L, fam, tensor)
 
     @classmethod
@@ -184,9 +187,11 @@ def _fold_down(coeffs: np.ndarray, axis: int, L: int, children) -> np.ndarray:
     return np.moveaxis(run, 0, axis)
 
 
+@functools.cache
 def _op_pair(op):
-    """The pairing of `_spread` and `_gather`: op(a, b) is both values
-    returned, the slots and the run, or the two children."""
+    """The pairing of `_spread` and `_gather`, one per op for `_fold_matrix`
+    to key on: op(a, b) is both values returned, the slots and the run, or
+    the two children."""
     def pair(a, b, k):
         run = op(a, b)
         return run, run
@@ -226,14 +231,15 @@ def _gather(cells: np.ndarray, axis: int, L: int, op, leaves: bool = False) -> n
     mirror of `_spread`.  Slot 2^k + j receives the `op`-aggregate (np.add
     or np.logical_and, in the dtype of `cells`) of the cells of interval
     (k, j), and the mean slot that of the whole axis.  With `leaves` the
-    axis gets 2^(L+1) slots, and leaf slot 2^L + j holds cell j.  A small
-    add-gather is one product with the 0/1 `_fold_matrix`, exact for
-    integer counts."""
-    if op is np.add and cells.size <= _SMALL_SIZE_MAX and (1 << L) <= _HAAR_MATRIX_MAX_N:
-        out = _dense_analysis_axis(cells, axis, _fold_matrix(L, haar=False))
+    axis gets 2^(L+1) slots, and leaf slot 2^L + j holds cell j.  An
+    add-gather that `_fold_by_product` admits is one product with the 0/1
+    `_fold_matrix`, exact for integer counts."""
+    pair = _op_pair(op)
+    if op is np.add and _fold_by_product(cells, L):
+        out = _dense_analysis_axis(cells, axis, _fold_matrix(L, pair))
         out = out.astype(cells.dtype, copy=False)
     else:
-        out = _fold_up(cells, axis, L, _op_pair(op))
+        out = _fold_up(cells, axis, L, pair)
     return np.concatenate([out, cells], axis=axis) if leaves else out
 
 
@@ -286,7 +292,7 @@ def _collection_slots(collection, d: int, L: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Haar analysis/synthesis along one axis, and per-axis matrix products
+# Per-axis analysis and synthesis, and the size rule of the small-tensor paths
 # ---------------------------------------------------------------------------
 
 # Tensor size (entries) up to which a per-axis move is one gather (spread,
@@ -318,8 +324,15 @@ _SMALL_SIZE_MAX = 1 << 10
 _HAAR_MATRIX_MAX_N = 1 << 8
 
 
-# the small-tensor tables are keyed by L <= 10 only: 0.98 MiB at most, together
+# the small-tensor tables are keyed by L <= 10, the fold matrices of the
+# three pairings by L <= 8: about 2.3 MiB at most, together
 _SMALL_L_COUNT = _SMALL_SIZE_MAX.bit_length()
+
+
+def _fold_by_product(values: np.ndarray, L: int) -> bool:
+    """The size rule of every fine-to-coarse move (the step analysis and the
+    add-gather): one product with the cached `_fold_matrix`, or `_fold_up`."""
+    return values.size <= _SMALL_SIZE_MAX and (1 << L) <= _HAAR_MATRIX_MAX_N
 
 
 @functools.lru_cache(maxsize=_SMALL_L_COUNT)
@@ -348,33 +361,36 @@ def _synthesis_scales(L: int) -> np.ndarray:
     return scales
 
 
-@functools.lru_cache(maxsize=2 * _SMALL_L_COUNT)
-def _fold_matrix(L: int, haar: bool) -> np.ndarray:
-    """A fine-to-coarse fold as an n x n matrix, `_fold_up` applied to the
-    identity: the add-gather (row 2^k + j marks the cells of interval
-    (k, j), row 0 every cell), or with `haar` the Haar analysis."""
-    n = 1 << L
-    pair = _haar_pair if haar else _op_pair(np.add)
-    matrix = _fold_up(np.eye(n) * (1.0 / n if haar else 1.0), 0, L, pair)
+@functools.lru_cache(maxsize=3 * _SMALL_L_COUNT)
+def _fold_matrix(L: int, pair) -> np.ndarray:
+    """A fine-to-coarse fold as an n x n matrix, `_fold_up` by `pair`
+    applied to the identity.  By `_op_pair(np.add)` row 2^k + j marks the
+    cells of interval (k, j) and row 0 every cell; by `_step_pair` or
+    `_haar_pair` it is the step profile matrix with row 0 all ones."""
+    matrix = _fold_up(np.eye(1 << L), 0, L, pair)
     matrix.flags.writeable = False
     return matrix
 
 
-def _haar_analysis_axis(values: np.ndarray, axis: int, L: int) -> np.ndarray:
-    """Orthonormal Haar analysis along one axis: the fold of the cell
-    integrals by `_haar_pair`.
+def _step_pair(even, odd, k):  # the integral of each interval, times 2^(k/2)
+    run = even + odd
+    return run * 2.0 ** (k / 2.0), run
 
-    Output fiber layout: index 0 the mean coefficient, index 2^k + j the
-    coefficient against h_(k,j).  A small tensor takes one product with the
-    analysis matrix, which sums in another order than the fold.
-    """
-    if values.size <= _SMALL_SIZE_MAX and (1 << L) <= _HAAR_MATRIX_MAX_N:
-        return _dense_analysis_axis(values, axis, _fold_matrix(L, haar=True))
-    return _fold_up(values * (1.0 / (1 << L)), axis, L, _haar_pair)
+
+def _step_analysis_axis(values: np.ndarray, axis: int, L: int, zero: bool) -> np.ndarray:
+    """Step-family analysis along one axis of `values` already scaled by
+    the cell measure: slot 2^k + j the coefficient against h_(k,j) on an
+    axis flagged mean zero (`_haar_pair`), against |h_(k,j)| on any other
+    (`_step_pair`); slot 0 the integral.  A small tensor takes one product
+    with the fold's matrix, which sums in another order than the fold."""
+    pair = _haar_pair if zero else _step_pair
+    if _fold_by_product(values, L):
+        return _dense_analysis_axis(values, axis, _fold_matrix(L, pair))
+    return _fold_up(values, axis, L, pair)
 
 
 def _haar_synthesis_axis(coeffs: np.ndarray, axis: int, L: int) -> np.ndarray:
-    """Inverse of `_haar_analysis_axis`: the fold to children run +-
+    """Inverse of the orthonormal Haar analysis: the fold to children run +-
     block·2^(k/2).  A small tensor gathers each cell's L+1 slots, scales
     them by `_synthesis_scales` and sums coarse to fine as `_spread` does,
     bit for bit the fold's result."""
@@ -400,36 +416,15 @@ def _dense_analysis_axis(
     return out.transpose(back)
 
 
-# axis length from which a step family folds instead of taking the dense
-# product with its profile matrix.  Measured with one BLAS thread, all axes,
-# the fold wins at d=1 from 2^9, at d=2 from 2^7 and at d=3 at 2^6
-_STEP_BLOCKS_MIN_N = 1 << 9
-
-
-def _step_pair(even, odd, k):  # the integral of each interval, times 2^(k/2)
-    run = even + odd
-    return run * 2.0 ** (k / 2.0), run
-
-
-def _step_fold(values: np.ndarray, axis: int, L: int, zero: bool) -> np.ndarray:
-    """Step-family analysis along one axis of `values` already scaled by
-    the cell measure: `_step_pair`, or `_haar_pair` on an axis flagged mean
-    zero, and 0 in the mean slot, as row 0 of a step profile matrix."""
-    out = _fold_up(values, axis, L, _haar_pair if zero else _step_pair)
-    np.moveaxis(out, axis, 0)[0] = 0.0
-    return out
-
-
 def coefficients(f: Signal, family: AdaptedFamily) -> CoefficientField:
     """Inner products of f against every representable rectangle profile.
 
-    The orthonormal Haar family uses the per-axis Haar analysis (the fold,
-    or one matrix product on small tensors) and also fills the mean blocks;
-    other families contract with per-axis profile matrices and populate
-    rectangle entries only.  Step families on large grids fold instead and
-    read no matrix entry.  The field is derived once per signal and family
-    and kept on the signal; the profile matrices are fetched on every call
-    all the same.
+    Smooth families contract each axis with their profile matrix; step
+    families go through `_step_analysis_axis` and read no matrix entry.
+    Only the orthonormal Haar family keeps its mean blocks, so that its
+    full tensor is an orthogonal change of basis.  The field is derived
+    once per signal and family and kept on the signal; every other family
+    fetches its profile matrices on every call all the same.
     """
     if family.d != f.d:
         raise ContractError("family and signal parameter counts differ")
@@ -438,21 +433,16 @@ def coefficients(f: Signal, family: AdaptedFamily) -> CoefficientField:
         matrices = [family.profile_matrix(axis, f.L) for axis in range(f.d)]
     if family in f._fields:
         return f._fields[family]
-    tensor = f.values
-    if family.is_orthonormal_basis:
-        for axis in range(f.d):
-            tensor = _haar_analysis_axis(tensor, axis, f.L)
-    else:
-        fold = not family.is_smooth and (1 << f.L) >= _STEP_BLOCKS_MIN_N
-        # the cell measure is a power of two, so scaling the input once
-        # instead of each matrix rounds every product the same way (outside
-        # the subnormal range)
-        tensor = tensor * f.cell_measure
-        for axis, matrix in enumerate(matrices):
-            if fold:
-                tensor = _step_fold(tensor, axis, f.L, family.zero_pattern[axis])
-            else:
-                tensor = _dense_analysis_axis(tensor, axis, matrix)
+    # the cell measure is a power of two: scaling the input once rounds every
+    # product as scaling each matrix would (outside the subnormal range)
+    tensor = f.values * f.cell_measure
+    for axis in range(f.d):
+        if family.is_smooth:
+            tensor = _dense_analysis_axis(tensor, axis, matrices[axis])
+        else:
+            tensor = _step_analysis_axis(tensor, axis, f.L, family.zero_pattern[axis])
+            if not family.is_orthonormal_basis:
+                tensor[(slice(None),) * axis + (0,)] = 0.0
     out = f._fields[family] = CoefficientField(f.d, f.L, family, tensor)
     return out
 

@@ -34,7 +34,7 @@ def _gather_cascade(cells: np.ndarray, axis: int, L: int, op) -> np.ndarray:
 
 
 def _haar_analysis_cascade(values: np.ndarray, axis: int, L: int) -> np.ndarray:
-    """`_haar_analysis_axis` in O(2^L) per fiber, fine to coarse."""
+    """The orthonormal Haar analysis in O(2^L) per fiber, fine to coarse."""
     a = np.moveaxis(values, axis, -1)
     n = a.shape[-1]
     out = np.empty_like(a)

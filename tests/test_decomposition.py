@@ -286,6 +286,12 @@ def test_localization_support_violation():
         )
 
 
+@pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+def test_localization_refuses_non_finite_mu(mu):
+    with pytest.raises(ContractError):
+        localization_experiment(OperatorSpec.all_square(AdaptedFamily.haar(1)), (2.0, mu), 8)
+
+
 def test_shadow_layer_decay(rng):
     lat = lattice_rectangles(1, 6)
     idx = rng.choice(len(lat), size=10, replace=False)

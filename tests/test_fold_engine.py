@@ -1,9 +1,10 @@
 """Differential test of the per-axis fold engine against the old cascades.
 
-`_spread`, `_gather`, `_haar_analysis_axis` and `_haar_synthesis_axis` move
-an axis through `_fold_up` or `_fold_down`; each must equal its cascade in
-`cascade_oracle.py` bit for bit, dtype included.  The table paths for small
-tensors are switched off here, so the fold runs at every size.
+`_spread`, `_gather`, the Haar analysis (`_step_analysis_axis` on a mean-zero
+axis) and `_haar_synthesis_axis` move an axis through `_fold_up` or
+`_fold_down`; each must equal its cascade in `cascade_oracle.py` bit for bit,
+dtype included.  The table paths for small tensors are switched off here, so
+the fold runs at every size.
 """
 
 import numpy as np
@@ -83,7 +84,9 @@ def test_haar_analysis_and_synthesis_equal_cascade(fold_only, d, L):
         # both Haar moves act on real values (the cascades cast their
         # result to the input dtype), so an indicator comes as 0/1 floats
         for values in (real, flags * 1.0):
-            got = transforms._haar_analysis_axis(values, axis, L)
+            # the cascade scales by 1/n inside, the step analysis takes
+            # input already scaled by the cell measure
+            got = transforms._step_analysis_axis(values * (1.0 / (1 << L)), axis, L, True)
             want = oracle._haar_analysis_cascade(values, axis, L)
             _assert_same(got, want)
             assert got.strides == want.strides
@@ -97,22 +100,26 @@ def test_fold_matrices_equal_the_old_tables(L):
     interval = np.zeros((n, n))
     interval[transforms._ancestor_slots(L), np.arange(n)] = 1.0
     haar = oracle._haar_analysis_cascade(np.eye(n), 0, L)
-    for matrix, want in ((transforms._fold_matrix(L, haar=False), interval),
-                         (transforms._fold_matrix(L, haar=True), haar)):
-        _assert_same(matrix, want)
+    for pair, want in ((transforms._op_pair(np.add), interval), (transforms._haar_pair, haar)):
+        matrix = transforms._fold_matrix(L, pair)
+        # the Haar table held the 1/n that the analysis input now carries
+        _assert_same(matrix * (2.0**-L if pair is transforms._haar_pair else 1.0), want)
         assert matrix.flags.c_contiguous and not matrix.flags.writeable
+    # a step profile matrix is the fold's matrix with row 0 zeroed
+    for zero, pair in ((False, transforms._step_pair), (True, transforms._haar_pair)):
+        want = np.array(AdaptedFamily.make("abs-haar", 1, (zero,)).profile_matrix(0, L))
+        want[0] = 1.0
+        _assert_same(transforms._fold_matrix(L, pair), want)
 
 
-# strides of the coefficient tensor as the cascade and the step-block paths
-# left them: C order, except the dense product at d=3 L=4, whose last axis
-# is outermost
+# strides of the coefficient tensor: C order, as the folds leave them
 @pytest.mark.parametrize(
     "family, d, L, strides",
     [
         (AdaptedFamily.haar, 2, 9, (4096, 8)),
         (AdaptedFamily.haar, 3, 4, (2048, 128, 8)),
         (AdaptedFamily.abs_haar, 2, 9, (4096, 8)),
-        (AdaptedFamily.abs_haar, 3, 4, (128, 8, 2048)),
+        (AdaptedFamily.abs_haar, 3, 4, (2048, 128, 8)),
     ],
 )
 def test_coefficients_keep_their_memory_layout(family, d, L, strides):

@@ -271,14 +271,43 @@ def test_cli_norm_nan_exponent_exit_2(tmp_path, capsys, args):
 
 @pytest.mark.parametrize(
     "text",
-    ['[1, 2]', '{"trials": "5"}', '{"d": 1.5}', '{"L_list": [3, 4.5]}'],
-    ids=["not-an-object", "string-trials", "float-d", "float-level"],
+    ['[1, 2]', '{"trials": "5"}', '{"d": 1.5}', '{"L_list": [3, 4.5]}', '{"seed": false}'],
+    ids=["not-an-object", "string-trials", "float-d", "float-level", "bool-seed"],
 )
 def test_cli_malformed_config_exit_2(tmp_path, capsys, text):
     path = tmp_path / "cfg.json"
     path.write_text(text)
     assert main(["verify", "norms", "--L", "3", "--trials", "2", "--config", str(path)]) == 2
     assert f"cannot read {path}" in capsys.readouterr().err
+
+
+_SIGNAL_JSON = {"d": 1, "L": 3, "values": [0.0] * 8}
+_FIELD_JSON = {"d": 1, "L": 3, "family": {"kind": "haar", "zero_pattern": [True]},
+               "mean_blocks": [], "entries": []}
+
+
+@pytest.mark.parametrize(
+    "args, data",
+    [
+        (["norm"], {**_SIGNAL_JSON, "d": 1.9}),
+        (["norm"], {**_SIGNAL_JSON, "L": 3.0}),
+        (["norm"], {**_SIGNAL_JSON, "d": True}),
+        (["transform", "--inverse"], {**_FIELD_JSON, "L": 3.5}),
+        (["transform", "--inverse"], {**_FIELD_JSON, "d": True}),
+        (["transform", "--inverse"], {**_FIELD_JSON, "entries": [[[[1.9, 0.5]], 1.0]]}),
+        (["transform", "--inverse"], {**_FIELD_JSON, "entries": [[[[True, 0]], 1.0]]}),
+        (["transform", "--inverse"], {**_FIELD_JSON, "entries": [[[[1, 0]], float("nan")]]}),
+        (["transform", "--inverse"], {**_FIELD_JSON, "mean_blocks": [[[None], float("-inf")]]}),
+    ],
+    ids=["signal-float-d", "signal-float-L", "signal-bool-d", "field-float-L", "field-bool-d",
+         "field-float-key", "field-bool-level", "field-nan", "field-minus-inf"],
+)
+def test_cli_json_fractional_or_non_finite_exit_2(tmp_path, capsys, args, data):
+    # an integer field is refused, not truncated, when it holds a fraction
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    assert main([*args, "--in", str(path)]) == 2
+    assert "contract error" in capsys.readouterr().err
 
 
 def test_run_suite_refuses_zero_trials():

@@ -169,6 +169,12 @@ def test_dilate_clips_to_torus():
         dilate(rectangle((0, 0)), 0.5, 3)
 
 
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), float("-inf")])
+def test_dilate_refuses_non_finite_mu(mu):
+    with pytest.raises(ContractError):
+        dilate(rectangle((2, 1)), mu, 4)
+
+
 def test_maximal_intervals_in_mask():
     mask = np.zeros(16, dtype=bool)
     mask[0:8] = True

@@ -36,10 +36,10 @@ _FAMILIES = {
     "haar-mixed": lambda d: AdaptedFamily.make("haar", d, [a % 2 == 1 for a in range(d)]),
 }
 
-# d=1 on both sides of transforms._STEP_BLOCKS_MIN_N = 2^9
+# d=1 on both sides of transforms._fold_by_product (n = 2^8 the last product)
 _GRIDS = [(1, 8), (1, 9), (2, 4), (3, 3)]
 
-_ANALYSIS = ("_haar_analysis_axis", "_dense_analysis_axis", "_step_fold")
+_ANALYSIS = ("_step_analysis_axis", "_dense_analysis_axis")
 
 
 def _specs(family):

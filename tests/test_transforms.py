@@ -21,7 +21,7 @@ from dyadicpara import (
     rectangle,
     transforms,
 )
-from dyadicpara.transforms import _dense_analysis_axis, _rectangle_weights, _step_fold
+from dyadicpara.transforms import _dense_analysis_axis, _rectangle_weights, _step_analysis_axis
 
 import cascade_oracle
 
@@ -124,12 +124,22 @@ def test_field_json_round_trip(rng):
         ([[3, 0]], ResolutionError),  # no slot at level L
         ([[1]], ContractError),  # not a (level, position) pair
         ([[0, 0], [0, 0]], ContractError),  # two parts at d=1
+        ([[1.9, 0.5]], ContractError),  # fractional, not truncated into slot 2
+        ([[True, 0]], ContractError),  # a bool is not a level
     ],
 )
 def test_field_json_rejects_malformed_keys(key, error):
     data = coefficients(Signal.zeros(1, 3), AdaptedFamily.haar(1)).to_json()
     data["entries"] = [[key, 1.0]]
     with pytest.raises(error):
+        CoefficientField.from_json(data)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_field_json_rejects_non_finite_coefficients(value):
+    data = coefficients(Signal.zeros(1, 3), AdaptedFamily.haar(1)).to_json()
+    data["entries"] = [[[[1, 0]], value]]
+    with pytest.raises(ContractError):
         CoefficientField.from_json(data)
 
 
@@ -257,12 +267,17 @@ def drop_profile_matrices():
     families._profile_matrix_cached.cache_clear()  # d=1 L=13: 32 MiB resident of 512
 
 
+# every step grid on the fold side of transforms._fold_by_product up to the caps
+_FOLD_GRIDS = [(1, 9), (1, 10), (1, 11), (1, 12), (1, 13), (2, 6), (2, 7), (2, 8), (2, 9),
+               (3, 4), (3, 5), (3, 6)]
+
+
 @pytest.mark.parametrize("make", _STEP_FAMILIES)
-@pytest.mark.parametrize("d, L", [(1, 9), (1, 10), (1, 11), (1, 12), (1, 13), (2, 9)])
+@pytest.mark.parametrize("d, L", _FOLD_GRIDS)
 def test_step_blocks_match_dense_oracle(rng, drop_profile_matrices, make, d, L):
     family = make(d)
-    assert (1 << L) >= transforms._STEP_BLOCKS_MIN_N
     for values in _oracle_inputs(rng, ((1 << L),) * d):
+        assert not transforms._fold_by_product(values, L)
         f = Signal(d, L, values)
         want = _dense_oracle(f, family)
         got = coefficients(f, family).tensor
@@ -278,19 +293,20 @@ def test_step_blocks_below_crossover_match_dense(rng, make):
         for axis in range(d):
             matrix = family.profile_matrix(axis, L)
             want = _dense_analysis_axis(want, axis, matrix)
-            got = _step_fold(got, axis, L, family.zero_pattern[axis])
+            got = _step_analysis_axis(got, axis, L, family.zero_pattern[axis])
+            np.moveaxis(got, axis, 0)[0] = 0.0  # row 0 of a step profile matrix
         assert np.abs(got - want).max() <= 1e-12 * _step_scale(values)
 
 
 @pytest.mark.parametrize(
     "family, L, helper",
     [
-        (AdaptedFamily.abs_haar(1), 9, "_step_fold"),
-        (AdaptedFamily.abs_haar(1), 8, "_dense_analysis_axis"),
+        (AdaptedFamily.abs_haar(1), 9, "_step_analysis_axis"),
+        (AdaptedFamily.abs_haar(1), 8, "_step_analysis_axis"),
         (AdaptedFamily.smooth(1), 9, "_dense_analysis_axis"),
-        (AdaptedFamily.make("haar", 2, (True, False)), 9, "_step_fold"),
+        (AdaptedFamily.make("haar", 2, (True, False)), 9, "_step_analysis_axis"),
         (AdaptedFamily.smooth_bump(2), 9, "_dense_analysis_axis"),
-        (AdaptedFamily.make("haar", 3, (False, True, False)), 6, "_dense_analysis_axis"),
+        (AdaptedFamily.make("haar", 3, (False, True, False)), 6, "_step_analysis_axis"),
     ],
 )
 def test_coefficients_reads_one_matrix_per_axis(monkeypatch, family, L, helper):
@@ -302,10 +318,16 @@ def test_coefficients_reads_one_matrix_per_axis(monkeypatch, family, L, helper):
         return profile_matrix(self, axis, L)
 
     monkeypatch.setattr(AdaptedFamily, "profile_matrix", counted_matrix)
-    for name in ("_step_fold", "_dense_analysis_axis"):
+    running = []  # the product inside a small step analysis is not recorded
+    for name in ("_step_analysis_axis", "_dense_analysis_axis"):
         def counted(values, axis, *rest, _name=name, _fn=getattr(transforms, name)):
-            calls.append((_name, axis))
-            return _fn(values, axis, *rest)
+            if not running:
+                calls.append((_name, axis))
+            running.append(_name)
+            try:
+                return _fn(values, axis, *rest)
+            finally:
+                running.pop()
 
         monkeypatch.setattr(transforms, name, counted)
     f = Signal.zeros(family.d, L)
@@ -317,6 +339,29 @@ def test_coefficients_reads_one_matrix_per_axis(monkeypatch, family, L, helper):
     calls.clear()
     assert coefficients(f, family) is first
     assert calls == fetches
+
+
+@pytest.mark.parametrize("make", [AdaptedFamily.haar, AdaptedFamily.abs_haar, _signed_step])
+@pytest.mark.parametrize("d, L", [(1, 8), (1, 9), (2, 5), (2, 6), (3, 3), (3, 4)])
+def test_step_fields_read_no_matrix_entry(monkeypatch, rng, make, d, L):
+    # grids on both sides of transforms._fold_by_product
+    family = make(d)
+    inputs = _oracle_inputs(rng, ((1 << L),) * d)
+    want = [coefficients(Signal(d, L, values), family).tensor for values in inputs]
+    fetched = []
+
+    def nan_matrix(self, axis, L):
+        fetched.append(axis)
+        matrix = np.full((1 << L, 1 << L), np.nan)
+        matrix.flags.writeable = False
+        return matrix
+
+    monkeypatch.setattr(AdaptedFamily, "profile_matrix", nan_matrix)
+    for values, w in zip(inputs, want):
+        fetched.clear()
+        assert np.array_equal(coefficients(Signal(d, L, values), family).tensor, w)
+        # the fetch stays for every family but the orthonormal basis
+        assert fetched == ([] if family.is_orthonormal_basis else list(range(d)))
 
 
 # (d, L, one call): grids on both sides of transforms._SMALL_SIZE_MAX
@@ -384,11 +429,10 @@ _ANALYSIS_GRIDS = [
 
 @pytest.mark.parametrize("d, L, matrix", _ANALYSIS_GRIDS)
 def test_small_haar_analysis_matches_cascade(rng, d, L, matrix):
-    small = (1 << (d * L)) <= transforms._SMALL_SIZE_MAX
-    assert (small and (1 << L) <= transforms._HAAR_MATRIX_MAX_N) == matrix
     for values in _oracle_inputs(rng, ((1 << L),) * d):
+        assert transforms._fold_by_product(values, L) == matrix
         for axis in range(d):
-            got = transforms._haar_analysis_axis(values, axis, L)
+            got = _step_analysis_axis(values * 2.0**-L, axis, L, True)
             want = cascade_oracle._haar_analysis_cascade(values, axis, L)
             scale = _abs_step_axis(np.abs(values), axis, mean_row=True).max()
             assert np.abs(got - want).max() <= 1e-12 * scale
@@ -401,11 +445,12 @@ def test_small_tensor_tables_stay_small():
         transforms._ancestor_slots(L).nbytes + transforms._synthesis_scales(L).nbytes
         for L in small_L
     )
+    pairs = (transforms._haar_pair, transforms._step_pair, transforms._op_pair(np.add))
     total += sum(
-        transforms._fold_matrix(L, haar=True).nbytes
-        + transforms._fold_matrix(L, haar=False).nbytes
+        transforms._fold_matrix(L, pair).nbytes
         for L in small_L
         if (1 << L) <= transforms._HAAR_MATRIX_MAX_N
+        for pair in pairs
     )
     assert total <= 3 << 20
 
