@@ -146,7 +146,7 @@ def hypothesis_holds(
     for axis in range(t_values.d):
         count = _gather(count, axis, L, np.add, leaves=top == L)
     allowed = np.floor(np.ldexp(1.0, (L - levels).sum(axis=1)) * frac)
-    return bool(np.all(count[tuple(slots.T)] <= allowed))
+    return bool((count[tuple(slots.T)] <= allowed).all())
 
 
 # ---------------------------------------------------------------------------

@@ -200,8 +200,8 @@ def suite_identities(cfg: ExperimentConfig) -> dict:
         f = random_cells(rng, d, L)
         field = coefficients(f, haar)
         back = reconstruct(field)
-        scale = max(float(np.max(np.abs(f.values))), 1e-300)
-        worst_rt = max(worst_rt, float(np.max(np.abs(back.values - f.values))) / scale)
+        scale = max(float(np.abs(f.values).max()), 1e-300)
+        worst_rt = max(worst_rt, float(np.abs(back.values - f.values).max()) / scale)
         l2sq = lp_norm(f, 2.0) ** 2
         worst_pv = max(worst_pv, abs(field.energy() - l2sq) / max(l2sq, 1e-300))
         s = square_function(f, haar)
@@ -214,7 +214,7 @@ def suite_identities(cfg: ExperimentConfig) -> dict:
             for i in rng.choice(len(lattice), size=min(10, len(lattice)), replace=False):
                 rect = lattice[i]
                 direct = float(
-                    np.sum(f.values * haar.rectangle_profile(rect, L))
+                    (f.values * haar.rectangle_profile(rect, L)).sum()
                 ) * f.cell_measure
                 worst_direct = max(
                     worst_direct, abs(field.rectangle_coefficient(rect) - direct)
@@ -240,8 +240,8 @@ def suite_identities(cfg: ExperimentConfig) -> dict:
     for trial in range(n_seq):
         rng = _trial_rng(cfg.seed, 20_000 + trial)
         a = np.abs(rng.standard_normal((3, 40)))
-        lhs = float(np.sum(a[0] * a[1] * a[2]))
-        rhs = float(a[0].max() * np.linalg.norm(a[1]) * np.linalg.norm(a[2]))
+        lhs = float((a[0] * a[1] * a[2]).sum())
+        rhs = float(a[0].max() * math.sqrt(a[1].dot(a[1])) * math.sqrt(a[2].dot(a[2])))
         if lhs > rhs * (1 + 1e-12):
             seq_viol += 1
         fg_d, fg_L = 1, 6
@@ -343,7 +343,7 @@ def _surgery_checks(cfg: ExperimentConfig):
         if off.any() and out["F"].any():
             nontrivial += 1
         diff = np.abs(out["cut"].values - out["full"].values)[off]
-        scale = max(float(np.max(np.abs(out["full"].values))), 1e-300)
+        scale = max(float(np.abs(out["full"].values).max()), 1e-300)
         if diff.size:
             worst = max(worst, float(diff.max()) / scale)
     _check(
@@ -428,7 +428,7 @@ def suite_domination(cfg: ExperimentConfig) -> dict:
         report = domination_check(spec, *fs)
         worst = max(worst, report["max_violation"])
         pairing = abs(
-            float(np.sum(eval_B(spec, fs[:2]).values * fs[2].values))
+            float((eval_B(spec, fs[:2]).values * fs[2].values).sum())
             * fs[0].cell_measure
         )
         lam = eval_Lambda(spec, fs)
@@ -455,7 +455,7 @@ def suite_domination(cfg: ExperimentConfig) -> dict:
             f = random_cells(rng, 2, L)
             a = governing_operator(f, m1s2).values
             b = governing_operator(f, s2m1).values
-            if np.any(a > b * (1 + 1e-10) + 1e-300):
+            if (a > b * (1 + 1e-10) + 1e-300).any():
                 iter_ok = False
         _check(checks, "sup-inside-sum-monotonicity", iter_ok)
     return _report(cfg, checks)

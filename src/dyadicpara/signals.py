@@ -22,6 +22,15 @@ def _grid_shape(d: int, L: int) -> tuple:
     return ((1 << L),) * d
 
 
+def _real(values, what: str) -> np.ndarray:
+    """`values` as an array, refused if complex: a float conversion would
+    drop the imaginary part with no more than a warning."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise ContractError(f"{what} must be real, got dtype {arr.dtype}")
+    return arr
+
+
 def _check_resolution(d: int, L: int):
     """The range check of `Signal`, for callers about to form a 2^L grid.
     It reads the cap table as `level_cap` does, so that it adds no second
@@ -51,15 +60,16 @@ class Signal:
             raise ContractError(
                 f"resolution L={self.L} outside [0, {level_cap(self.d) + 1}] for d={self.d}"
             )
-        arr = np.array(self.values, dtype=float, order="C")
+        arr = np.array(_real(self.values, "signal values"), dtype=float, order="C")
         grid = _grid_shape(self.d, self.L)
-        if arr.shape not in ((1 << (self.d * self.L),), grid):
-            raise ContractError(
-                f"need 2^{self.d * self.L} values, flat or of shape {grid}, "
-                f"got shape {arr.shape}"
-            )
-        arr = arr.reshape(grid)
-        if not np.all(np.isfinite(arr)):
+        if arr.shape != grid:
+            if arr.shape != (1 << (self.d * self.L),):
+                raise ContractError(
+                    f"need 2^{self.d * self.L} values, flat or of shape {grid}, "
+                    f"got shape {arr.shape}"
+                )
+            arr = arr.reshape(grid)
+        if not np.isfinite(arr).all():
             raise ContractError("signal values must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -173,15 +183,15 @@ def lp_norm(f: Signal, p: float) -> float:
     if not p > 0:  # also refuses NaN
         raise ContractError("exponent p must be positive")
     a = np.abs(f.values)
-    if np.isinf(p):
+    if math.isinf(p):
         return float(a.max()) if a.size else 0.0
     with np.errstate(over="ignore"):
-        value = float((np.sum(a**p) * f.cell_measure) ** (1.0 / p))
+        value = float(((a**p).sum() * f.cell_measure) ** (1.0 / p))
     if value == 0.0 or math.isinf(value):
         # a**p may have left the float range: take powers of |f| / max|f|
         m = float(a.max())
         if m > 0.0:
-            value = m * float((np.sum((a / m) ** p) * f.cell_measure) ** (1.0 / p))
+            value = m * float((((a / m) ** p).sum() * f.cell_measure) ** (1.0 / p))
     return value
 
 
@@ -191,17 +201,17 @@ def weak_quasinorm(f: Signal, r: float) -> float:
     The distribution function of a grid signal is a right-continuous step
     function, so the supremum is attained as lambda increases to one of the
     realized values; it equals max over values a of a * |{|f| >= a}|^(1/r).
+
+    One sort finds it: with |f| sorted ascending as a[0..n-1], the set
+    {|f| >= a[i]} holds at least n - i cells, exactly n - i at the first of
+    equal values, so the products a[i] * ((n - i) cells)^(1/r) reach the
+    same maximum.  Zeros contribute 0, and an all-zero signal gives 0.
     """
     if not r > 0:  # also refuses NaN
         raise ContractError("exponent r must be positive")
-    a = np.abs(f.values).ravel()
-    vals, counts = np.unique(a, return_counts=True)
-    if vals[-1] == 0.0:
-        return 0.0
-    # measure of {|f| >= vals[i]} via suffix counts
-    suffix = np.cumsum(counts[::-1])[::-1] * f.cell_measure
-    keep = vals > 0
-    return float(np.max(vals[keep] * suffix[keep] ** (1.0 / r)))
+    a = np.sort(np.abs(f.values), axis=None)
+    measure = np.arange(a.size, 0, -1) * f.cell_measure
+    return float((a * measure ** (1.0 / r)).max())
 
 
 @dataclass(frozen=True)
@@ -224,7 +234,10 @@ class ExponentTuple:
 
 
 def conjugate_exponent(p: float) -> float:
-    if np.isinf(p):
+    """q with 1/p + 1/q = 1, for p in [1, inf]."""
+    if not p >= 1:  # also refuses NaN
+        raise ContractError(f"conjugate exponent needs p in [1, inf], got {p}")
+    if math.isinf(p):
         return 1.0
     if p == 1.0:
         return float("inf")

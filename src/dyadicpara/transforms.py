@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ContractError, ResolutionError, UnsupportedFamilyError
 from .families import AdaptedFamily
 from .lattice import DyadicInterval, DyadicRectangle, _json_index, enumerate_rectangles
-from .signals import Signal, _check_resolution
+from .signals import Signal, _check_resolution, _real
 
 
 def lattice_rectangles(d: int, L: int, cap=None) -> list:
@@ -61,7 +61,9 @@ class CoefficientField:
 
     def __post_init__(self):
         _check_resolution(self.d, self.L)
-        arr = np.array(self.tensor, dtype=float)
+        if self.family.d != self.d:
+            raise ContractError("family and field parameter counts differ")
+        arr = np.array(_real(self.tensor, "coefficients"), dtype=float)
         if arr.shape != ((1 << self.L),) * self.d:
             raise ContractError("coefficient tensor has the wrong shape")
         arr.flags.writeable = False
@@ -76,11 +78,11 @@ class CoefficientField:
         return float(self.tensor[idx])
 
     def energy(self) -> float:
-        return float(np.sum(self.tensor**2))
+        return float((self.tensor**2).sum())
 
     def oscillatory_energy(self) -> float:
         sub = self.tensor[(slice(1, None),) * self.d]
-        return float(np.sum(sub**2))
+        return float((sub**2).sum())
 
     def to_json(self):
         entries = []
@@ -162,12 +164,13 @@ def _fold_up(values: np.ndarray, axis: int, L: int, pair) -> np.ndarray:
     and odd entries of the run (the cells at first) to the level-k slots
     and the run passed on; the mean slot takes the last run.  O(2^L) per
     fiber; the output keeps the memory layout of `values`."""
-    run = np.moveaxis(values, axis, 0)
+    front, back = _axis_to_front(values.ndim, axis)
+    run = values.transpose(front)
     out = np.empty_like(run)
     for k in range(L - 1, -1, -1):
         out[1 << k : 2 << k], run = pair(run[0::2], run[1::2], k)
     out[0] = run[0]
-    return np.moveaxis(out, 0, axis)
+    return out.transpose(back)
 
 
 def _fold_down(coeffs: np.ndarray, axis: int, L: int, children) -> np.ndarray:
@@ -177,14 +180,25 @@ def _fold_down(coeffs: np.ndarray, axis: int, L: int, children) -> np.ndarray:
     `children(run, block, k)` maps it and the level-k slots to the left and
     the right child of every entry, interleaved into the next run.  O(2^L)
     per fiber; each level writes whole hyperplanes of a leading-axis view."""
-    a = np.moveaxis(coeffs, axis, 0)
+    front, back = _axis_to_front(coeffs.ndim, axis)
+    a = coeffs.transpose(front)
     run = a[0:1]
     for k in range(L):
         left, right = children(run, a[1 << k : 2 << k], k)
         run = np.empty((2 * len(left),) + left.shape[1:], dtype=left.dtype)
         run[0::2] = left
         run[1::2] = right
-    return np.moveaxis(run, 0, axis)
+    return run.transpose(back)
+
+
+@functools.cache
+def _axis_to_front(ndim: int, axis: int) -> tuple:
+    """The permutations that np.moveaxis(x, axis, 0) and its inverse
+    np.moveaxis(y, 0, axis) pass to `transpose`, which costs a fraction of
+    `moveaxis` per call."""
+    others = tuple(i for i in range(ndim) if i != axis)
+    back = tuple(range(1, axis + 1)) + (0,) + tuple(range(axis + 1, ndim))
+    return (axis,) + others, back
 
 
 @functools.cache
@@ -406,13 +420,10 @@ def _dense_analysis_axis(
     values: np.ndarray, axis: int, matrix: np.ndarray
 ) -> np.ndarray:
     """Contract one axis with a cached matrix, read in place: the product
-    that np.tensordot forms, without its Python overhead.  The transposes
-    are np.moveaxis to and from the front, with the permutations spelled
-    out."""
-    others = tuple(i for i in range(values.ndim) if i != axis)
-    moved = values.transpose((axis,) + others)
+    that np.tensordot forms, without its Python overhead."""
+    front, back = _axis_to_front(values.ndim, axis)
+    moved = values.transpose(front)
     out = np.dot(matrix, moved.reshape(len(matrix), -1)).reshape(moved.shape)
-    back = tuple(range(1, axis + 1)) + (0,) + tuple(range(axis + 1, values.ndim))
     return out.transpose(back)
 
 

@@ -4,7 +4,9 @@
 four separate level loops, each along a trailing-axis view; it now runs all
 four moves through `_fold_up` and `_fold_down` with the pairing as a
 parameter.  These copies of the old cascades, unchanged, serve the tests:
-every fold must equal its cascade bit for bit.
+every fold must equal its cascade bit for bit.  The two folds themselves
+are kept here in their np.moveaxis form as well, so that the spelled-out
+transposes can be checked against it, strides included.
 """
 
 from __future__ import annotations
@@ -58,3 +60,25 @@ def _haar_synthesis_cascade(coeffs: np.ndarray, axis: int, L: int) -> np.ndarray
         up[..., 1::2] = vals - block
         vals = up
     return np.moveaxis(vals, -1, axis)
+
+
+def _fold_up_moveaxis(values: np.ndarray, axis: int, L: int, pair) -> np.ndarray:
+    """`transforms._fold_up` as it was written with np.moveaxis."""
+    run = np.moveaxis(values, axis, 0)
+    out = np.empty_like(run)
+    for k in range(L - 1, -1, -1):
+        out[1 << k : 2 << k], run = pair(run[0::2], run[1::2], k)
+    out[0] = run[0]
+    return np.moveaxis(out, 0, axis)
+
+
+def _fold_down_moveaxis(coeffs: np.ndarray, axis: int, L: int, children) -> np.ndarray:
+    """`transforms._fold_down` as it was written with np.moveaxis."""
+    a = np.moveaxis(coeffs, axis, 0)
+    run = a[0:1]
+    for k in range(L):
+        left, right = children(run, a[1 << k : 2 << k], k)
+        run = np.empty((2 * len(left),) + left.shape[1:], dtype=left.dtype)
+        run[0::2] = left
+        run[1::2] = right
+    return np.moveaxis(run, 0, axis)

@@ -131,3 +131,31 @@ def test_coefficients_keep_their_memory_layout(family, d, L, strides):
         for axis in range(d):
             want = oracle._haar_analysis_cascade(want, axis, L)
         assert np.array_equal(field.tensor, want)
+
+
+def _layouts(shape, seed):
+    """A C-ordered tensor, a Fortran-ordered one and a strided view."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(shape)
+    wide = rng.standard_normal(tuple(2 * n for n in shape))
+    return c, np.asfortranarray(c), wide[(slice(None, None, 2),) * len(shape)]
+
+
+@pytest.mark.parametrize("d, L", [(2, 0), (2, 1), (2, 4), (3, 0), (3, 1), (3, 3)])
+def test_folds_match_their_moveaxis_form(d, L):
+    # values and strides, for every axis and every pairing the engine uses
+    ups = (transforms._haar_pair, transforms._step_pair, transforms._op_pair(np.add))
+    downs = (transforms._haar_children, transforms._op_pair(np.maximum))
+    for axis in range(d):
+        for values in _layouts(((1 << L),) * d, 10 * d + L + axis):
+            for pair in ups:
+                got = transforms._fold_up(values, axis, L, pair)
+                want = oracle._fold_up_moveaxis(values, axis, L, pair)
+                _assert_same(got, want)
+                assert got.strides == want.strides
+            for children in downs:
+                got = transforms._fold_down(values, axis, L, children)
+                want = oracle._fold_down_moveaxis(values, axis, L, children)
+                _assert_same(got, want)
+                assert got.strides == want.strides
+

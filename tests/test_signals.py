@@ -116,6 +116,29 @@ def test_exponent_tuple():
     assert conjugate_exponent(1.0) == np.inf
 
 
+@pytest.mark.parametrize("p", [0.5, 0.0, -1.0, -np.inf, float("nan")])
+def test_conjugate_exponent_refuses_p_below_one_and_nan(p):
+    with pytest.raises(ContractError):
+        conjugate_exponent(p)
+
+
+@pytest.mark.parametrize(
+    "values", [np.array([1.0 + 2.0j, 0.0]), np.zeros(2, dtype=complex), [1j, 0.0]]
+)
+def test_signal_and_field_refuse_complex_values(values):
+    with pytest.raises(ContractError, match="real"):
+        Signal(1, 1, values)
+    with pytest.raises(ContractError, match="real"):
+        CoefficientField(1, 1, AdaptedFamily.haar(1), values)
+
+
+def test_field_refuses_a_family_of_another_parameter_count():
+    with pytest.raises(ContractError, match="parameter counts"):
+        CoefficientField(1, 2, AdaptedFamily.haar(2), np.zeros(4))
+    with pytest.raises(ContractError, match="parameter counts"):
+        CoefficientField(2, 1, AdaptedFamily.abs_haar(1), np.zeros((2, 2)))
+
+
 def test_signal_contracts():
     with pytest.raises(ContractError):
         Signal(1, 3, np.array([1.0, np.nan] + [0.0] * 6))
