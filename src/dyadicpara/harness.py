@@ -473,6 +473,11 @@ def _hypothesis_threshold(t: Signal, collection: RectangleCollection) -> float:
     return top
 
 
+# technical-lemma trial t fails the hypothesis in t % _LEMMA_PATTERNS slots
+# (none, slot 3, slots 2 and 3), so every conclusion needs that many trials
+_LEMMA_PATTERNS = 3
+
+
 def suite_technical_lemma(cfg: ExperimentConfig) -> dict:
     checks = []
     d, L = cfg.d, cfg.L
@@ -490,7 +495,7 @@ def suite_technical_lemma(cfg: ExperimentConfig) -> dict:
         collection = RectangleCollection.of([lattice[i] for i in idx], L)
         t_vals = [governing_operator(f, t) for f, t in zip(fs, tspecs)]
         qs = [_hypothesis_threshold(t, collection) for t in t_vals]
-        pattern = trial % 3
+        pattern = trial % _LEMMA_PATTERNS
         lambdas = list(qs)
         flags = [True, True, True]
         if pattern >= 1 and qs[2] > 0:
@@ -569,77 +574,52 @@ def suite_localization(cfg: ExperimentConfig) -> dict:
     return _report(cfg, checks)
 
 
-def suite_restricted_weak(cfg: ExperimentConfig) -> dict:
-    checks = []
+def _pipeline_trials(cfg: ExperimentConfig, pipeline, p2: float):
+    """One `pipeline` run per trial on normalized random-Haar inputs, f1 in
+    L^p1 and f2 in L^p2, with a random third input.  Returns the reports
+    and their class rows, each row tagged with its trial."""
     d, L = cfg.d, cfg.L
     spec = standard_triple(d, cfg.family)
-    kappas = []
-    all_ok = True
-    e3_ok = True
-    omega_ok = True
-    pairing_ok = True
-    finite_ok = True
-    partition_ok = True
+    reports = []
     class_table = []
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)
         f1 = normalize(random_haar(rng, d, L), cfg.p1)
-        f2 = normalize(random_haar(rng, d, L), cfg.p2)
-        rw = RestrictedWeakConfig(p1=cfg.p1, p2=cfg.p2, f3=random_cells(rng, d, L))
-        report = restricted_weak_type_pipeline(rw, spec, f1, f2)
-        kappas.append(report["kappa"])
-        all_ok &= report["all_class_bounds_ok"]
-        omega_ok &= report["omega_tilde_measure"] < 0.5
-        e3_ok &= report["e3_prime_measure"] >= 0.5
-        pairing_ok &= report["pairing_le_total"]
-        finite_ok &= report["finite"]
-        partition_ok &= report["partition_defect"] <= 1e-12 * max(report["total"], 1.0)
-        for row in report["classes"]:
-            class_table.append({"trial": trial, **row})
-    _check(checks, "calibration", omega_ok, kappa_range=[min(kappas), max(kappas)])
-    _check(checks, "support-set-large", e3_ok)
-    _check(checks, "per-class-bounds", all_ok, trials=cfg.trials)
-    _check(checks, "pairing-below-total", pairing_ok)
-    _check(checks, "total-finite", finite_ok)
+        f2 = normalize(random_haar(rng, d, L), p2)
+        rw = RestrictedWeakConfig(p1=cfg.p1, p2=p2, f3=random_cells(rng, d, L))
+        report = pipeline(rw, spec, f1, f2)
+        reports.append(report)
+        class_table.extend({"trial": trial, **row} for row in report["classes"])
+    return reports, class_table
+
+
+def suite_restricted_weak(cfg: ExperimentConfig) -> dict:
+    checks = []
+    reports, class_table = _pipeline_trials(cfg, restricted_weak_type_pipeline, cfg.p2)
+    kappas = [r["kappa"] for r in reports]
+    _check(checks, "calibration", all(r["omega_tilde_measure"] < 0.5 for r in reports),
+           kappa_range=[min(kappas), max(kappas)])
+    _check(checks, "support-set-large", all(r["e3_prime_measure"] >= 0.5 for r in reports))
+    _check(checks, "per-class-bounds", all(r["all_class_bounds_ok"] for r in reports),
+           trials=cfg.trials)
+    _check(checks, "pairing-below-total", all(r["pairing_le_total"] for r in reports))
+    _check(checks, "total-finite", all(r["finite"] for r in reports))
+    partition_ok = all(r["partition_defect"] <= 1e-12 * max(r["total"], 1.0) for r in reports)
     _check(checks, "class-partition-exact", partition_ok)
     return _report(cfg, checks, extra={"rows": class_table})
 
 
 def suite_endpoint(cfg: ExperimentConfig) -> dict:
     checks = []
-    d, L = cfg.d, cfg.L
-    spec = standard_triple(d, cfg.family)
-    all_ok = True
-    omega_ok = True
-    e3_ok = True
-    finite_ok = True
-    consts = []
-    class_table = []
-    for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, trial)
-        f1 = normalize(random_haar(rng, d, L), cfg.p1)
-        f2 = normalize(random_haar(rng, d, L), np.inf)
-        rw = RestrictedWeakConfig(
-            p1=cfg.p1, p2=float("inf"), f3=random_cells(rng, d, L)
-        )
-        report = endpoint_pipeline(rw, spec, f1, f2)
-        all_ok &= report["all_class_bounds_ok"]
-        omega_ok &= report["omega_tilde_measure"] < 0.5
-        e3_ok &= report["e3_prime_measure"] >= 0.5
-        finite_ok &= report["finite"]
-        consts.append(report["max_localization_constant"])
-        for row in report["classes"]:
-            class_table.append({"trial": trial, **row})
-    _check(checks, "calibration", omega_ok)
-    _check(checks, "support-set-large", e3_ok)
-    _check(checks, "per-class-bounds", all_ok, trials=cfg.trials)
-    _check(checks, "total-finite", finite_ok)
-    _check(
-        checks,
-        "localization-constant-finite",
-        all(np.isfinite(c) for c in consts),
-        max_constant=max(consts, default=0.0),
-    )
+    reports, class_table = _pipeline_trials(cfg, endpoint_pipeline, np.inf)
+    consts = [r["max_localization_constant"] for r in reports]
+    _check(checks, "calibration", all(r["omega_tilde_measure"] < 0.5 for r in reports))
+    _check(checks, "support-set-large", all(r["e3_prime_measure"] >= 0.5 for r in reports))
+    _check(checks, "per-class-bounds", all(r["all_class_bounds_ok"] for r in reports),
+           trials=cfg.trials)
+    _check(checks, "total-finite", all(r["finite"] for r in reports))
+    _check(checks, "localization-constant-finite", all(np.isfinite(c) for c in consts),
+           max_constant=max(consts, default=0.0))
     return _report(cfg, checks, extra={"rows": class_table})
 
 
@@ -660,6 +640,13 @@ def _check_config(cfg: ExperimentConfig, levels):
         raise ContractError(f"trials must be >= 1, got {cfg.trials}")
     if cfg.seed < 0:  # numpy's SeedSequence takes non-negative integers only
         raise ContractError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.suite == "technical-lemma" and cfg.trials < _LEMMA_PATTERNS:
+        raise ContractError(
+            f"technical-lemma needs trials >= {_LEMMA_PATTERNS}, one per hypothesis "
+            f"pattern, got {cfg.trials}"
+        )
+    if cfg.suite in ("norms", "localization") and cfg.d != 1:
+        raise ContractError(f"the {cfg.suite} suite runs at d=1 only, got d={cfg.d}")
     for L in levels:
         _check_resolution(cfg.d, L)
 

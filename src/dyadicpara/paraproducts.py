@@ -13,7 +13,6 @@ least two mean-zero slots; violating specs are refused outright.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -37,6 +36,7 @@ from .transforms import (
     CoefficientField,
     _rectangle_weights,
     _spread,
+    _synthesis,
     coefficients,
     lattice_rectangles,
     reconstruct,
@@ -136,7 +136,8 @@ def eval_B(
     fs,
     collection: Optional[RectangleCollection] = None,
 ) -> Signal:
-    """The n-linear paraproduct, reassembled against the last slot."""
+    """The n-linear paraproduct, reassembled against the last slot one
+    axis at a time."""
     if len(fs) != spec.n:
         raise ContractError(f"expected {spec.n} input signals")
     fields = _slot_fields(spec, fs)
@@ -148,19 +149,10 @@ def eval_B(
     weights = weights * _rectangle_weights(d, L, (spec.n - 1) / 2.0, collection)
 
     if out_family.is_orthonormal_basis:
+        # the same synthesis, through `reconstruct`, whose call count the
+        # benchmark pins: the branch can go once counts are unpinned (ROADMAP item 1)
         return reconstruct(CoefficientField(d, L, out_family, weights))
-    out = np.zeros(((1 << L),) * d)
-    for levels in itertools.product(range(L), repeat=d):
-        slices = tuple(slice(1 << k, 1 << (k + 1)) for k in levels)
-        block = weights[slices]
-        if not np.any(block):
-            continue
-        synth = block
-        for axis in range(d):
-            mat = out_family.profile_matrix(axis, L)[slices[axis]]
-            synth = np.moveaxis(np.tensordot(synth, mat, axes=(axis, 0)), -1, axis)
-        out += synth
-    return Signal(d, L, out)
+    return Signal(d, L, _synthesis(weights, out_family, L))
 
 
 def _abs_product(spec, fs) -> np.ndarray:

@@ -250,7 +250,7 @@ def _gather(cells: np.ndarray, axis: int, L: int, op, leaves: bool = False) -> n
     `_fold_matrix`, exact for integer counts."""
     pair = _op_pair(op)
     if op is np.add and _fold_by_product(cells, L):
-        out = _dense_analysis_axis(cells, axis, _fold_matrix(L, pair))
+        out = _matrix_axis(cells, axis, _fold_matrix(L, pair))
         out = out.astype(cells.dtype, copy=False)
     else:
         out = _fold_up(cells, axis, L, pair)
@@ -338,8 +338,8 @@ _SMALL_SIZE_MAX = 1 << 10
 _HAAR_MATRIX_MAX_N = 1 << 8
 
 
-# the small-tensor tables are keyed by L <= 10, the fold matrices of the
-# three pairings by L <= 8: about 2.3 MiB at most, together
+# the small-tensor tables are keyed by L <= 10 (and the zero flag), the fold
+# matrices of the three pairings by L <= 8: about 2.5 MiB at most, together
 _SMALL_L_COUNT = _SMALL_SIZE_MAX.bit_length()
 
 
@@ -361,16 +361,17 @@ def _ancestor_slots(L: int) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=_SMALL_L_COUNT)
-def _synthesis_scales(L: int) -> np.ndarray:
-    """h_I(cell) per entry of `_ancestor_slots`: +-2^(k/2) for I at level
-    k, the sign that of the half of I holding the cell; 1 for the mean
-    slot."""
+@functools.lru_cache(maxsize=2 * _SMALL_L_COUNT)
+def _synthesis_scales(L: int, zero: bool) -> np.ndarray:
+    """The step profile of each entry of `_ancestor_slots` at its cell:
+    2^(k/2) for an interval at level k, negated on the right half of the
+    interval when `zero` is set; 1 for the mean slot."""
     cells = np.arange(1 << L)
     scales = np.ones((L + 1, 1 << L))
     for k in range(L):
-        right = (cells >> (L - k - 1)) & 1
-        scales[k + 1] = np.where(right, -1.0, 1.0) * 2.0 ** (k / 2.0)
+        scales[k + 1] = 2.0 ** (k / 2.0)
+        if zero:
+            scales[k + 1, (cells >> (L - k - 1)) & 1 == 1] *= -1.0
     scales.flags.writeable = False
     return scales
 
@@ -399,32 +400,52 @@ def _step_analysis_axis(values: np.ndarray, axis: int, L: int, zero: bool) -> np
     with the fold's matrix, which sums in another order than the fold."""
     pair = _haar_pair if zero else _step_pair
     if _fold_by_product(values, L):
-        return _dense_analysis_axis(values, axis, _fold_matrix(L, pair))
+        return _matrix_axis(values, axis, _fold_matrix(L, pair))
     return _fold_up(values, axis, L, pair)
 
 
-def _haar_synthesis_axis(coeffs: np.ndarray, axis: int, L: int) -> np.ndarray:
-    """Inverse of the orthonormal Haar analysis: the fold to children run +-
-    block·2^(k/2).  A small tensor gathers each cell's L+1 slots, scales
-    them by `_synthesis_scales` and sums coarse to fine as `_spread` does,
-    bit for bit the fold's result."""
+def _step_children(run, block, k):  # |h_I| = 2^(k/2) on both halves of I
+    child = run + block * 2.0 ** (k / 2.0)
+    return child, child
+
+
+def _step_synthesis_axis(coeffs: np.ndarray, axis: int, L: int, zero: bool) -> np.ndarray:
+    """Step-family synthesis along one axis, the twin of
+    `_step_analysis_axis`: each cell gets the mean slot plus every level-k
+    slot times h_(k,j) at the cell (`_haar_children`) on an axis flagged
+    mean zero, times |h_(k,j)| (`_step_children`) on any other.  A small
+    tensor sums its cells' `_ancestor_slots` times `_synthesis_scales`
+    coarse to fine, as `_spread` does: bit for bit the fold's result."""
     if coeffs.size <= _SMALL_SIZE_MAX:
         trailing = (1,) * (coeffs.ndim - axis - 1)
-        scales = _synthesis_scales(L).reshape((L + 1, 1 << L) + trailing)
+        scales = _synthesis_scales(L, zero).reshape((L + 1, 1 << L) + trailing)
         terms = coeffs.take(_ancestor_slots(L), axis=axis) * scales
         return np.add.reduce(terms, axis=axis)
-    return _fold_down(coeffs, axis, L, _haar_children)
+    return _fold_down(coeffs, axis, L, _haar_children if zero else _step_children)
 
 
-def _dense_analysis_axis(
-    values: np.ndarray, axis: int, matrix: np.ndarray
-) -> np.ndarray:
+def _matrix_axis(values: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:
     """Contract one axis with a cached matrix, read in place: the product
-    that np.tensordot forms, without its Python overhead."""
+    that np.tensordot forms, without its Python overhead.  Analysis passes
+    a profile matrix, synthesis its transpose."""
     front, back = _axis_to_front(values.ndim, axis)
     moved = values.transpose(front)
     out = np.dot(matrix, moved.reshape(len(matrix), -1)).reshape(moved.shape)
     return out.transpose(back)
+
+
+def _synthesis(tensor: np.ndarray, family: AdaptedFamily, L: int) -> np.ndarray:
+    """Sum over slots of tensor[slot] times the family's profile of that
+    slot, one axis at a time: a step axis by `_step_synthesis_axis`, a
+    smooth one by one product with the transposed profile matrix.  A mean
+    slot is the constant 1 on a step axis and nothing on a smooth one (row
+    0 of the matrix); only the orthonormal Haar family fills mean slots."""
+    for axis in range(tensor.ndim):
+        if family.is_smooth:
+            tensor = _matrix_axis(tensor, axis, family.profile_matrix(axis, L).T)
+        else:
+            tensor = _step_synthesis_axis(tensor, axis, L, family.zero_pattern[axis])
+    return tensor
 
 
 def coefficients(f: Signal, family: AdaptedFamily) -> CoefficientField:
@@ -449,7 +470,7 @@ def coefficients(f: Signal, family: AdaptedFamily) -> CoefficientField:
     tensor = f.values * f.cell_measure
     for axis in range(f.d):
         if family.is_smooth:
-            tensor = _dense_analysis_axis(tensor, axis, matrices[axis])
+            tensor = _matrix_axis(tensor, axis, matrices[axis])
         else:
             tensor = _step_analysis_axis(tensor, axis, f.L, family.zero_pattern[axis])
             if not family.is_orthonormal_basis:
@@ -461,10 +482,5 @@ def coefficients(f: Signal, family: AdaptedFamily) -> CoefficientField:
 def reconstruct(c: CoefficientField) -> Signal:
     """Synthesis inverse of `coefficients`, Haar families only."""
     if not c.family.is_orthonormal_basis:
-        raise UnsupportedFamilyError(
-            "reconstruction requires the orthonormal haar family"
-        )
-    values = c.tensor
-    for axis in range(c.d):
-        values = _haar_synthesis_axis(values, axis, c.L)
-    return Signal(c.d, c.L, values)
+        raise UnsupportedFamilyError("reconstruction requires the orthonormal haar family")
+    return Signal(c.d, c.L, _synthesis(c.tensor, c.family, c.L))

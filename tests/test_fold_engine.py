@@ -1,10 +1,12 @@
 """Differential test of the per-axis fold engine against the old cascades.
 
-`_spread`, `_gather`, the Haar analysis (`_step_analysis_axis` on a mean-zero
-axis) and `_haar_synthesis_axis` move an axis through `_fold_up` or
-`_fold_down`; each must equal its cascade in `cascade_oracle.py` bit for bit,
-dtype included.  The table paths for small tensors are switched off here, so
-the fold runs at every size.
+`_spread`, `_gather`, the Haar analysis and synthesis (`_step_analysis_axis`
+and `_step_synthesis_axis` on a mean-zero axis) move an axis through
+`_fold_up` or `_fold_down`; each must equal its cascade in `cascade_oracle.py`
+bit for bit, dtype included.  The |h| synthesis of an axis without the zero
+flag is the add-spread of its slots scaled by 2^(k/2), the same operations.
+The table paths for small tensors are switched off here, so the fold runs at
+every size.
 """
 
 import numpy as np
@@ -90,8 +92,27 @@ def test_haar_analysis_and_synthesis_equal_cascade(fold_only, d, L):
             want = oracle._haar_analysis_cascade(values, axis, L)
             _assert_same(got, want)
             assert got.strides == want.strides
-            got = transforms._haar_synthesis_axis(values, axis, L)
+            got = transforms._step_synthesis_axis(values, axis, L, True)
             _assert_same(got, oracle._haar_synthesis_cascade(values, axis, L))
+
+
+def level_scaled(values, axis, L):
+    """`values` with slot 2^k + j of `axis` times 2^(k/2), the mean slot
+    times 1: the steps that the |h| synthesis adds in."""
+    scales = [1.0] + [2.0 ** (k / 2.0) for k in range(L) for _ in range(1 << k)]
+    shape = [1] * values.ndim
+    shape[axis] = 1 << L
+    return values * np.reshape(scales, shape)
+
+
+@pytest.mark.parametrize("d, L", _GRIDS)
+def test_step_synthesis_equals_level_scaled_spread(fold_only, d, L):
+    for axis in range(d):
+        real, flags, _ = _inputs(d, L, axis, 1 << L)
+        for values in (real, flags * 1.0):
+            got = transforms._step_synthesis_axis(values, axis, L, False)
+            want = oracle._spread_cascade(level_scaled(values, axis, L), axis, L, np.add)
+            _assert_same(got, want)
 
 
 @pytest.mark.parametrize("L", range(9))
@@ -145,7 +166,7 @@ def _layouts(shape, seed):
 def test_folds_match_their_moveaxis_form(d, L):
     # values and strides, for every axis and every pairing the engine uses
     ups = (transforms._haar_pair, transforms._step_pair, transforms._op_pair(np.add))
-    downs = (transforms._haar_children, transforms._op_pair(np.maximum))
+    downs = (transforms._haar_children, transforms._step_children, transforms._op_pair(np.maximum))
     for axis in range(d):
         for values in _layouts(((1 << L),) * d, 10 * d + L + axis):
             for pair in ups:

@@ -316,6 +316,34 @@ def test_run_suite_refuses_zero_trials():
         run_suite(cfg)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "technical-lemma", "--d", "1", "--L", "4", "--trials", "2"],
+         "technical-lemma needs trials >= 3"),
+        (["verify", "norms", "--d", "3", "--L", "5", "--trials", "2"],
+         "the norms suite runs at d=1 only, got d=3"),
+        (["verify", "localization", "--d", "2", "--L", "6"],
+         "the localization suite runs at d=1 only, got d=2"),
+    ],
+    ids=["technical-lemma-two-trials", "norms-d3", "localization-d2"],
+)
+def test_cli_verify_refuses_config_it_cannot_run_exit_2(tmp_path, args, message):
+    out = tmp_path / "report.json"
+    r = _cli(*args, "--out", str(out))
+    assert r.returncode == 2
+    assert f"contract error: {message}" in r.stderr
+    assert not out.exists()
+
+
+def test_cli_technical_lemma_three_trials_pass(tmp_path):
+    out = tmp_path / "report.json"
+    r = _cli("verify", "technical-lemma", "--d", "1", "--L", "4", "--trials", "3",
+             "--out", str(out))
+    assert r.returncode == 0
+    assert json.loads(out.read_text())["passed"]
+
+
 def test_cli_verify_pass():
     r = _cli("verify", "norms", "--d", "1", "--L", "5", "--trials", "5", "--seed", "1")
     assert r.returncode == 0

@@ -39,7 +39,7 @@ _FAMILIES = {
 # d=1 on both sides of transforms._fold_by_product (n = 2^8 the last product)
 _GRIDS = [(1, 8), (1, 9), (2, 4), (3, 3)]
 
-_ANALYSIS = ("_step_analysis_axis", "_dense_analysis_axis")
+_ANALYSIS = ("_step_analysis_axis", "_matrix_axis")
 
 
 def _specs(family):

@@ -213,3 +213,25 @@ def test_wrong_arity(triple1):
         eval_Lambda(triple1, (Signal.zeros(1, 3),) * 2)
     with pytest.raises(ContractError):
         eval_B(triple1, (Signal.zeros(1, 3), Signal.zeros(1, 4)))
+
+
+
+@pytest.mark.parametrize("d, L", [(1, 10), (1, 11), (2, 5), (2, 6), (3, 3), (3, 4)])
+@pytest.mark.parametrize("zero", [False, True], ids=["abs-haar", "haar-mixed"])
+def test_step_output_fetches_no_profile_matrix(monkeypatch, rng, d, L, zero):
+    # grids on both sides of transforms._SMALL_SIZE_MAX; Haar inputs fetch
+    # no matrix either, so a fetch could only come from the synthesis
+    out = AdaptedFamily.make(
+        "haar" if zero else "abs-haar", d, [zero and j % 2 == 1 for j in range(d)]
+    )
+    assert not out.is_orthonormal_basis
+    spec = ParaproductSpec((AdaptedFamily.haar(d), AdaptedFamily.haar(d), out))
+    fs = [Signal(d, L, rng.standard_normal(((1 << L),) * d)) for _ in range(2)]
+    want = eval_B(spec, fs).values
+
+    def refuse(self, axis, L):
+        raise AssertionError("profile matrix fetched")
+
+    monkeypatch.setattr(AdaptedFamily, "profile_matrix", refuse)
+    fresh = [Signal(d, L, f.values) for f in fs]
+    assert np.array_equal(eval_B(spec, fresh).values, want)

@@ -21,7 +21,7 @@ from dyadicpara import (
     rectangle,
     transforms,
 )
-from dyadicpara.transforms import _dense_analysis_axis, _rectangle_weights, _step_analysis_axis
+from dyadicpara.transforms import _matrix_axis, _rectangle_weights, _step_analysis_axis
 
 import cascade_oracle
 
@@ -223,7 +223,7 @@ def _dense_oracle(f, family):
     per-axis product, at every grid size."""
     tensor = f.values * f.cell_measure
     for axis in range(f.d):
-        tensor = _dense_analysis_axis(tensor, axis, family.profile_matrix(axis, f.L))
+        tensor = _matrix_axis(tensor, axis, family.profile_matrix(axis, f.L))
     return tensor
 
 
@@ -292,7 +292,7 @@ def test_step_blocks_below_crossover_match_dense(rng, make):
         want = got = values * 2.0 ** (-d * L)
         for axis in range(d):
             matrix = family.profile_matrix(axis, L)
-            want = _dense_analysis_axis(want, axis, matrix)
+            want = _matrix_axis(want, axis, matrix)
             got = _step_analysis_axis(got, axis, L, family.zero_pattern[axis])
             np.moveaxis(got, axis, 0)[0] = 0.0  # row 0 of a step profile matrix
         assert np.abs(got - want).max() <= 1e-12 * _step_scale(values)
@@ -303,9 +303,9 @@ def test_step_blocks_below_crossover_match_dense(rng, make):
     [
         (AdaptedFamily.abs_haar(1), 9, "_step_analysis_axis"),
         (AdaptedFamily.abs_haar(1), 8, "_step_analysis_axis"),
-        (AdaptedFamily.smooth(1), 9, "_dense_analysis_axis"),
+        (AdaptedFamily.smooth(1), 9, "_matrix_axis"),
         (AdaptedFamily.make("haar", 2, (True, False)), 9, "_step_analysis_axis"),
-        (AdaptedFamily.smooth_bump(2), 9, "_dense_analysis_axis"),
+        (AdaptedFamily.smooth_bump(2), 9, "_matrix_axis"),
         (AdaptedFamily.make("haar", 3, (False, True, False)), 6, "_step_analysis_axis"),
     ],
 )
@@ -319,7 +319,7 @@ def test_coefficients_reads_one_matrix_per_axis(monkeypatch, family, L, helper):
 
     monkeypatch.setattr(AdaptedFamily, "profile_matrix", counted_matrix)
     running = []  # the product inside a small step analysis is not recorded
-    for name in ("_step_analysis_axis", "_dense_analysis_axis"):
+    for name in ("_step_analysis_axis", "_matrix_axis"):
         def counted(values, axis, *rest, _name=name, _fn=getattr(transforms, name)):
             if not running:
                 calls.append((_name, axis))
@@ -373,7 +373,7 @@ _KERNEL_GRIDS = [
 
 
 @pytest.mark.parametrize("d, L, small", _KERNEL_GRIDS)
-def test_small_spread_and_synthesis_equal_cascade(rng, d, L, small):
+def test_small_spread_and_synthesis_equal_cascade(monkeypatch, rng, d, L, small):
     assert ((1 << (d * L)) <= transforms._SMALL_SIZE_MAX) == small
     # every slot holds a value, the mean slots included
     for values in _oracle_inputs(rng, ((1 << L),) * d):
@@ -381,8 +381,15 @@ def test_small_spread_and_synthesis_equal_cascade(rng, d, L, small):
             for op in (np.add, np.maximum):
                 got = transforms._spread(values, axis, L, op)
                 assert np.array_equal(got, cascade_oracle._spread_cascade(values, axis, L, op))
-            got = transforms._haar_synthesis_axis(values, axis, L)
+            got = transforms._step_synthesis_axis(values, axis, L, True)
             assert np.array_equal(got, cascade_oracle._haar_synthesis_cascade(values, axis, L))
+            # the |h| synthesis: the table path equals the fold at every size
+            paths = []
+            for size_max in (0, 1 << (d * L)):
+                with monkeypatch.context() as m:
+                    m.setattr(transforms, "_SMALL_SIZE_MAX", size_max)
+                    paths.append(transforms._step_synthesis_axis(values, axis, L, False))
+            assert np.array_equal(paths[0], paths[1])
 
 
 def _interval_reduce(cells, axis, L, op):
@@ -442,7 +449,9 @@ def test_small_tensor_tables_stay_small():
     """Every table the one-call paths can cache, each level count once."""
     small_L = range(transforms._SMALL_SIZE_MAX.bit_length())
     total = sum(
-        transforms._ancestor_slots(L).nbytes + transforms._synthesis_scales(L).nbytes
+        transforms._ancestor_slots(L).nbytes
+        + transforms._synthesis_scales(L, False).nbytes
+        + transforms._synthesis_scales(L, True).nbytes
         for L in small_L
     )
     pairs = (transforms._haar_pair, transforms._step_pair, transforms._op_pair(np.add))
