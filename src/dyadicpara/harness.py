@@ -114,13 +114,13 @@ def generate_signal(kind: str, d: int, L: int, seed: int = 0, params=None) -> Si
     params = dict(params or {})
     if kind == "constant":
         return Signal.constant(d, L, float(params.get("c", 1.0)))
-    if kind == "indicator":
+    if kind in ("indicator", "bump"):
         rect = DyadicRectangle.from_json(params["rect"])
-        return Signal.indicator(rect, L)
-    if kind == "bump":
-        rect = DyadicRectangle.from_json(params["rect"])
-        fam = AdaptedFamily.smooth_bump(d)
-        return Signal(d, L, fam.rectangle_profile(rect, L))
+        if rect.d != d:
+            raise ContractError(f"a d={d} signal needs a rect of {d} intervals, got {rect.d}")
+        if kind == "indicator":
+            return Signal.indicator(rect, L)
+        return Signal(d, L, AdaptedFamily.smooth_bump(d).rectangle_profile(rect, L))
     rng = np.random.default_rng(seed)
     if kind == "random-cells":
         return Signal(d, L, rng.standard_normal(((1 << L),) * d))
@@ -649,6 +649,11 @@ def _check_config(cfg: ExperimentConfig, levels):
         raise ContractError(f"the {cfg.suite} suite runs at d=1 only, got d={cfg.d}")
     for L in levels:
         _check_resolution(cfg.d, L)
+    if cfg.suite == "technical-lemma" and cfg.L < 2:
+        # each trial draws a collection of 1 to len(lattice) - 1 rectangles
+        raise ContractError(
+            f"technical-lemma needs L >= 2, a lattice of two or more rectangles, got L={cfg.L}"
+        )
 
 
 def run_suite(cfg: ExperimentConfig):

@@ -7,7 +7,7 @@ import numpy as np
 from .errors import ContractError
 from .families import AdaptedFamily
 from .signals import Signal, lp_norm
-from .transforms import _gather, _rectangle_weights, _spread
+from .transforms import _per_rectangle, _rectangle_weights, _spread
 from .transforms import coefficients, lattice_rectangles
 
 
@@ -52,16 +52,6 @@ def _rectangle_energies(f: Signal):
     field = coefficients(f, AdaptedFamily.haar(f.d))
     rects = lattice_rectangles(f.d, f.L)
     return rects, np.array([field.rectangle_coefficient(r) ** 2 for r in rects])
-
-
-def _per_rectangle(cells: np.ndarray, L: int, op) -> np.ndarray:
-    """The `op`-aggregate of each lattice rectangle's cells, in
-    `lattice_rectangles` order: the rectangle slots of the gathered tensor,
-    raveled row-major.  With np.logical_and it tells which rectangles lie
-    inside a region, since a rectangle does when all its cells do."""
-    for axis in range(cells.ndim):
-        cells = _gather(cells, axis, L, op)
-    return cells[(slice(1, None),) * cells.ndim].ravel()
 
 
 def energy_in_region(f: Signal, mask: np.ndarray) -> float:

@@ -13,6 +13,7 @@ least two mean-zero slots; violating specs are refused outright.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -34,6 +35,7 @@ from .operators import (
 from .signals import Signal
 from .transforms import (
     CoefficientField,
+    _per_rectangle,
     _rectangle_weights,
     _spread,
     _synthesis,
@@ -263,12 +265,8 @@ def haar_surgery(spec: ParaproductSpec, f1: Signal, f2: Signal) -> dict:
     pieces = maximal_intervals_in_mask(f_mask)
     g1 = conditional_expectation(f1, pieces)
     g2 = conditional_expectation(f2, pieces)
-    outside = [
-        r
-        for r in lattice_rectangles(1, L)
-        if not f_mask[slice(*r.axes[0].cells(L))].all()
-    ]
-    kept = RectangleCollection.of(outside, L)
+    inside = _per_rectangle(f_mask, L, np.logical_and)
+    kept = RectangleCollection.of(itertools.compress(lattice_rectangles(1, L), ~inside), L)
     return {
         "E": e_mask,
         "F": f_mask,

@@ -257,6 +257,16 @@ def _gather(cells: np.ndarray, axis: int, L: int, op, leaves: bool = False) -> n
     return np.concatenate([out, cells], axis=axis) if leaves else out
 
 
+def _per_rectangle(cells: np.ndarray, L: int, op) -> np.ndarray:
+    """The `op`-aggregate of each lattice rectangle's cells, in
+    `lattice_rectangles` order: the rectangle slots of the gathered tensor,
+    raveled row-major.  With np.logical_and it tells which rectangles lie
+    inside a region, since a rectangle does when all its cells do."""
+    for axis in range(cells.ndim):
+        cells = _gather(cells, axis, L, op)
+    return cells[(slice(1, None),) * cells.ndim].ravel()
+
+
 def _rectangle_weights(
     d: int, L: int, power: float, collection=None, means: bool = False
 ) -> np.ndarray:

@@ -145,6 +145,17 @@ def test_cli_gen_norm_round_trip(tmp_path):
     assert payload["norm"] > 0
 
 
+@pytest.mark.parametrize("kind", ["indicator", "bump"])
+@pytest.mark.parametrize("d, rect", [(1, "1,1"), (2, "1,0;2,3")])
+def test_cli_gen_rect_signal_has_the_requested_d(tmp_path, capsys, kind, d, rect):
+    out = tmp_path / "f.json"
+    assert main(["gen", "--kind", kind, "--d", str(d), "--L", "3", "--rect", rect,
+                 "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["d"] == d
+    saved = json.loads(out.read_text())
+    assert saved["d"] == d and len(saved["values"]) == 8**d
+
+
 def test_cli_gen_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     _cli("gen", "--kind", "random-cells", "--d", "1", "--L", "4", "--seed", "3",
@@ -248,10 +259,15 @@ def test_cli_malformed_argument_exit_64(capsys, args):
         (["gen", "--kind", "random-haar", "--d", "1", "--L", "4", "--seed", "-5"],
          "seed must be >= 0"),
         (["sweep", "--L-list", "3,4", "--trials", "1", "--seed", "-1"], "seed must be >= 0"),
+        (["gen", "--kind", "indicator", "--d", "1", "--L", "3", "--rect", "1,0;1,1"],
+         "a d=1 signal needs a rect of 1 intervals, got 2"),
+        (["gen", "--kind", "bump", "--d", "2", "--L", "3", "--rect", "1,0"],
+         "a d=2 signal needs a rect of 2 intervals, got 1"),
     ],
     ids=["gen-negative-L", "gen-L-above-cap", "verify-negative-L", "sweep-negative-L",
          "missing-config", "verify-no-trials", "sweep-no-trials", "verify-negative-seed",
-         "gen-negative-seed", "sweep-negative-seed"],
+         "gen-negative-seed", "sweep-negative-seed", "gen-indicator-rect-of-other-d",
+         "gen-bump-rect-of-other-d"],
 )
 def test_cli_refused_arguments_exit_2(capsys, args, message):
     assert main(args) == 2
@@ -325,8 +341,15 @@ def test_run_suite_refuses_zero_trials():
          "the norms suite runs at d=1 only, got d=3"),
         (["verify", "localization", "--d", "2", "--L", "6"],
          "the localization suite runs at d=1 only, got d=2"),
+        (["verify", "technical-lemma", "--d", "1", "--L", "0", "--trials", "3"],
+         "technical-lemma needs L >= 2"),
+        (["verify", "technical-lemma", "--d", "1", "--L", "1", "--trials", "3"],
+         "technical-lemma needs L >= 2"),
+        (["verify", "technical-lemma", "--d", "2", "--L", "1", "--trials", "3"],
+         "technical-lemma needs L >= 2"),
     ],
-    ids=["technical-lemma-two-trials", "norms-d3", "localization-d2"],
+    ids=["technical-lemma-two-trials", "norms-d3", "localization-d2",
+         "technical-lemma-d1-L0", "technical-lemma-d1-L1", "technical-lemma-d2-L1"],
 )
 def test_cli_verify_refuses_config_it_cannot_run_exit_2(tmp_path, args, message):
     out = tmp_path / "report.json"

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from dyadicpara import (
     rectangle,
     shadow_measure,
 )
+from dyadicpara.lattice import _rectangle_tuple
 
 
 @pytest.mark.parametrize(
@@ -82,6 +86,81 @@ def test_enumerate_cap():
     with pytest.raises(ResourceError):
         enumerate_rectangles(1, 4, cap=3)
     assert len(enumerate_rectangles(3, 2)) == 7**3
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class _PlainInterval:
+    """DyadicInterval's fields with the hash the dataclass generates."""
+
+    level: int
+    position: int
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class _PlainRectangle:
+    axes: tuple
+
+
+def _fresh_intervals(L, cls=DyadicInterval):
+    return [cls(k, j) for k in range(L + 1) for j in range(1 << k)]
+
+
+@pytest.mark.parametrize("d, L", [(1, 0), (1, 6), (2, 3), (3, 2)])
+def test_shared_lattice_equals_a_fresh_build(d, L):
+    fresh = [DyadicRectangle(c) for c in itertools.product(_fresh_intervals(L), repeat=d)]
+    assert enumerate_intervals(L) == _fresh_intervals(L)
+    got = enumerate_rectangles(d, L)
+    assert got == fresh
+    assert all(a is b for a, b in zip(got, _rectangle_tuple(d, L)))
+    # every call returns a new list; emptying one leaves the next whole
+    got.clear()
+    enumerate_intervals(L).clear()
+    assert enumerate_rectangles(d, L) == fresh
+    assert enumerate_rectangles(d, L) is not enumerate_rectangles(d, L)
+    assert enumerate_intervals(L) == _fresh_intervals(L)
+
+
+@pytest.mark.parametrize("d, L", [(1, 6), (2, 3), (3, 2)])
+def test_cached_hash_is_the_dataclass_hash(d, L):
+    rects = enumerate_rectangles(d, L)
+    for r in rects:
+        assert hash(r) == hash((r.axes,))
+        assert all(hash(a) == hash((a.level, a.position)) for a in r.axes)
+    plain = [
+        _PlainRectangle(tuple(_PlainInterval(a.level, a.position) for a in r.axes))
+        for r in rects
+    ]
+    assert [hash(p) for p in plain] == [hash(r) for r in rects]
+    # so sets, and the collections built on them, iterate in the same order
+    assert [r.to_json() for r in frozenset(rects)] == [
+        [[a.level, a.position] for a in p.axes] for p in frozenset(plain)
+    ]
+
+
+def test_copies_keep_equality_and_hash():
+    r = rectangle((2, 1), (3, 5))
+    for c in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r), dataclasses.replace(r)):
+        assert c == r and hash(c) == hash(r)
+    iv = dataclasses.replace(r.axes[0], position=3)
+    assert iv == interval(2, 3) and hash(iv) == hash((2, 3))
+    moved = dataclasses.replace(r, axes=(iv,))
+    assert moved == rectangle((2, 3)) and hash(moved) == hash(((iv,),))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: dataclasses.replace(interval(2, 1), position=4),
+        lambda: dataclasses.replace(interval(2, 1), level=-1),
+        lambda: DyadicRectangle(()),
+        lambda: DyadicRectangle(((1, 0),)),
+        lambda: dataclasses.replace(rectangle((1, 0)), axes=(interval(1, 0), (0, 0))),
+    ],
+    ids=["position-out-of-range", "negative-level", "no-axes", "tuple-axis", "replaced-axis"],
+)
+def test_invalid_intervals_and_rectangles_are_refused(build):
+    with pytest.raises(ContractError):
+        build()
 
 
 def _mask_of(iv, L):

@@ -197,6 +197,9 @@ def test_surgery_identity(rng):
             assert out["F"][lo:hi].all()
         # averaging preserves the inputs off the excised region
         assert np.array_equal(out["g1"].values[off], f1.values[off])
+        # the cut keeps exactly the intervals not inside F
+        outside = [r for r in lattice_rectangles(1, 6) if not out["F"][r.cell_slices(6)].all()]
+        assert out["kept"] == RectangleCollection.of(outside, 6)
 
 
 def test_spec_json_round_trip(triple2):

@@ -148,6 +148,17 @@ def test_signal_contracts():
         Signal.constant(1, 20, 1.0)  # beyond the resolution cap
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("d, L, where", [(1, 3, 0), (1, 3, 7), (2, 2, 5), (1, 0, 0)])
+def test_signal_refuses_any_non_finite_value(d, L, where, bad):
+    values = np.zeros(1 << (d * L))
+    values[where] = bad
+    with pytest.raises(ContractError, match="finite"):
+        Signal(d, L, values)
+    values[where] = np.finfo(float).max
+    assert Signal(d, L, values).values.ravel()[where] == np.finfo(float).max
+
+
 @pytest.mark.parametrize(
     "d, L, shape",
     [(2, 2, (2, 8)), (2, 2, (16, 1)), (1, 4, (4, 4)), (2, 2, (2, 2, 4)), (1, 0, ())],
