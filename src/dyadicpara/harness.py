@@ -634,25 +634,48 @@ SUITES = {
 }
 
 
-def _check_config(cfg: ExperimentConfig, levels):
-    """Refuses a configuration no trial can run on, before any trial."""
+# the suites that run the Haar family whatever `family` says
+_HAAR_ONLY_SUITES = ("identities", "norms", "localization")
+# the least L of the localization suite and of the d=1 identities
+_MIN_L = 3
+
+
+def _check_config(cfg: ExperimentConfig, suite: str, levels):
+    """Refuses a configuration no trial can run on, or that passes or fails
+    by construction, before any trial.  `suite` is the suite run, "sweep"
+    for `run_sweep`."""
     if cfg.trials < 1:
         raise ContractError(f"trials must be >= 1, got {cfg.trials}")
     if cfg.seed < 0:  # numpy's SeedSequence takes non-negative integers only
         raise ContractError(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.suite == "technical-lemma" and cfg.trials < _LEMMA_PATTERNS:
+    if suite == "technical-lemma" and cfg.trials < _LEMMA_PATTERNS:
         raise ContractError(
             f"technical-lemma needs trials >= {_LEMMA_PATTERNS}, one per hypothesis "
             f"pattern, got {cfg.trials}"
         )
-    if cfg.suite in ("norms", "localization") and cfg.d != 1:
-        raise ContractError(f"the {cfg.suite} suite runs at d=1 only, got d={cfg.d}")
+    if suite in ("norms", "localization") and cfg.d != 1:
+        raise ContractError(f"the {suite} suite runs at d=1 only, got d={cfg.d}")
     for L in levels:
         _check_resolution(cfg.d, L)
-    if cfg.suite == "technical-lemma" and cfg.L < 2:
+    if suite == "technical-lemma" and cfg.L < 2:
         # each trial draws a collection of 1 to len(lattice) - 1 rectangles
         raise ContractError(
             f"technical-lemma needs L >= 2, a lattice of two or more rectangles, got L={cfg.L}"
+        )
+    if suite == "sweep" and min(levels) < 1:
+        # a one-cell grid has no rectangles, so its ratio is 0 by construction
+        raise ContractError(f"a sweep needs every L >= 1, got L={min(levels)}")
+    if suite == "localization" and cfg.L < _MIN_L:
+        # the default collection of `localization_experiment` sits at level 2
+        raise ContractError(f"the localization suite needs L >= {_MIN_L}, got L={cfg.L}")
+    if suite == "identities" and cfg.d == 1 and cfg.L < _MIN_L:
+        # the planted spike of `surgery_corpus` alone thickens the exceptional
+        # set to the whole grid, so no surgery trial is nontrivial
+        raise ContractError(f"the identities suite at d=1 needs L >= {_MIN_L}, got L={cfg.L}")
+    if suite in _HAAR_ONLY_SUITES and cfg.family != "haar":
+        raise ContractError(
+            f"the {suite} suite fixes its own families and takes family 'haar' only, "
+            f"got {cfg.family!r}"
         )
 
 
@@ -660,7 +683,7 @@ def run_suite(cfg: ExperimentConfig):
     """Run one named suite; returns (report, exit_code)."""
     if cfg.suite not in SUITES:
         raise KeyError(cfg.suite)
-    _check_config(cfg, [cfg.L])
+    _check_config(cfg, cfg.suite, [cfg.L])
     report = SUITES[cfg.suite](cfg)
     write_report(report, cfg)
     if report["passed"]:
@@ -684,7 +707,7 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     """
     if len(cfg.L_list) < 2:
         raise ContractError("a sweep needs at least two resolutions")
-    _check_config(cfg, cfg.L_list)
+    _check_config(cfg, "sweep", cfg.L_list)
     spec = standard_triple(cfg.d, cfg.family)
     rows = []
     skipped = 0

@@ -354,21 +354,22 @@ def shadow_measure(collection: RectangleCollection) -> float:
 def maximal_intervals_in_mask(mask: np.ndarray) -> list:
     """Maximal dyadic intervals fully covered by a 1-d boolean cell mask.
 
-    The returned intervals are pairwise disjoint and their union is exactly
-    the marked set.
+    The returned intervals are pairwise disjoint, their union is exactly
+    the marked set, and they come in sorted order.  One AND-gather with
+    leaf slots marks slot 2^k + j when interval (k, j) lies inside the
+    mask, for every level k <= L; an interval is maximal when its slot is
+    marked and its parent's, slot >> 1, is not.
     """
+    from .transforms import _gather
+
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 1:
+        raise ContractError(f"a cell mask has one axis, got {mask.ndim}")
     n = mask.shape[0]
-    L = int(n).bit_length() - 1
-    if (1 << L) != n:
+    if n < 1 or n & (n - 1):
         raise ContractError("mask length must be a power of two")
-    found = []
-    stack = [DyadicInterval(0, 0)]
-    while stack:
-        node = stack.pop()
-        lo, hi = node.cells(L)
-        covered = bool(mask[lo:hi].all())
-        if covered:
-            found.append(node)
-        elif node.level < L and mask[lo:hi].any():
-            stack.extend(node.halves())
-    return sorted(found)
+    L = n.bit_length() - 1
+    inside = _gather(mask, 0, L, np.logical_and, leaves=True)
+    inside[0] = False  # the mean slot: slot 1, the whole axis, has no parent
+    slots = np.flatnonzero(inside & ~inside[np.arange(2 << L) >> 1]).tolist()
+    return [DyadicInterval(k := s.bit_length() - 1, s - (1 << k)) for s in slots]

@@ -7,7 +7,8 @@ import numpy as np
 from .errors import ContractError
 from .families import AdaptedFamily
 from .signals import Signal, lp_norm
-from .transforms import _per_rectangle, _rectangle_weights, _spread
+from .transforms import _fold_up, _gather, _per_rectangle, _rectangle_weights, _spread
+from .transforms import _weight_table
 from .transforms import coefficients, lattice_rectangles
 
 
@@ -35,16 +36,15 @@ def bmo_norm_1param(f: Signal) -> float:
     """sup over dyadic J of (|J|^-1 sum_{I in J} <f, h_I>^2)^(1/2)."""
     if f.d != 1:
         raise ContractError("one-parameter BMO norm needs d = 1")
-    field = coefficients(f, AdaptedFamily.haar(1))
-    L = f.L
-    best = 0.0
-    cum = None
-    # bottom-up cumulative coefficient energy per interval
-    for k in range(L - 1, -1, -1):
-        own = field.tensor[(1 << k) : (1 << (k + 1))] ** 2
-        cum = own if cum is None else own + cum[0::2] + cum[1::2]
-        best = max(best, float(cum.max()) * 2.0**k)
-    return float(np.sqrt(best))
+    energy = coefficients(f, AdaptedFamily.haar(1)).tensor ** 2
+
+    def pair(even, odd, k):  # the coefficient energy of each interval's subtree
+        cum = energy[1 << k : 2 << k] + even + odd
+        return cum, cum
+
+    cum = _fold_up(np.zeros(1 << f.L), 0, f.L, pair)
+    weighted = cum[1:] * _weight_table(1, f.L, 1.0, False)[1:]
+    return float(np.sqrt(weighted.max(initial=0.0)))
 
 
 def _rectangle_energies(f: Signal):
@@ -93,10 +93,10 @@ def product_bmo_lower(f: Signal, budget: int = 16) -> float:
         covered = int(mask.sum())
         return inside_energy(mask) / (covered * cell) if covered else 0.0
 
-    def with_rect(mask, rect):
-        grown = mask.copy()
-        grown[rect.cell_slices(L)] = True
-        return grown
+    def inside_each(regions):  # `_per_rectangle` of each region of a stack
+        for axis in range(1, f.d + 1):
+            regions = _gather(regions, axis, L, np.logical_and)
+        return regions[(slice(None),) + (slice(1, None),) * f.d].reshape(len(regions), -1)
 
     marked = np.zeros(f.values.shape, dtype=bool)
     exact = len(rects) ** 2 * marked.size <= _EXACT_GREEDY_OPS
@@ -104,16 +104,24 @@ def product_bmo_lower(f: Signal, budget: int = 16) -> float:
     # single rectangles; own coefficient alone already certifies a bound
     best = float(np.max(energies / (counts * cell)))
     if exact:
-        best = max(best, max(region_value(with_rect(marked, r)) for r in rects))
+        # every candidate's cells, one grid per rectangle: a one-hot at its
+        # slot, OR-spread to the cells as a collection's shadow is
+        n = len(rects)
+        shapes = np.zeros((n,) + marked.shape, dtype=bool)
+        slots = np.unravel_index(np.arange(n), ((1 << L) - 1,) * f.d)
+        shapes[(np.arange(n),) + tuple(s + 1 for s in slots)] = True
+        for axis in range(1, f.d + 1):
+            shapes = _spread(shapes, axis, L, np.logical_or)
+        # summed row by row, as `inside_energy` sums: a product rounds otherwise
+        singles =[energies[row].sum() for row in inside_each(shapes)]
+        best = max(best, float(np.max(singles / (counts * cell))))
 
     current = 0.0
     for _ in range(max(budget, 0)):
         added = _per_rectangle((~marked).astype(np.intp), L, np.add)
         if exact:
-            covered = np.array(
-                [_per_rectangle(with_rect(marked, r), L, np.logical_and) for r in rects]
-            )
-            gains = covered @ energies - current
+            # which rectangles lie inside marked ∪ R, per candidate R
+            gains = inside_each(shapes | marked) @ energies - current
         else:
             gains = np.where(added > 0, energies, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):

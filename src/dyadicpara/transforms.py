@@ -348,8 +348,8 @@ _SMALL_SIZE_MAX = 1 << 10
 _HAAR_MATRIX_MAX_N = 1 << 8
 
 
-# the small-tensor tables are keyed by L <= 10 (and the zero flag), the fold
-# matrices of the three pairings by L <= 8: about 2.5 MiB at most, together
+# the small-tensor tables are keyed by L <= 10, the fold matrices of the
+# three pairings by L <= 8: about 2.3 MiB at most, together
 _SMALL_L_COUNT = _SMALL_SIZE_MAX.bit_length()
 
 
@@ -371,17 +371,16 @@ def _ancestor_slots(L: int) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=2 * _SMALL_L_COUNT)
-def _synthesis_scales(L: int, zero: bool) -> np.ndarray:
-    """The step profile of each entry of `_ancestor_slots` at its cell:
+@functools.lru_cache(maxsize=_SMALL_L_COUNT)
+def _synthesis_scales(L: int) -> np.ndarray:
+    """The Haar profile of each entry of `_ancestor_slots` at its cell:
     2^(k/2) for an interval at level k, negated on the right half of the
-    interval when `zero` is set; 1 for the mean slot."""
+    interval; 1 for the mean slot."""
     cells = np.arange(1 << L)
     scales = np.ones((L + 1, 1 << L))
     for k in range(L):
         scales[k + 1] = 2.0 ** (k / 2.0)
-        if zero:
-            scales[k + 1, (cells >> (L - k - 1)) & 1 == 1] *= -1.0
+        scales[k + 1, (cells >> (L - k - 1)) & 1 == 1] *= -1.0
     scales.flags.writeable = False
     return scales
 
@@ -414,24 +413,25 @@ def _step_analysis_axis(values: np.ndarray, axis: int, L: int, zero: bool) -> np
     return _fold_up(values, axis, L, pair)
 
 
-def _step_children(run, block, k):  # |h_I| = 2^(k/2) on both halves of I
-    child = run + block * 2.0 ** (k / 2.0)
-    return child, child
-
-
 def _step_synthesis_axis(coeffs: np.ndarray, axis: int, L: int, zero: bool) -> np.ndarray:
     """Step-family synthesis along one axis, the twin of
     `_step_analysis_axis`: each cell gets the mean slot plus every level-k
     slot times h_(k,j) at the cell (`_haar_children`) on an axis flagged
-    mean zero, times |h_(k,j)| (`_step_children`) on any other.  A small
-    tensor sums its cells' `_ancestor_slots` times `_synthesis_scales`
-    coarse to fine, as `_spread` does: bit for bit the fold's result."""
+    mean zero, times |h_(k,j)| = 2^(k/2) on any other.  The latter is the
+    add-spread of the slots scaled by 2^(k/2).  A small tensor on a
+    mean-zero axis sums its cells' `_ancestor_slots` times
+    `_synthesis_scales` coarse to fine, as `_spread` does: bit for bit the
+    fold's result."""
+    if not zero:
+        shape = (1 << L,) + (1,) * (coeffs.ndim - axis - 1)
+        scales = _weight_table(1, L, 0.5, True).reshape(shape)
+        return _spread(coeffs * scales, axis, L, np.add)
     if coeffs.size <= _SMALL_SIZE_MAX:
         trailing = (1,) * (coeffs.ndim - axis - 1)
-        scales = _synthesis_scales(L, zero).reshape((L + 1, 1 << L) + trailing)
+        scales = _synthesis_scales(L).reshape((L + 1, 1 << L) + trailing)
         terms = coeffs.take(_ancestor_slots(L), axis=axis) * scales
         return np.add.reduce(terms, axis=axis)
-    return _fold_down(coeffs, axis, L, _haar_children if zero else _step_children)
+    return _fold_down(coeffs, axis, L, _haar_children)
 
 
 def _matrix_axis(values: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:

@@ -166,7 +166,7 @@ def _layouts(shape, seed):
 def test_folds_match_their_moveaxis_form(d, L):
     # values and strides, for every axis and every pairing the engine uses
     ups = (transforms._haar_pair, transforms._step_pair, transforms._op_pair(np.add))
-    downs = (transforms._haar_children, transforms._step_children, transforms._op_pair(np.maximum))
+    downs = (transforms._haar_children, transforms._op_pair(np.maximum))
     for axis in range(d):
         for values in _layouts(((1 << L),) * d, 10 * d + L + axis):
             for pair in ups:

@@ -359,6 +359,66 @@ def test_cli_verify_refuses_config_it_cannot_run_exit_2(tmp_path, args, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--L-list", "0,2", "--trials", "4"],
+        ["--L-list", "2,0", "--trials", "4"],
+        ["--d", "2", "--L-list", "0,1", "--trials", "2"],
+        ["--d", "2", "--L-list", "1,0", "--trials", "2"],
+    ],
+    ids=["d1-L0-first", "d1-L0-last", "d2-L0-first", "d2-L0-last"],
+)
+def test_cli_sweep_refuses_a_one_cell_grid_exit_2(tmp_path, capsys, args):
+    # at L=0 the ratio is 0 by construction: the growth factor read inf
+    # (exit 1) with L=0 first and 0 (exit 0) with L=0 last
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", *args, "--out", str(out)]) == 2
+    assert "contract error: a sweep needs every L >= 1, got L=0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "identities", "--L", "3", "--trials", "2", "--family", "bogus"],
+         "the identities suite fixes its own families and takes family 'haar' only, "
+         "got 'bogus'"),
+        (["verify", "norms", "--L", "4", "--trials", "2", "--family", "bogus"],
+         "the norms suite fixes its own families and takes family 'haar' only, got 'bogus'"),
+        (["verify", "localization", "--L", "4", "--family", "smooth"],
+         "the localization suite fixes its own families and takes family 'haar' only, "
+         "got 'smooth'"),
+        (["verify", "localization", "--L", "0"], "the localization suite needs L >= 3, got L=0"),
+        (["verify", "localization", "--L", "1"], "the localization suite needs L >= 3, got L=1"),
+        (["verify", "localization", "--L", "2"], "the localization suite needs L >= 3, got L=2"),
+        (["verify", "identities", "--d", "1", "--L", "0", "--trials", "2"],
+         "the identities suite at d=1 needs L >= 3, got L=0"),
+        (["verify", "identities", "--d", "1", "--L", "2", "--trials", "2"],
+         "the identities suite at d=1 needs L >= 3, got L=2"),
+        # today's messages come first
+        (["verify", "norms", "--d", "2", "--L", "4", "--family", "bogus"],
+         "the norms suite runs at d=1 only, got d=2"),
+        (["verify", "localization", "--L", "-1", "--family", "bogus"], "resolution L=-1"),
+    ],
+    ids=["identities-family", "norms-family", "localization-family", "localization-L0",
+         "localization-L1", "localization-L2", "identities-d1-L0", "identities-d1-L2",
+         "norms-d2-before-family", "localization-negative-L-before-minimum"],
+)
+def test_cli_verify_refuses_config_that_is_ignored_or_cannot_pass_exit_2(
+    tmp_path, capsys, args, message
+):
+    out = tmp_path / "report.json"
+    assert main([*args, "--out", str(out)]) == 2
+    assert f"contract error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_identities_at_d2_keep_running_below_the_d1_minimum():
+    report, code = run_suite(ExperimentConfig(suite="identities", d=2, L=2, trials=2))
+    assert code == 0 and report["passed"]
+
+
 def test_cli_technical_lemma_three_trials_pass(tmp_path):
     out = tmp_path / "report.json"
     r = _cli("verify", "technical-lemma", "--d", "1", "--L", "4", "--trials", "3",

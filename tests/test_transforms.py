@@ -449,9 +449,7 @@ def test_small_tensor_tables_stay_small():
     """Every table the one-call paths can cache, each level count once."""
     small_L = range(transforms._SMALL_SIZE_MAX.bit_length())
     total = sum(
-        transforms._ancestor_slots(L).nbytes
-        + transforms._synthesis_scales(L, False).nbytes
-        + transforms._synthesis_scales(L, True).nbytes
+        transforms._ancestor_slots(L).nbytes + transforms._synthesis_scales(L).nbytes
         for L in small_L
     )
     pairs = (transforms._haar_pair, transforms._step_pair, transforms._op_pair(np.add))
