@@ -51,12 +51,14 @@ def _block_quantiles(values: np.ndarray, levels, L: int, frac: float) -> np.ndar
     shape = []
     for k in levels:
         shape.extend([1 << k, 1 << (L - k)])
-    v = values.reshape(shape)
     order = [2 * a for a in range(d)] + [2 * a + 1 for a in range(d)]
-    v = np.transpose(v, order).reshape([1 << k for k in levels] + [-1])
+    # one copy, partitioned in place
+    v = values.reshape(shape).transpose(order).copy()
+    v = v.reshape([1 << k for k in levels] + [-1])
     cells = v.shape[-1]
     m = math.ceil(cells * frac)
-    return np.partition(v, cells - m, axis=-1)[..., cells - m]
+    v.partition(cells - m, axis=-1)
+    return v[..., cells - m]
 
 
 def _positive(name: str, value, upper: float = math.inf) -> float:

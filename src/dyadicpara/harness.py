@@ -22,6 +22,7 @@ from . import __version__
 from .decomposition import (
     FRACTION,
     RestrictedWeakConfig,
+    _block_quantiles,
     endpoint_pipeline,
     localization_experiment,
     restricted_weak_type_pipeline,
@@ -464,13 +465,18 @@ def suite_domination(cfg: ExperimentConfig) -> dict:
 def _hypothesis_threshold(t: Signal, collection: RectangleCollection) -> float:
     """The least threshold at which the hypothesis holds on every member
     (0 for none): the largest over members R of the m-th largest value of
-    T on R, m = floor(FRACTION * cells) + 1."""
-    top = 0.0
-    for rect in collection.members:
-        block = t.values[rect.cell_slices(t.L)].ravel()
-        m = math.floor(block.size * FRACTION) + 1
-        top = max(top, float(np.partition(block, block.size - m)[block.size - m]))
-    return top
+    T on R, m = ceil(FRACTION * cells).  The quantiles fill a tensor in
+    coefficient layout, one `_block_quantiles` block per level tuple among
+    the members (with leaf slots when a member sits at the grid level), and
+    each member reads its own at its slot."""
+    if not collection.members:
+        return 0.0
+    levels, slots = collection._levels_slots
+    q = np.empty(((2 if levels.max() == t.L else 1) << t.L,) * t.d)
+    for key in set(map(tuple, levels.tolist())):
+        block = tuple(slice(1 << k, 2 << k) for k in key)
+        q[block] = _block_quantiles(t.values, key, t.L, FRACTION)
+    return max(0.0, float(q[tuple(slots.T)].max()))
 
 
 # technical-lemma trial t fails the hypothesis in t % _LEMMA_PATTERNS slots
@@ -636,6 +642,8 @@ SUITES = {
 
 # the suites that run the Haar family whatever `family` says
 _HAAR_ONLY_SUITES = ("identities", "norms", "localization")
+# the suites whose every check sums or compares over the lattice rectangles
+_RECTANGLE_SUITES = ("restricted-weak", "endpoint", "domination")
 # the least L of the localization suite and of the d=1 identities
 _MIN_L = 3
 
@@ -665,6 +673,18 @@ def _check_config(cfg: ExperimentConfig, suite: str, levels):
     if suite == "sweep" and min(levels) < 1:
         # a one-cell grid has no rectangles, so its ratio is 0 by construction
         raise ContractError(f"a sweep needs every L >= 1, got L={min(levels)}")
+    if suite == "sweep" and any(b <= a for a, b in zip(levels, levels[1:])):
+        # the growth factor compares the first and the last resolution: a
+        # repeat reads 1 by construction, and an unsorted list compares two
+        # resolutions that are not the extremes
+        raise ContractError(
+            f"a sweep needs strictly increasing resolutions, got L_list={list(levels)}"
+        )
+    if suite in _RECTANGLE_SUITES and cfg.L < 1:
+        # a one-cell grid has no rectangle, so every check passes vacuously
+        raise ContractError(
+            f"the {suite} suite needs L >= 1, a grid with rectangles, got L={cfg.L}"
+        )
     if suite == "localization" and cfg.L < _MIN_L:
         # the default collection of `localization_experiment` sits at level 2
         raise ContractError(f"the localization suite needs L >= {_MIN_L}, got L={cfg.L}")

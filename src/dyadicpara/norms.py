@@ -38,9 +38,9 @@ def bmo_norm_1param(f: Signal) -> float:
         raise ContractError("one-parameter BMO norm needs d = 1")
     energy = coefficients(f, AdaptedFamily.haar(1)).tensor ** 2
 
-    def pair(even, odd, k):  # the coefficient energy of each interval's subtree
-        cum = energy[1 << k : 2 << k] + even + odd
-        return cum, cum
+    def pair(even, odd, k, slots):  # the coefficient energy of each interval's subtree
+        np.add(energy[1 << k : 2 << k], even, out=slots)
+        return np.add(slots, odd, out=slots)
 
     cum = _fold_up(np.zeros(1 << f.L), 0, f.L, pair)
     weighted = cum[1:] * _weight_table(1, f.L, 1.0, False)[1:]

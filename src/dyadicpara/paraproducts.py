@@ -35,10 +35,12 @@ from .operators import (
 from .signals import Signal
 from .transforms import (
     CoefficientField,
+    _member_slots,
     _per_rectangle,
     _rectangle_weights,
     _spread,
     _synthesis,
+    _weight_table,
     coefficients,
     lattice_rectangles,
     reconstruct,
@@ -157,11 +159,13 @@ def eval_B(
     return Signal(d, L, _synthesis(weights, out_family, L))
 
 
-def _abs_product(spec, fs) -> np.ndarray:
+def _abs_product(spec, fs, index=...) -> np.ndarray:
+    """prod_v |c_v| at the `index` slots of the coefficient tensors, by
+    default at every slot."""
     fields = _slot_fields(spec, fs)
-    prod = np.abs(fields[0].tensor)
+    prod = np.abs(fields[0].tensor[index])
     for field in fields[1:]:
-        prod = prod * np.abs(field.tensor)
+        prod = prod * np.abs(field.tensor[index])
     return prod
 
 
@@ -174,9 +178,14 @@ def eval_Lambda(
     if len(fs) != spec.n + 1:
         raise ContractError(f"expected {spec.n + 1} input signals")
     d, L = fs[0].d, fs[0].L
-    terms = _abs_product(spec, fs) * _rectangle_weights(
-        d, L, (spec.n - 1) / 2.0, collection
-    )
+    power = (spec.n - 1) / 2.0
+    if collection is None:
+        terms = _abs_product(spec, fs) * _rectangle_weights(d, L, power)
+    else:
+        # only the members' slots: each term is the one the whole tensor
+        # forms there
+        slots = _member_slots(collection, d, L)
+        terms = _abs_product(spec, fs, slots) * _weight_table(d, L, power, False)[slots]
     # every term is >= +0, so leaving out the zeros keeps fsum's exact sum
     return math.fsum(terms[terms != 0].tolist())
 

@@ -160,15 +160,16 @@ def _key_slot(part, L: int) -> int:
 def _fold_up(values: np.ndarray, axis: int, L: int, pair) -> np.ndarray:
     """Move one axis from cells to coefficient layout, fine to coarse.
 
-    At each level k from L-1 down to 0, `pair(even, odd, k)` maps the even
-    and odd entries of the run (the cells at first) to the level-k slots
-    and the run passed on; the mean slot takes the last run.  O(2^L) per
-    fiber; the output keeps the memory layout of `values`."""
+    At each level k from L-1 down to 0, `pair(even, odd, k, slots)` writes
+    the level-k slots of the even and odd entries of the run (the cells at
+    first) into `slots`, a view of the output, and returns the run passed
+    on; the mean slot takes the last run.  The input is never written.
+    O(2^L) per fiber; the output keeps the memory layout of `values`."""
     front, back = _axis_to_front(values.ndim, axis)
     run = values.transpose(front)
     out = np.empty_like(run)
     for k in range(L - 1, -1, -1):
-        out[1 << k : 2 << k], run = pair(run[0::2], run[1::2], k)
+        run = pair(run[0::2], run[1::2], k, out[1 << k : 2 << k])
     out[0] = run[0]
     return out.transpose(back)
 
@@ -177,17 +178,21 @@ def _fold_down(coeffs: np.ndarray, axis: int, L: int, children) -> np.ndarray:
     """Move one axis from coefficient layout to cells, coarse to fine.
 
     The run starts as the mean slot; at each level k from 0 to L-1,
-    `children(run, block, k)` maps it and the level-k slots to the left and
-    the right child of every entry, interleaved into the next run.  O(2^L)
-    per fiber; each level writes whole hyperplanes of a leading-axis view."""
+    `children(run, block, k, left, right)` writes the left and the right
+    child of every entry of the run and the level-k slots into `left` and
+    `right`, the even and odd rows of the next run.  The runs alternate
+    between the output and one spare of half its length, so that the last
+    lands in the output.  O(2^L) per fiber; each level writes whole
+    hyperplanes of a leading-axis view, in the dtype of `coeffs`."""
     front, back = _axis_to_front(coeffs.ndim, axis)
     a = coeffs.transpose(front)
+    out = np.empty(a.shape, dtype=a.dtype)
+    runs = (out, np.empty_like(out[: len(out) >> 1]))
     run = a[0:1]
     for k in range(L):
-        left, right = children(run, a[1 << k : 2 << k], k)
-        run = np.empty((2 * len(left),) + left.shape[1:], dtype=left.dtype)
-        run[0::2] = left
-        run[1::2] = right
+        nxt = runs[(L - 1 - k) & 1][: 2 << k]
+        children(run, a[1 << k : 2 << k], k, nxt[0::2], nxt[1::2])
+        run = nxt
     return run.transpose(back)
 
 
@@ -203,22 +208,30 @@ def _axis_to_front(ndim: int, axis: int) -> tuple:
 
 @functools.cache
 def _op_pair(op):
-    """The pairing of `_spread` and `_gather`, one per op for `_fold_matrix`
-    to key on: op(a, b) is both values returned, the slots and the run, or
-    the two children."""
-    def pair(a, b, k):
-        run = op(a, b)
-        return run, run
+    """The pairing of `_gather`, one per op for `_fold_matrix` to key on:
+    op(even, odd) is the slots and the run passed on."""
+    def pair(even, odd, k, slots):
+        return op(even, odd, out=slots)
     return pair
 
 
-def _haar_pair(even, odd, k):  # of cell integrals: difference stored, sum carried
-    return (even - odd) * 2.0 ** (k / 2.0), even + odd
+@functools.cache
+def _op_children(op):
+    """The children of `_spread`: op(run, block) is both children."""
+    def children(run, block, k, left, right):
+        np.copyto(right, op(run, block, out=left))
+    return children
 
 
-def _haar_children(run, block, k):
-    block = block * 2.0 ** (k / 2.0)
-    return run + block, run - block
+def _haar_pair(even, odd, k, slots):  # of cell integrals: difference stored, sum carried
+    np.multiply(even - odd, 2.0 ** (k / 2.0), out=slots)
+    return even + odd
+
+
+def _haar_children(run, block, k, left, right):
+    scaled = np.multiply(block, 2.0 ** (k / 2.0), out=right)
+    np.add(run, scaled, out=left)
+    np.subtract(run, scaled, out=right)
 
 
 def _spread(coeffs: np.ndarray, axis: int, L: int, op) -> np.ndarray:
@@ -237,7 +250,7 @@ def _spread(coeffs: np.ndarray, axis: int, L: int, op) -> np.ndarray:
         return op(_spread(coeffs, axis, L, op), leaves)
     if coeffs.size <= _SMALL_SIZE_MAX:
         return op.reduce(coeffs.take(_ancestor_slots(L), axis=axis), axis=axis)
-    return _fold_down(coeffs, axis, L, _op_pair(op))
+    return _fold_down(coeffs, axis, L, _op_children(op))
 
 
 def _gather(cells: np.ndarray, axis: int, L: int, op, leaves: bool = False) -> np.ndarray:
@@ -300,8 +313,16 @@ def _weight_table(d: int, L: int, power: float, means: bool) -> np.ndarray:
 def _collection_slots(collection, d: int, L: int) -> np.ndarray:
     """Boolean coefficient-layout tensor marking the collection's members."""
     keep = np.zeros(((1 << L),) * d, dtype=bool)
+    keep[_member_slots(collection, d, L)] = True
+    return keep
+
+
+def _member_slots(collection, d: int, L: int) -> tuple:
+    """The members' slots in a coefficient tensor of resolution L, as an
+    index tuple of d arrays, one entry per member; empty for no member.  A
+    member finer than the lattice or with another d is refused."""
     if not collection.members:
-        return keep
+        return (np.empty(0, dtype=np.intp),) * d
     if collection.d != d:
         raise ContractError("collection and signal parameter counts differ")
     levels, slots = collection._levels_slots
@@ -311,8 +332,7 @@ def _collection_slots(collection, d: int, L: int) -> np.ndarray:
             f"rectangle {rect.to_json()} is finer than the coefficient "
             f"lattice at resolution {L}"
         )
-    keep[tuple(slots.T)] = True
-    return keep
+    return tuple(slots.T)
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +416,10 @@ def _fold_matrix(L: int, pair) -> np.ndarray:
     return matrix
 
 
-def _step_pair(even, odd, k):  # the integral of each interval, times 2^(k/2)
+def _step_pair(even, odd, k, slots):  # the integral of each interval, times 2^(k/2)
     run = even + odd
-    return run * 2.0 ** (k / 2.0), run
+    np.multiply(run, 2.0 ** (k / 2.0), out=slots)
+    return run
 
 
 def _step_analysis_axis(values: np.ndarray, axis: int, L: int, zero: bool) -> np.ndarray:

@@ -6,7 +6,9 @@ four moves through `_fold_up` and `_fold_down` with the pairing as a
 parameter.  These copies of the old cascades, unchanged, serve the tests:
 every fold must equal its cascade bit for bit.  The two folds themselves
 are kept here in their np.moveaxis form as well, so that the spelled-out
-transposes can be checked against it, strides included.
+transposes can be checked against it, strides included, together with the
+pairings as they were before they wrote into the fold's output: each
+returned its two blocks, which the fold copied or interleaved into place.
 """
 
 from __future__ import annotations
@@ -82,3 +84,26 @@ def _fold_down_moveaxis(coeffs: np.ndarray, axis: int, L: int, children) -> np.n
         run[0::2] = left
         run[1::2] = right
     return np.moveaxis(run, 0, axis)
+
+
+def _op_pair(op):
+    """`transforms._op_pair(op)` and `_op_children(op)` returning values:
+    op(a, b) is both blocks, the slots and the run, or the two children."""
+    def pair(a, b, k):
+        run = op(a, b)
+        return run, run
+    return pair
+
+
+def _haar_pair(even, odd, k):
+    return (even - odd) * 2.0 ** (k / 2.0), even + odd
+
+
+def _step_pair(even, odd, k):
+    run = even + odd
+    return run * 2.0 ** (k / 2.0), run
+
+
+def _haar_children(run, block, k):
+    block = block * 2.0 ** (k / 2.0)
+    return run + block, run - block

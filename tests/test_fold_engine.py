@@ -154,29 +154,57 @@ def test_coefficients_keep_their_memory_layout(family, d, L, strides):
         assert np.array_equal(field.tensor, want)
 
 
-def _layouts(shape, seed):
-    """A C-ordered tensor, a Fortran-ordered one and a strided view."""
+def _layouts(shape, seed, flags=False):
+    """A C-ordered tensor, a Fortran-ordered one, a strided view and a
+    read-only copy; of floats, or of bools with `flags`."""
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(shape)
     wide = rng.standard_normal(tuple(2 * n for n in shape))
-    return c, np.asfortranarray(c), wide[(slice(None, None, 2),) * len(shape)]
+    if flags:
+        c, wide = c > 0, wide > 0
+    frozen = c.copy()
+    frozen.flags.writeable = False
+    return c, np.asfortranarray(c), wide[(slice(None, None, 2),) * len(shape)], frozen
 
 
-@pytest.mark.parametrize("d, L", [(2, 0), (2, 1), (2, 4), (3, 0), (3, 1), (3, 3)])
+# each pairing of the engine, in place, beside its value-returning form
+_UPS = [
+    (transforms._haar_pair, oracle._haar_pair, False),
+    (transforms._step_pair, oracle._step_pair, False),
+] + [
+    (transforms._op_pair(op), oracle._op_pair(op), flags)
+    for op, flags in (
+        (np.add, False), (np.maximum, False), (np.logical_or, True), (np.logical_and, True)
+    )
+]
+_DOWNS = [(transforms._haar_children, oracle._haar_children, False)] + [
+    (transforms._op_children(op), oracle._op_pair(op), flags)
+    for op, flags in (
+        (np.add, False), (np.maximum, False), (np.logical_or, True), (np.logical_and, True)
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "d, L", [(1, 0), (1, 1), (1, 6), (2, 0), (2, 1), (2, 4), (3, 0), (3, 1), (3, 3)]
+)
 def test_folds_match_their_moveaxis_form(d, L):
-    # values and strides, for every axis and every pairing the engine uses
-    ups = (transforms._haar_pair, transforms._step_pair, transforms._op_pair(np.add))
-    downs = (transforms._haar_children, transforms._op_pair(np.maximum))
+    # values and strides, for every axis and every pairing the engine uses,
+    # each in place against its old form; no input is ever written
     for axis in range(d):
-        for values in _layouts(((1 << L),) * d, 10 * d + L + axis):
-            for pair in ups:
-                got = transforms._fold_up(values, axis, L, pair)
-                want = oracle._fold_up_moveaxis(values, axis, L, pair)
-                _assert_same(got, want)
-                assert got.strides == want.strides
-            for children in downs:
-                got = transforms._fold_down(values, axis, L, children)
-                want = oracle._fold_down_moveaxis(values, axis, L, children)
-                _assert_same(got, want)
-                assert got.strides == want.strides
-
+        shape, seed = ((1 << L),) * d, 10 * d + L + axis
+        for real, flags in zip(_layouts(shape, seed), _layouts(shape, seed, flags=True)):
+            for fold, old_fold, cases in (
+                (transforms._fold_up, oracle._fold_up_moveaxis, _UPS),
+                (transforms._fold_down, oracle._fold_down_moveaxis, _DOWNS),
+            ):
+                for pair, old_pair, on_flags in cases:
+                    values = flags if on_flags else real
+                    before = values.copy()
+                    got = fold(values, axis, L, pair)
+                    want = old_fold(values, axis, L, old_pair)
+                    _assert_same(got, want)
+                    assert got.strides == want.strides
+                    _assert_same(values, before)
+                    if L:
+                        assert not np.shares_memory(got, values)

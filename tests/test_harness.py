@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -8,16 +9,20 @@ import pytest
 from dyadicpara import (
     AdaptedFamily,
     ContractError,
+    RectangleCollection,
     Signal,
     coefficients,
+    enumerate_rectangles,
     generate_signal,
     normalize,
     rectangle,
 )
 from dyadicpara.cli import main
+from dyadicpara.decomposition import FRACTION
 from dyadicpara.harness import (
     SUITES,
     ExperimentConfig,
+    _hypothesis_threshold,
     report_json,
     run_suite,
     run_sweep,
@@ -379,6 +384,25 @@ def test_cli_sweep_refuses_a_one_cell_grid_exit_2(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize(
+    "L_list", ["3,3", "3,9,5", "5,3", "2,4,4"], ids=["repeat", "unsorted", "down", "last-repeat"]
+)
+def test_cli_sweep_refuses_resolutions_not_strictly_increasing_exit_2(tmp_path, capsys, L_list):
+    # a repeat read growth factor 1.0 by construction; 3,9,5 compared L=3 with L=5
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--L-list", L_list, "--trials", "2", "--out", str(out)]) == 2
+    want = f"a sweep needs strictly increasing resolutions, got L_list=[{L_list.replace(',', ', ')}]"
+    assert f"contract error: {want}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite", ["restricted-weak", "endpoint", "domination"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_rectangle_suites_keep_running_at_L1(suite, d):
+    report, code = run_suite(ExperimentConfig(suite=suite, d=d, L=1, trials=2))
+    assert code == 0 and report["passed"] and report["checks"]
+
+
+@pytest.mark.parametrize(
     "args, message",
     [
         (["verify", "identities", "--L", "3", "--trials", "2", "--family", "bogus"],
@@ -400,10 +424,18 @@ def test_cli_sweep_refuses_a_one_cell_grid_exit_2(tmp_path, capsys, args):
         (["verify", "norms", "--d", "2", "--L", "4", "--family", "bogus"],
          "the norms suite runs at d=1 only, got d=2"),
         (["verify", "localization", "--L", "-1", "--family", "bogus"], "resolution L=-1"),
+    ] + [
+        # with no rectangle, every check passed vacuously with zero class rows
+        (["verify", suite, "--d", d, "--L", "0", "--trials", "2"],
+         f"the {suite} suite needs L >= 1, a grid with rectangles, got L=0")
+        for suite in ("restricted-weak", "endpoint", "domination")
+        for d in ("1", "2")
     ],
     ids=["identities-family", "norms-family", "localization-family", "localization-L0",
          "localization-L1", "localization-L2", "identities-d1-L0", "identities-d1-L2",
-         "norms-d2-before-family", "localization-negative-L-before-minimum"],
+         "norms-d2-before-family", "localization-negative-L-before-minimum",
+         "restricted-weak-d1-L0", "restricted-weak-d2-L0", "endpoint-d1-L0", "endpoint-d2-L0",
+         "domination-d1-L0", "domination-d2-L0"],
 )
 def test_cli_verify_refuses_config_that_is_ignored_or_cannot_pass_exit_2(
     tmp_path, capsys, args, message
@@ -469,3 +501,31 @@ def test_cli_config_file(tmp_path):
     )
     r = _cli("verify", "norms", "--config", str(cfg_path))
     assert r.returncode == 0
+
+
+def _threshold_loop(t, collection):
+    """`_hypothesis_threshold` as a loop over the members, each with its own
+    partition: the m-th largest value of T on R, m = floor(FRACTION *
+    cells) + 1, which equals ceil(FRACTION * cells) since no cell count
+    2^j is a multiple of 100."""
+    top = 0.0
+    for rect in collection.members:
+        block = t.values[rect.cell_slices(t.L)].ravel()
+        m = math.floor(block.size * FRACTION) + 1
+        top = max(top, float(np.partition(block, block.size - m)[block.size - m]))
+    return top
+
+
+@pytest.mark.parametrize("d, L", [(1, 0), (1, 1), (1, 9), (2, 1), (2, 5), (3, 1), (3, 3)])
+def test_hypothesis_threshold_equals_the_member_loop(d, L):
+    rng = np.random.default_rng(10 * d + L)
+    # members up to level L, one cell each at the finest
+    rects = enumerate_rectangles(d, L)
+    ties = np.floor(rng.random(((1 << L),) * d) * 4.0)  # many equal values
+    for values in (rng.random(((1 << L),) * d), ties, np.zeros(((1 << L),) * d)):
+        t = Signal(d, L, values)
+        for p in (0.0, 0.05, 0.3, 1.0):
+            members = [r for r in rects if rng.random() < p]
+            collection = RectangleCollection.of(members, L)
+            got = _hypothesis_threshold(t, collection)
+            assert got.hex() == _threshold_loop(t, collection).hex()

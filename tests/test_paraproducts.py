@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from dyadicpara import (
     ContractError,
     ParaproductSpec,
     RectangleCollection,
+    ResolutionError,
     Signal,
     domination_check,
     eval_B,
@@ -122,23 +124,51 @@ def test_restricted_lambda_splits(triple1, rng):
     assert eval_Lambda(triple1, fs, collection=RectangleCollection.of([], L)) == 0.0
 
 
-@pytest.mark.parametrize("d, L", [(1, 6), (2, 3), (3, 2)])
+def _whole_tensor_lambda(spec, fs, collection=None):
+    """`eval_Lambda` over the whole coefficient tensor, masked by the
+    weights, with every term summed: the form before it read only the
+    members' slots and left out the zeros."""
+    d, L = fs[0].d, fs[0].L
+    terms = _abs_product(spec, fs) * _rectangle_weights(
+        d, L, (spec.n - 1) / 2.0, collection
+    )
+    return math.fsum(terms.ravel().tolist())
+
+
+@pytest.mark.parametrize("d, L", [(1, 6), (2, 3), (3, 2), (1, 1), (2, 1), (2, 4), (3, 3)])
 def test_lambda_equals_whole_tensor_fsum(rng, d, L):
-    """Summing only the nonzero terms gives the whole-tensor fsum bit for
-    bit, sign of zero included."""
+    """Summing only the members' nonzero terms gives the whole-tensor fsum
+    bit for bit, sign of zero included."""
+    fs = [Signal(d, L, rng.standard_normal(((1 << L),) * d)) for _ in range(3)]
+    sparse = Signal(d, L, np.where(rng.random(((1 << L),) * d) < 0.2, 1.0, 0.0))
+    lat = lattice_rectangles(d, L)
+    for spec, inputs in itertools.product(
+        (standard_triple(d, "haar"), standard_triple(d, "gaussian")),
+        (fs, [fs[0], sparse, fs[2]], [fs[0], Signal.zeros(d, L), fs[1]]),
+    ):
+        collections = [None, RectangleCollection.of([], L), RectangleCollection.of(lat, L)]
+        collections += [
+            RectangleCollection.of([r for r in lat if rng.random() < p], L)
+            for p in (0.1, 0.5, 0.9)
+        ]
+        for collection in collections:
+            got = eval_Lambda(spec, inputs, collection=collection)
+            assert got.hex() == _whole_tensor_lambda(spec, inputs, collection).hex()
+
+
+@pytest.mark.parametrize("d, L", [(1, 3), (2, 2), (3, 2)])
+def test_lambda_on_member_slots_refuses_as_the_whole_tensor(rng, d, L):
     spec = standard_triple(d, "haar")
     fs = [Signal(d, L, rng.standard_normal(((1 << L),) * d)) for _ in range(3)]
-    lat = lattice_rectangles(d, L)
-    collections = [
-        None,
-        RectangleCollection.of([], L),
-        RectangleCollection.of([r for r in lat if rng.random() < 0.3], L),
-        RectangleCollection.of(lat, L),
-    ]
-    for collection in collections:
-        terms = _abs_product(spec, fs) * _rectangle_weights(d, L, 0.5, collection)
-        want = math.fsum(terms.ravel().tolist())
-        assert eval_Lambda(spec, fs, collection=collection).hex() == want.hex()
+    coarse = rectangle(*[(0, 0)] * d)
+    # a member at level L has no coefficient slot
+    finer = RectangleCollection.of([coarse, rectangle(*[(0, 0)] * (d - 1) + [(L, 1)])], L)
+    # a member with another parameter count
+    other_d = RectangleCollection.of([rectangle(*[(0, 0)] * (d % 3 + 1))], L)
+    for collection, error in ((finer, ResolutionError), (other_d, ContractError)):
+        for form in (eval_Lambda, _whole_tensor_lambda):
+            with pytest.raises(error):
+                form(spec, fs, collection=collection)
 
 
 def test_slot_operators_from_census():
