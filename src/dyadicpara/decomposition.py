@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CalibrationError, ContractError, ResolutionError
+from .errors import CalibrationError, ContractError
 from .families import AdaptedFamily
 from .lattice import (
     DyadicInterval,
@@ -30,7 +30,7 @@ from .lattice import (
 from .operators import OperatorSpec, _above_dyadic, governing_operator, restricted_operator
 from .paraproducts import ParaproductSpec, eval_B, eval_Lambda, slot_operator_specs
 from .signals import Signal, lp_norm
-from .transforms import _gather, lattice_rectangles
+from .transforms import _gather, _member_slots, lattice_rectangles
 
 FRACTION = 0.01  # bad-set fraction per hypothesis
 OMEGA_FRACTION = 0.01  # threshold scale in the level-set union
@@ -43,22 +43,24 @@ KAPPA_LIMIT = float(2**20)
 # ---------------------------------------------------------------------------
 
 
-def _block_quantiles(values: np.ndarray, levels, L: int, frac: float) -> np.ndarray:
-    """Per rectangle of the level tuple, the m-th largest cell value with
-    m = ceil(frac * cells); exceeding threshold t on >= frac of R is
-    equivalent to this quantile exceeding t."""
+def _quantile_tensor(values: np.ndarray, L: int, keys, width: int, frac: float) -> np.ndarray:
+    """A coefficient-layout tensor of `width` slots per axis: at the slot of
+    each rectangle R whose level tuple is in `keys`, the m-th largest cell
+    value on R, m = ceil(frac * cells), which exceeds a threshold t iff
+    t is exceeded on >= frac of R; every other slot is left unset."""
     d = values.ndim
-    shape = []
-    for k in levels:
-        shape.extend([1 << k, 1 << (L - k)])
+    q = np.empty((width,) * d)
     order = [2 * a for a in range(d)] + [2 * a + 1 for a in range(d)]
-    # one copy, partitioned in place
-    v = values.reshape(shape).transpose(order).copy()
-    v = v.reshape([1 << k for k in levels] + [-1])
-    cells = v.shape[-1]
-    m = math.ceil(cells * frac)
-    v.partition(cells - m, axis=-1)
-    return v[..., cells - m]
+    for levels in keys:
+        shape = [n for k in levels for n in (1 << k, 1 << (L - k))]
+        # one copy, partitioned in place
+        v = values.reshape(shape).transpose(order).copy()
+        v = v.reshape([1 << k for k in levels] + [-1])
+        cells = v.shape[-1]
+        m = math.ceil(cells * frac)
+        v.partition(cells - m, axis=-1)
+        q[tuple(slice(1 << k, 2 << k) for k in levels)] = v[..., cells - m]
+    return q
 
 
 def _positive(name: str, value, upper: float = math.inf) -> float:
@@ -106,8 +108,8 @@ def classify_rectangles(
     """Label each lattice rectangle with the greatest l such that
     |R intersect {T f > kappa 2^l}| >= frac * |R|  (None if no l works).
 
-    The quantiles fill one coefficient-layout tensor, one level tuple per
-    block; its rectangle slots in row-major order are the rectangles in
+    The quantiles fill one coefficient-layout tensor, every level tuple
+    below L; its rectangle slots in row-major order are the rectangles in
     `lattice_rectangles` order, which is the order of the returned dict.
     """
     kappa, frac = _positive("kappa", kappa), _positive("frac", frac, 1.0)
@@ -115,10 +117,7 @@ def classify_rectangles(
     d, L = g.d, g.L
     if L == 0:
         return {}
-    q = np.empty(((1 << L),) * d)
-    for levels in itertools.product(range(L), repeat=d):
-        block = tuple(slice(1 << k, 2 << k) for k in levels)
-        q[block] = _block_quantiles(g.values, levels, L, frac)
+    q = _quantile_tensor(g.values, L, itertools.product(range(L), repeat=d), 1 << L, frac)
     labels = _greatest_levels(q[(slice(1, None),) * d].ravel(), kappa, clamp)
     return dict(zip(_rectangle_tuple(d, L - 1), labels))
 
@@ -135,20 +134,23 @@ def hypothesis_holds(
     when a member sits at the grid level), so each member reads its count
     at its slot."""
     frac = _positive("frac", frac, 1.0)
-    if not collection.members:
-        return True
-    if collection.d != t_values.d:
-        raise ContractError("collection and operator parameter counts differ")
     L = t_values.L
-    levels, slots = collection._levels_slots
-    top = int(levels.max())
-    if top > L:
-        raise ResolutionError(f"a level-{top} member is below resolution L={L}")
+    index, levels, width = _member_slots(collection, t_values.d, L, leaves=True)
     count = (t_values.values > threshold).astype(float)
     for axis in range(t_values.d):
-        count = _gather(count, axis, L, np.add, leaves=top == L)
+        count = _gather(count, axis, L, np.add, leaves=width > 1 << L)
     allowed = np.floor(np.ldexp(1.0, (L - levels).sum(axis=1)) * frac)
-    return bool((count[tuple(slots.T)] <= allowed).all())
+    return bool((count[index] <= allowed).all())
+
+
+def _hypothesis_threshold(t: Signal, collection: RectangleCollection) -> float:
+    """The least threshold at which `hypothesis_holds` does (0 for no
+    member): the largest over members R of the m-th largest value of T on
+    R, m = ceil(FRACTION * cells), each read at its slot."""
+    index, levels, width = _member_slots(collection, t.d, t.L, leaves=True)
+    keys = set(map(tuple, levels.tolist()))
+    q = _quantile_tensor(t.values, t.L, keys, width, FRACTION)
+    return float(q[index].max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +189,6 @@ def _omega_sets(t_values, kappa, nu, t0_spec):
         mask = np.zeros(grid_shape, dtype=bool)
         for t in t_values:
             mask |= t.values > math.ldexp(kappa, ell)
-        if not mask.any():
-            break
         omega_ell[ell] = mask
         ell += 1
     omega = np.zeros(grid_shape, dtype=bool)
@@ -296,11 +296,9 @@ def _conclusion_bound(
     elif len(failing) == 1:
         bound *= math.sqrt(shadow) * restricted_norms[failing[0]]
         kind = "one-fails"
-    elif len(failing) == 2:
+    else:
         bound *= restricted_norms[failing[0]] * restricted_norms[failing[1]]
         kind = "two-fail"
-    else:
-        raise ContractError("no bound is available when every hypothesis fails")
     return bound, constant, kind
 
 
@@ -311,7 +309,6 @@ def technical_lemma_check(
     lambdas,
     hypothesis_flags,
     op_specs=None,
-    frac: float = FRACTION,
     tol: float = 1e-10,
 ) -> dict:
     """Verify the summation bound selected by the hypothesis pattern.
@@ -327,7 +324,7 @@ def technical_lemma_check(
     ops = tuple(op_specs) if op_specs is not None else slot_operator_specs(spec)[:3]
     t_vals = [governing_operator(f, op) for f, op in zip(fs, ops)]
     measured = tuple(
-        hypothesis_holds(t, collection, lam, frac) for t, lam in zip(t_vals, lambdas)
+        hypothesis_holds(t, collection, lam) for t, lam in zip(t_vals, lambdas)
     )
     if measured != tuple(bool(b) for b in hypothesis_flags):
         raise ContractError(

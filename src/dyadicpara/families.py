@@ -95,7 +95,7 @@ class AdaptedFamily:
 
     def profile_matrix(self, axis: int, L: int) -> np.ndarray:
         """Rows 2^k + j hold the (k, j) profile; row 0 is unused (zeros)."""
-        return _profile_matrix_cached(self, axis, L)
+        return _profile_matrix_cached(self.is_smooth, bool(self.zero_pattern[axis]), L)
 
     def rectangle_profile(self, rect, L: int) -> np.ndarray:
         parts = [
@@ -180,16 +180,16 @@ def _zero_matrix(n: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.float64).reshape(n, n)
 
 
-# bounded: a matrix spans 4^L floats of address space (512 MiB at L=13); a
+# keyed by what a matrix depends on: smooth or step, the zero flag and L.
+# Bounded: a matrix spans 4^L floats of address space (512 MiB at L=13); a
 # step matrix keeps only the pages of its diagonal blocks resident (about
-# 16 MiB at L=12, 32 MiB at L=13), a smooth one all of them.  With eight
-# entries the C01-C12 suite configurations still build each matrix once
+# 16 MiB at L=12, 32 MiB at L=13), a smooth one all of them.  The C01-C12
+# suite configurations need 7 matrices, so each is built once
 @functools.lru_cache(maxsize=8)
-def _profile_matrix_cached(family: AdaptedFamily, axis: int, L: int) -> np.ndarray:
-    zero = family.zero_pattern[axis]
+def _profile_matrix_cached(smooth: bool, zero: bool, L: int) -> np.ndarray:
     n = 1 << L
     out = _zero_matrix(n)
-    if family.is_smooth:
+    if smooth:
         # rows come from the uncached builder: the matrix is the only copy kept
         for k in range(L):
             for j in range(1 << k):

@@ -20,9 +20,8 @@ import numpy as np
 
 from . import __version__
 from .decomposition import (
-    FRACTION,
     RestrictedWeakConfig,
-    _block_quantiles,
+    _hypothesis_threshold,
     endpoint_pipeline,
     localization_experiment,
     restricted_weak_type_pipeline,
@@ -84,8 +83,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data) -> "ExperimentConfig":
-        """Raises TypeError for data that is not an object and for an
-        integer field holding anything but an integer."""
+        """Raises TypeError for data that is not an object, an integer field
+        holding anything but an integer, an exponent that is not a real
+        number and an `out` that is neither null nor a string; ValueError
+        for a `format` other than json or csv."""
         if not isinstance(data, dict):
             raise TypeError("an experiment config is a JSON object")
         known = {f.name for f in cls.__dataclass_fields__.values()}
@@ -95,11 +96,29 @@ class ExperimentConfig:
                 kwargs[name] = _json_index(kwargs[name])
         if "L_list" in kwargs:
             kwargs["L_list"] = tuple(_json_index(x) for x in kwargs["L_list"])
+        for name in ("p1", "p2", "r"):
+            if name in kwargs:
+                kwargs[name] = _json_real(kwargs[name])
+        if not isinstance(kwargs.get("out"), (str, type(None))):
+            raise TypeError(f"out must be null or a path, got {kwargs['out']!r}")
+        if kwargs.get("format", "json") not in ("json", "csv"):
+            raise ValueError(f"format must be json or csv, got {kwargs['format']!r}")
         return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         return cls.from_json(json.loads(Path(path).read_text()))
+
+
+def _json_real(value) -> float:
+    """A JSON number as a float: TypeError for a bool or a non-number,
+    ValueError for an integer past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{value} is out of range") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -462,23 +481,6 @@ def suite_domination(cfg: ExperimentConfig) -> dict:
     return _report(cfg, checks)
 
 
-def _hypothesis_threshold(t: Signal, collection: RectangleCollection) -> float:
-    """The least threshold at which the hypothesis holds on every member
-    (0 for none): the largest over members R of the m-th largest value of
-    T on R, m = ceil(FRACTION * cells).  The quantiles fill a tensor in
-    coefficient layout, one `_block_quantiles` block per level tuple among
-    the members (with leaf slots when a member sits at the grid level), and
-    each member reads its own at its slot."""
-    if not collection.members:
-        return 0.0
-    levels, slots = collection._levels_slots
-    q = np.empty(((2 if levels.max() == t.L else 1) << t.L,) * t.d)
-    for key in set(map(tuple, levels.tolist())):
-        block = tuple(slice(1 << k, 2 << k) for k in key)
-        q[block] = _block_quantiles(t.values, key, t.L, FRACTION)
-    return max(0.0, float(q[tuple(slots.T)].max()))
-
-
 # technical-lemma trial t fails the hypothesis in t % _LEMMA_PATTERNS slots
 # (none, slot 3, slots 2 and 3), so every conclusion needs that many trials
 _LEMMA_PATTERNS = 3
@@ -656,6 +658,10 @@ def _check_config(cfg: ExperimentConfig, suite: str, levels):
         raise ContractError(f"trials must be >= 1, got {cfg.trials}")
     if cfg.seed < 0:  # numpy's SeedSequence takes non-negative integers only
         raise ContractError(f"seed must be >= 0, got {cfg.seed}")
+    for name in ("p1", "p2", "r"):
+        # NaN compares false, so it would skip every inequality it enters
+        if not getattr(cfg, name) > 0:
+            raise ContractError(f"{name} must be > 0, got {getattr(cfg, name)}")
     if suite == "technical-lemma" and cfg.trials < _LEMMA_PATTERNS:
         raise ContractError(
             f"technical-lemma needs trials >= {_LEMMA_PATTERNS}, one per hypothesis "

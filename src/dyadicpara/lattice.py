@@ -309,8 +309,7 @@ class RectangleCollection:
     @functools.cached_property
     def _levels_slots(self) -> tuple:
         """(levels, slots): per member and axis, the interval level k and its
-        slot 2^k + j.  A level-L interval's slot lies past the 2^L slots of
-        a coefficient axis, in the leaf block of an axis of 2^(L+1)."""
+        slot 2^k + j.  Read through `transforms._member_slots`."""
         d = self.d or 1
         axes = [a for r in self.members for a in r.axes]
         levels = np.array([a.level for a in axes], dtype=np.intp).reshape(-1, d)
@@ -325,20 +324,19 @@ class RectangleCollection:
 
     @functools.cached_property
     def _shadow_mask(self) -> np.ndarray:
-        from .transforms import _spread
+        from .transforms import _member_slots, _spread
 
-        d = self.d if self.members else 1
-        levels, slots = self._levels_slots
-        width = (2 if self.members and levels.max() == self.L else 1) << self.L
+        d = self.d or 1
+        index, _, width = _member_slots(self, d, self.L, leaves=True)
         marks = np.zeros((width,) * d, dtype=bool)
-        marks[tuple(slots.T)] = True
+        marks[index] = True
         for axis in range(d):
             marks = _spread(marks, axis, self.L, np.logical_or)
         marks.flags.writeable = False
         return marks
 
     def shadow_measure(self) -> float:
-        if not self.members:
+        if not self.members:  # no call to shadow_mask: the benchmark pins its count
             return 0.0
         mask = self.shadow_mask()
         return int(mask.sum()) * 2.0 ** (-self.d * self.L)

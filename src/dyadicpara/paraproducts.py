@@ -178,14 +178,14 @@ def eval_Lambda(
     if len(fs) != spec.n + 1:
         raise ContractError(f"expected {spec.n + 1} input signals")
     d, L = fs[0].d, fs[0].L
-    power = (spec.n - 1) / 2.0
+    # the rectangle slots, or only the members' slots: a mean slot or a
+    # rectangle outside the collection weighs 0 in the whole tensor
     if collection is None:
-        terms = _abs_product(spec, fs) * _rectangle_weights(d, L, power)
+        index = (slice(1, None),) * d
     else:
-        # only the members' slots: each term is the one the whole tensor
-        # forms there
-        slots = _member_slots(collection, d, L)
-        terms = _abs_product(spec, fs, slots) * _weight_table(d, L, power, False)[slots]
+        index = _member_slots(collection, d, L)[0]
+    weights = _weight_table(d, L, (spec.n - 1) / 2.0, False)[index]
+    terms = _abs_product(spec, fs, index) * weights
     # every term is >= +0, so leaving out the zeros keeps fsum's exact sum
     return math.fsum(terms[terms != 0].tolist())
 

@@ -294,7 +294,10 @@ def _rectangle_weights(
     weights = _weight_table(d, L, power, means)
     if means or collection is None:
         return weights
-    return np.where(_collection_slots(collection, d, L), weights, 0.0)
+    index = _member_slots(collection, d, L)[0]
+    out = np.zeros_like(weights)
+    out[index] = weights[index]
+    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -310,29 +313,23 @@ def _weight_table(d: int, L: int, power: float, means: bool) -> np.ndarray:
     return weights
 
 
-def _collection_slots(collection, d: int, L: int) -> np.ndarray:
-    """Boolean coefficient-layout tensor marking the collection's members."""
-    keep = np.zeros(((1 << L),) * d, dtype=bool)
-    keep[_member_slots(collection, d, L)] = True
-    return keep
-
-
-def _member_slots(collection, d: int, L: int) -> tuple:
-    """The members' slots in a coefficient tensor of resolution L, as an
-    index tuple of d arrays, one entry per member; empty for no member.  A
-    member finer than the lattice or with another d is refused."""
+def _member_slots(collection, d: int, L: int, leaves: bool = False) -> tuple:
+    """(index, levels, width): the slots 2^k + j of the members in a d-axis
+    coefficient tensor of resolution L, as d index arrays with one entry
+    per member; the members' levels k, one row each; and the axis length
+    the slots need, 2^(L+1) when a member sits at level L (its slot is a
+    leaf slot) and 2^L otherwise.  Refuses a member with another d, or one
+    finer than the tensor: at level L without `leaves`, past L with."""
     if not collection.members:
-        return (np.empty(0, dtype=np.intp),) * d
+        return (np.empty(0, dtype=np.intp),) * d, np.empty((0, d), dtype=np.intp), 1 << L
     if collection.d != d:
-        raise ContractError("collection and signal parameter counts differ")
+        raise ContractError("collection and tensor parameter counts differ")
     levels, slots = collection._levels_slots
-    if levels.max() >= L:
-        rect = min(r for r in collection.members if max(r.levels) >= L)
-        raise ResolutionError(
-            f"rectangle {rect.to_json()} is finer than the coefficient "
-            f"lattice at resolution {L}"
-        )
-    return tuple(slots.T)
+    top = int(levels.max())
+    if top >= L + leaves:
+        rect = min(r for r in collection.members if max(r.levels) >= L + leaves)
+        raise ResolutionError(f"rectangle {rect.to_json()} has no slot at resolution L={L}")
+    return tuple(slots.T), levels, (2 if top == L else 1) << L
 
 
 # ---------------------------------------------------------------------------

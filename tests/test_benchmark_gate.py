@@ -37,3 +37,15 @@ def test_traced_pass_matches_reference_and_call_counts(workload, seed):
     _, tracer, _ = run.one_pass(traced=True)
     assert run.problems == []
     assert tracer.call_counts() == run.call_counts
+
+
+def test_warm_acceptance_pass_builds_no_profile_matrix():
+    # the C01-C12 configurations need fewer distinct profile matrices than
+    # the cache keeps, so a pass after the first builds none
+    from dyadicpara import families
+    from workloads import run_pass
+
+    run_pass(WORKLOADS["acceptance-mix"], seed=0)
+    misses = families._profile_matrix_cached.cache_info().misses
+    run_pass(WORKLOADS["acceptance-mix"], seed=0)
+    assert families._profile_matrix_cached.cache_info().misses == misses

@@ -121,9 +121,18 @@ def test_masks_equal_oracle_property(grid, seed, at_grid_level, empty):
     assert not mask.flags.writeable
     for coeff_L in (L, L + 1):
         if any(max(r.levels) >= coeff_L for r in collection.members):
-            for slots in (transforms._collection_slots, oracle._collection_slots):
+            for slots in (transforms._member_slots, oracle._collection_slots):
                 with pytest.raises(ResolutionError):
                     slots(collection, d, coeff_L)
+            with pytest.raises(ResolutionError):
+                transforms._rectangle_weights(d, coeff_L, 0.5, collection)
         else:
-            got = transforms._collection_slots(collection, d, coeff_L)
-            assert np.array_equal(got, oracle._collection_slots(collection, d, coeff_L))
+            want = oracle._collection_slots(collection, d, coeff_L)
+            index, levels, width = transforms._member_slots(collection, d, coeff_L)
+            got = np.zeros_like(want)
+            got[index] = True
+            assert np.array_equal(got, want)
+            assert width == 1 << coeff_L and len(levels) == len(collection)
+            weights = transforms._rectangle_weights(d, coeff_L, 0.5, collection)
+            whole = transforms._rectangle_weights(d, coeff_L, 0.5)
+            assert np.array_equal(weights, np.where(want, whole, 0.0))

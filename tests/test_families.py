@@ -126,10 +126,12 @@ def test_almost_orthogonality_bound():
 
 @pytest.mark.parametrize("kind", ["abs-haar", "gaussian-smooth"])
 def test_profile_matrix_does_not_cache_rows(kind):
-    # rows other tests cached would hide new ones, so start the row caches empty
+    # rows and matrices other tests cached would hide new ones, so start the
+    # caches empty
     families._step_profile_cached.cache_clear()
     families._gaussian_profile_cached.cache_clear()
-    fam = AdaptedFamily.make(kind, 1, N=5)  # a matrix key no other test builds
+    families._profile_matrix_cached.cache_clear()
+    fam = AdaptedFamily.make(kind, 1)
     misses = families._profile_matrix_cached.cache_info().misses
     matrix = fam.profile_matrix(0, 7)
     assert families._profile_matrix_cached.cache_info().misses == misses + 1
@@ -145,8 +147,9 @@ def test_step_matrix_vanishes_outside_diagonal_blocks(kind, zero):
     # outside the 2^(L-k) cells of interval (k, j)
     # uncached; at L=13 it spans 512 MiB, of which about 32 MiB are resident
     build = families._profile_matrix_cached.__wrapped__
+    fam = AdaptedFamily.make(kind, 1, (zero,))
     for L in range(1, 14):
-        matrix = build(AdaptedFamily.make(kind, 1, (zero,)), 0, L)
+        matrix = build(fam.is_smooth, fam.zero_pattern[0], L)
         n = 1 << L
         inside = sum(
             np.count_nonzero(
@@ -161,7 +164,7 @@ def test_step_matrix_vanishes_outside_diagonal_blocks(kind, zero):
 @pytest.mark.parametrize(
     "name, key",
     [
-        ("_profile_matrix_cached", lambda i: (AdaptedFamily.make("abs-haar", 1, N=100 + i), 0, 2)),
+        ("_profile_matrix_cached", lambda i: (False, False, 1 + i)),
         ("_step_profile_cached", lambda i: (9, i, 10, False)),
         ("_gaussian_profile_cached", lambda i: (9, i, 10, True)),
     ],

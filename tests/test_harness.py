@@ -17,12 +17,12 @@ from dyadicpara import (
     normalize,
     rectangle,
 )
+from dyadicpara import harness
 from dyadicpara.cli import main
-from dyadicpara.decomposition import FRACTION
+from dyadicpara.decomposition import FRACTION, _hypothesis_threshold
 from dyadicpara.harness import (
     SUITES,
     ExperimentConfig,
-    _hypothesis_threshold,
     report_json,
     run_suite,
     run_sweep,
@@ -292,14 +292,53 @@ def test_cli_norm_nan_exponent_exit_2(tmp_path, capsys, args):
 
 @pytest.mark.parametrize(
     "text",
-    ['[1, 2]', '{"trials": "5"}', '{"d": 1.5}', '{"L_list": [3, 4.5]}', '{"seed": false}'],
-    ids=["not-an-object", "string-trials", "float-d", "float-level", "bool-seed"],
+    ['[1, 2]', '{"trials": "5"}', '{"d": 1.5}', '{"L_list": [3, 4.5]}', '{"seed": false}',
+     '{"p1": "x"}', '{"p1": null}', '{"p1": true}', '{"p2": [2]}', '{"r": "a"}',
+     '{"p1": 1' + '0' * 400 + '}', '{"out": 5}', '{"format": "xml"}'],
+    ids=["not-an-object", "string-trials", "float-d", "float-level", "bool-seed",
+         "string-p1", "null-p1", "bool-p1", "list-p2", "string-r", "huge-p1", "int-out",
+         "xml-format"],
 )
 def test_cli_malformed_config_exit_2(tmp_path, capsys, text):
     path = tmp_path / "cfg.json"
     path.write_text(text)
     assert main(["verify", "norms", "--L", "3", "--trials", "2", "--config", str(path)]) == 2
     assert f"cannot read {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["verify", "domination", "--p1", "nan"], None),
+        (["verify", "domination", "--p2", "-2"], None),
+        (["verify", "restricted-weak", "--L", "3", "--p1", "0"], None),
+        (["sweep", "--L-list", "3,4", "--r", "nan"], None),
+        (["verify", "domination"], '{"p1": NaN}'),
+        (["verify", "domination"], '{"p2": -Infinity}'),
+        (["sweep", "--L-list", "3,4"], '{"r": 0}'),
+    ],
+    ids=["cli-nan-p1", "cli-negative-p2", "cli-zero-p1", "cli-sweep-nan-r", "config-nan-p1",
+         "config-negative-p2", "config-sweep-zero-r"],
+)
+def test_cli_bad_exponent_exit_2_before_any_trial(tmp_path, capsys, monkeypatch, args, config):
+    # a NaN exponent makes every Hoelder link it enters compare false, so a
+    # suite would pass with those links skipped
+    def no_trial(*_):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_trial_rng", no_trial)
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        args = [*args, "--config", str(path)]
+    assert main([*args, "--trials", "2"]) == 2
+    assert "must be > 0" in capsys.readouterr().err
+
+
+def test_config_exponents_read_as_floats():
+    cfg = ExperimentConfig.from_json({"p1": 3, "p2": 2.5, "r": 1, "out": None, "format": "csv"})
+    assert (cfg.p1, cfg.p2, cfg.r) == (3.0, 2.5, 1.0)
+    assert all(type(x) is float for x in (cfg.p1, cfg.p2, cfg.r))
 
 
 _SIGNAL_JSON = {"d": 1, "L": 3, "values": [0.0] * 8}
