@@ -11,6 +11,7 @@ explicit constants times shadow measures and restricted operator norms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -131,16 +132,38 @@ def hypothesis_holds(
     """True iff |R intersect {T > threshold}| <= frac |R| for all members.
 
     The exceedances are add-gathered to coefficient layout (with leaf slots
-    when a member sits at the grid level), so each member reads its count
-    at its slot."""
+    when a member sits at the grid level), and the slots whose count passes
+    frac of their cells are marked once per (threshold, frac, leaves) in
+    the signal's memo, so each member reads its verdict at its slot."""
     frac = _positive("frac", frac, 1.0)
     L = t_values.L
-    index, levels, width = _member_slots(collection, t_values.d, L, leaves=True)
-    count = (t_values.values > threshold).astype(float)
-    for axis in range(t_values.d):
-        count = _gather(count, axis, L, np.add, leaves=width > 1 << L)
-    allowed = np.floor(np.ldexp(1.0, (L - levels).sum(axis=1)) * frac)
-    return bool((count[index] <= allowed).all())
+    index, _, width = _member_slots(collection, t_values.d, L, leaves=True)
+    leaves = width > 1 << L
+    if t_values._level_sets is None:
+        object.__setattr__(t_values, "_level_sets", {})
+    key = (threshold, frac, leaves)
+    over = t_values._level_sets.get(key)
+    if over is None:
+        count = (t_values.values > threshold).astype(float)
+        for axis in range(t_values.d):
+            count = _gather(count, axis, L, np.add, leaves=leaves)
+        over = count > _allowed_counts(t_values.d, L, frac, leaves)
+        over.flags.writeable = False
+        t_values._level_sets[key] = over
+    return not over[index].any()
+
+
+@functools.lru_cache(maxsize=4)
+def _allowed_counts(d: int, L: int, frac: float, leaves: bool) -> np.ndarray:
+    """floor(frac * cells of R) at the slot of each rectangle R of a
+    coefficient tensor, leaf slots with `leaves`; the mean slot counts as
+    level 0, and no member sits there."""
+    slots = np.arange((2 if leaves else 1) << L)
+    cells = L - (np.frexp(np.maximum(slots, 1))[1] - 1)  # L - level
+    exponent = sum(cells.reshape((-1,) + (1,) * (d - 1 - axis)) for axis in range(d))
+    out = np.floor(np.ldexp(1.0, exponent) * frac)
+    out.flags.writeable = False
+    return out
 
 
 def _hypothesis_threshold(t: Signal, collection: RectangleCollection) -> float:
@@ -321,6 +344,10 @@ def technical_lemma_check(
     """
     if len(fs) != 3 or len(lambdas) != 3 or len(hypothesis_flags) != 3:
         raise ContractError("the bilinear lemma takes three slots")
+    if len(collection) and any(f.L != collection.L for f in fs):
+        raise ContractError(
+            f"collection at L={collection.L} but signals at L={[f.L for f in fs]}"
+        )
     ops = tuple(op_specs) if op_specs is not None else slot_operator_specs(spec)[:3]
     t_vals = [governing_operator(f, op) for f, op in zip(fs, ops)]
     measured = tuple(

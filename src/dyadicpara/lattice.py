@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -38,12 +38,17 @@ def _json_index(value) -> int:
     return operator.index(value)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DyadicInterval:
-    """Half-open dyadic interval [j*2^-k, (j+1)*2^-k) on the unit torus."""
+    """Half-open dyadic interval [j*2^-k, (j+1)*2^-k) on the unit torus.
+
+    `_hash` keeps the dataclass hash from the first `__hash__` call on:
+    lattice intervals are hashed as dict and set keys many times over, and
+    most of a lattice is never hashed at all."""
 
     level: int
     position: int
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.level <= MAX_LEVEL:
@@ -52,11 +57,10 @@ class DyadicInterval:
             raise ContractError(
                 f"position {self.position} outside [0, 2^{self.level})"
             )
-        # the dataclass hash, computed once: lattice rectangles are hashed
-        # as dict and set keys many times over
-        object.__setattr__(self, "_hash", hash((self.level, self.position)))
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.level, self.position)))
         return self._hash
 
     @property
@@ -119,20 +123,23 @@ def halves(interval: DyadicInterval, max_level: Optional[int] = None):
     return interval.halves(max_level=max_level)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DyadicRectangle:
-    """Tensor product of one dyadic interval per axis."""
+    """Tensor product of one dyadic interval per axis.  Its hash is kept
+    from the first `__hash__` call on, as an interval's is."""
 
     axes: tuple
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.axes) < 1:
             raise ContractError("a rectangle needs at least one axis")
         if not all(isinstance(a, DyadicInterval) for a in self.axes):
             raise ContractError("rectangle axes must be DyadicInterval")
-        object.__setattr__(self, "_hash", hash((self.axes,)))
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.axes,)))
         return self._hash
 
     @property

@@ -120,10 +120,11 @@ def governing_operator(
         )
     d, L = f.d, f.L
     # the cells of the whole lattice are kept on the field, per norm choice
-    # and nesting order
+    # and nesting order, and every output made from them shares one
+    # hypothesis memo: their values are equal
     key = (tuple(spec.sigma), spec.pi)
     if collection is None and key in field._cells:
-        return Signal(d, L, field._cells[key])
+        return _sharing_level_sets(Signal(d, L, field._cells[key]), field._level_sets[key])
     acc = np.abs(field.tensor) * _rectangle_weights(d, L, 0.5, collection)
 
     # innermost norm first; a run of square coordinates sums squares
@@ -140,7 +141,13 @@ def governing_operator(
             acc = np.sqrt(acc)
     if collection is None:
         field._cells[key] = acc
+        return _sharing_level_sets(Signal(d, L, acc), field._level_sets.setdefault(key, {}))
     return Signal(d, L, acc)
+
+
+def _sharing_level_sets(out: Signal, memo: dict) -> Signal:
+    object.__setattr__(out, "_level_sets", memo)
+    return out
 
 
 def restricted_operator(

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -46,12 +47,16 @@ def _check_resolution(d: int, L: int):
 class Signal:
     """Signals compare and hash by identity.  `_fields` holds the
     coefficient field of each family that `transforms.coefficients` has
-    derived from this signal; it lives exactly as long as the signal."""
+    derived from this signal; it lives exactly as long as the signal.
+    `_level_sets` is the memo of `decomposition.hypothesis_holds`, made on
+    its first call, or the memo that every whole-lattice output of one
+    operator on one field shares (see `operators.governing_operator`)."""
 
     d: int
     L: int
     values: np.ndarray
     _fields: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _level_sets: Optional[dict] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.d < 1:

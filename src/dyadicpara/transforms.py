@@ -50,14 +50,16 @@ class CoefficientField:
     """Fields compare and hash by identity.  The tensor is copied on
     construction, keeping its memory layout, and kept read-only.  `_cells`
     holds the cell array that `operators.governing_operator` aggregates
-    from this field per (sigma, pi), over the whole lattice; it lives
-    exactly as long as the field."""
+    from this field per (sigma, pi), over the whole lattice, and
+    `_level_sets` the hypothesis memo its outputs share; both live exactly
+    as long as the field."""
 
     d: int
     L: int
     family: AdaptedFamily
     tensor: np.ndarray
     _cells: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _level_sets: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         _check_resolution(self.d, self.L)

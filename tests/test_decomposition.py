@@ -25,6 +25,7 @@ from dyadicpara import (
     sum_over,
     technical_lemma_check,
 )
+from dyadicpara import decomposition
 from dyadicpara.decomposition import hypothesis_holds
 from dyadicpara.harness import normalize, random_cells, random_haar
 
@@ -222,6 +223,29 @@ def test_technical_lemma_needs_one_hypothesis(triple2, rng):
     ]
     with pytest.raises(ContractError):
         technical_lemma_check(col, triple2, fs, (0.0, 0.0, 0.0), (False, False, False))
+
+
+@pytest.mark.parametrize("collection_L, signal_L", [(4, 3), (3, 4)])
+def test_technical_lemma_refuses_a_collection_at_another_L(
+    triple1, rng, monkeypatch, collection_L, signal_L
+):
+    # a d=1 collection at L=4 with signals at L=3 died with numpy's broadcast
+    # ValueError; it is refused before any operator is computed
+    col = RectangleCollection.of(lattice_rectangles(1, 3)[:5], collection_L)
+    fs = [random_cells(rng, 1, signal_L) for _ in range(3)]
+    monkeypatch.setattr(decomposition, "governing_operator", _no_operator)
+    with pytest.raises(ContractError, match="L=") as refused:
+        technical_lemma_check(col, triple1, fs, (1e9, 1e9, 1e9), (True, True, True))
+    assert "operator" not in str(refused.value)
+    # an empty collection has no resolution to disagree with
+    monkeypatch.undo()
+    empty = RectangleCollection.of([], collection_L)
+    res = technical_lemma_check(empty, triple1, fs, (1e9, 1e9, 1e9), (True, True, True))
+    assert res["sum"] == 0.0 and res["good_set_measure"] is None
+
+
+def _no_operator(*args, **kwargs):
+    raise AssertionError("operator computed before the refusal")
 
 
 def test_good_set_fraction(triple2, rng):

@@ -137,6 +137,34 @@ def test_cached_hash_is_the_dataclass_hash(d, L):
     ]
 
 
+def test_lattice_objects_have_slots_and_hash_lazily():
+    rects = _rectangle_tuple(2, 2)
+    for obj in (rects[-1], rects[-1].axes[0]):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(obj, "extra", 1)
+    r = rectangle((2, 1), (3, 5))
+    iv = r.axes[1]
+    for c in (r, pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+        assert hash(c) == hash((c.axes,)) == hash(((interval(2, 1), interval(3, 5)),))
+        assert hash(c.axes[1]) == hash(iv) == hash((3, 5))
+    # a copy of a hashed object and a fresh one hash alike, and the kept
+    # hash takes no part in equality, order, repr or JSON
+    fresh = rectangle((2, 1), (3, 5))
+    for c in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r), dataclasses.replace(r), fresh):
+        assert c == r and not c < r and not r < c
+        assert repr(c) == repr(fresh) and "_hash" not in repr(c)
+        assert c.to_json() == [[2, 1], [3, 5]]
+        assert {c: 1}[r] == 1 and hash(c) == hash(r)
+    # unhashed copies hash on first use, into the order of plain dataclasses
+    plain = [_PlainRectangle(tuple(_PlainInterval(*a.to_json()) for a in r.axes)) for r in rects]
+    want = [p.axes for p in frozenset(plain)]
+    unhashed = [DyadicRectangle(tuple(DyadicInterval(*a.to_json()) for a in r.axes)) for r in rects]
+    for copies in (unhashed, pickle.loads(pickle.dumps(unhashed)), copy.deepcopy(rects)):
+        got = [tuple(_PlainInterval(*a.to_json()) for a in r.axes) for r in frozenset(copies)]
+        assert got == want
+
+
 def test_copies_keep_equality_and_hash():
     r = rectangle((2, 1), (3, 5))
     for c in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r), dataclasses.replace(r)):

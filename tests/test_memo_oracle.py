@@ -1,10 +1,13 @@
 """Differential oracle for the per-object memos.
 
 `transforms.coefficients` keeps each signal's coefficient field per family,
-and `operators.governing_operator` keeps each field's whole-lattice cell
-array per (sigma, pi).  A memo hit must equal, bit for bit, a fresh
-computation on a copy of the signal (a new object with empty memos), must
-still make every public call, and must not outlive its object.
+`operators.governing_operator` keeps each field's whole-lattice cell array
+per (sigma, pi), and `decomposition.hypothesis_holds` keeps its over-budget
+slots per (threshold, frac, leaves) in a memo that every whole-lattice
+output of one (sigma, pi) on one field shares.  A memo hit must equal, bit
+for bit, a fresh computation on a copy of the signal (a new object with
+empty memos), must still make every public call, and must not outlive its
+object.
 """
 
 import gc
@@ -20,11 +23,13 @@ from dyadicpara import (
     RectangleCollection,
     Signal,
     coefficients,
+    decomposition,
     governing_operator,
     lattice_rectangles,
     operators,
     transforms,
 )
+from dyadicpara.lattice import _rectangle_tuple
 from dyadicpara.operators import MAX, SQUARE
 
 _FAMILIES = {
@@ -166,3 +171,127 @@ def test_memos_die_with_their_signal():
     gc.collect()
     assert field_ref() is None
     assert cells_ref() is None
+
+
+# -- the level-set memo of `decomposition.hypothesis_holds` ------------------
+
+
+def _count_and_compare(t_values, collection, threshold, frac):
+    """`hypothesis_holds` before its memo: the exceedances add-gathered to
+    coefficient layout, each member's count compared with its allowance."""
+    frac = decomposition._positive("frac", frac, 1.0)
+    L = t_values.L
+    index, levels, width = transforms._member_slots(collection, t_values.d, L, leaves=True)
+    count = (t_values.values > threshold).astype(float)
+    for axis in range(t_values.d):
+        count = transforms._gather(count, axis, L, np.add, leaves=width > 1 << L)
+    allowed = np.floor(np.ldexp(1.0, (L - levels).sum(axis=1)) * frac)
+    return bool((count[index] <= allowed).all())
+
+
+_FRACS = (0.01, 0.5, 1.0)
+
+
+def _collections(rng, d, L):
+    """Empty, single-member and random collections, each without a member at
+    level L (no leaf slots) and with one (leaf slots)."""
+    for top in (L - 1, L):
+        rects = _rectangle_tuple(d, top)
+        deepest = [r for r in rects if max(r.levels) == top]
+        yield RectangleCollection.of([], L)
+        yield RectangleCollection.of([deepest[rng.integers(len(deepest))]], L)
+        picked = rng.choice(len(rects), size=min(len(rects), 40), replace=False)
+        yield RectangleCollection.of([rects[i] for i in picked] + deepest[:1], L)
+
+
+def _thresholds(rng, t):
+    """Zero, quantiles and cell values themselves, so that ties occur."""
+    cells = t.values.ravel()
+    return [
+        0.0,
+        *np.quantile(cells, [0.5, 0.99]).tolist(),
+        *cells[rng.integers(cells.size, size=3)].tolist(),
+        float(cells.max()),
+    ]
+
+
+@pytest.mark.parametrize("d, L", [(1, 8), (2, 4), (3, 3)])
+def test_hypothesis_memo_hit_equals_fresh_count(d, L):
+    rng = np.random.default_rng(10 * d + L)
+    family = AdaptedFamily.abs_haar(d)
+    for values in _inputs(d, L):
+        f = Signal(d, L, values)
+        for spec in _specs(family):
+            first = governing_operator(f, spec)
+            memo = first._level_sets
+            collections = list(_collections(rng, d, L))
+            thresholds = _thresholds(rng, first)
+            cases = list(itertools.product(collections, thresholds, _FRACS))
+            for collection, threshold, frac in cases:
+                decomposition.hypothesis_holds(first, collection, threshold, frac)
+            stored = len(memo)
+            # a later whole-lattice output is a new signal with the same memo
+            hit = governing_operator(f, spec)
+            assert hit is not first and hit._level_sets is memo
+            for collection, threshold, frac in cases:
+                got = decomposition.hypothesis_holds(hit, collection, threshold, frac)
+                fresh_t = Signal(d, L, hit.values)
+                fresh = decomposition.hypothesis_holds(fresh_t, collection, threshold, frac)
+                assert fresh_t._level_sets is not memo
+                assert got == fresh == _count_and_compare(hit, collection, threshold, frac)
+            assert len(memo) == stored  # every verdict above was a memo hit
+            assert {leaves for _, _, leaves in memo} == {False, True}
+
+
+@pytest.mark.parametrize("d, L", [(1, 8), (2, 4), (3, 3)])
+def test_memo_entries_are_read_only_booleans(d, L):
+    f = Signal(d, L, _inputs(d, L)[0])
+    t = governing_operator(f, OperatorSpec.all_max(AdaptedFamily.abs_haar(d)))
+    for collection in _collections(np.random.default_rng(d), d, L):
+        decomposition.hypothesis_holds(t, collection, float(np.median(t.values)))
+    for (_, _, leaves), over in t._level_sets.items():
+        assert over.dtype == bool and not over.flags.writeable
+        assert over.shape == (((2 if leaves else 1) << L),) * d
+        with pytest.raises(ValueError):
+            over[(0,) * d] = True
+
+
+@pytest.mark.parametrize("d, L", [(1, 8), (2, 4), (3, 3)])
+def test_restricted_output_never_sees_the_whole_lattice_memo(d, L):
+    rng = np.random.default_rng(d + L)
+    family = AdaptedFamily.abs_haar(d)
+    f = Signal(d, L, _inputs(d, L)[0])
+    spec = OperatorSpec.all_max(family)
+    whole = governing_operator(f, spec)
+    # an operator restricts to members above the grid level only
+    collections = [
+        c for c in _collections(rng, d, L) if all(max(r.levels) < L for r in c.members)
+    ]
+    for collection in collections:
+        decomposition.hypothesis_holds(whole, collection, float(np.median(whole.values)))
+    kept = dict(whole._level_sets)
+    for collection in collections:
+        restricted = operators.restricted_operator(f, spec, collection)
+        assert restricted._level_sets is None
+        threshold = float(np.median(restricted.values))
+        got = decomposition.hypothesis_holds(restricted, collection, threshold)
+        assert got == _count_and_compare(restricted, collection, threshold, 0.01)
+        assert restricted._level_sets is not whole._level_sets
+    assert whole._level_sets == kept
+    assert governing_operator(f, spec)._level_sets is whole._level_sets
+
+
+def test_level_set_memo_dies_with_its_field():
+    family = AdaptedFamily.abs_haar(2)
+    f = Signal(2, 4, _inputs(2, 4)[0])
+    t = governing_operator(f, OperatorSpec.all_max(family))
+    collection = RectangleCollection.of(lattice_rectangles(2, 4)[::5], 4)
+    decomposition.hypothesis_holds(t, collection, 0.5)
+    (entry,) = t._level_sets.values()
+    entry_ref = weakref.ref(entry)
+    del entry, t
+    gc.collect()
+    assert entry_ref() is not None  # the field keeps the memo of its outputs
+    del f
+    gc.collect()
+    assert entry_ref() is None
