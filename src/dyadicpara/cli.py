@@ -207,7 +207,7 @@ def _cmd_paraproduct(args) -> int:
     d, L, _ = _grid_args(args)
     f1 = _load_signal(args.f1, d, L)
     f2 = _load_signal(args.f2, d, L)
-    spec = standard_triple(d, args.family)
+    spec = standard_triple(f1.d, args.family)
     if args.f3:
         f3 = _load_signal(args.f3, d, L)
         value = eval_Lambda(spec, (f1, f2, f3))

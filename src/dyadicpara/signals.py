@@ -7,6 +7,7 @@ on construction and kept read-only, so signals can be shared freely.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -216,8 +217,17 @@ def weak_quasinorm(f: Signal, r: float) -> float:
     if not r > 0:  # also refuses NaN
         raise ContractError("exponent r must be positive")
     a = np.sort(np.abs(f.values), axis=None)
-    measure = np.arange(a.size, 0, -1) * f.cell_measure
-    return float((a * measure ** (1.0 / r)).max())
+    return float((a * _tail_table(a.size, f.cell_measure, r)).max())
+
+
+@functools.lru_cache(maxsize=16)
+def _tail_table(n: int, cell: float, r: float) -> np.ndarray:
+    """((n - i) cells)^(1/r) for i = 0..n-1, the measure factor of
+    `weak_quasinorm`, read-only.  At most 16 pairs of grid and exponent
+    are kept, 8 bytes per cell each (2 MiB at d=2 L=9)."""
+    table = (np.arange(n, 0, -1) * cell) ** (1.0 / r)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)

@@ -342,17 +342,19 @@ def _member_slots(collection, d: int, L: int, leaves: bool = False) -> tuple:
 # synthesis) or one matrix product (analysis) instead of the level fold,
 # whose cost there is numpy call overhead.  Measured with one BLAS thread,
 # µs per call on axis 0 (best of 9 x 500 calls; runs on the shared 2-vCPU
-# host move by up to 40%), level loop -> one call:
+# host move by up to 40%), level loop -> one call; the last column is the
+# synthesis gather -> one product with the transposed fold matrix, on a
+# mean-zero axis / on any other:
 #
-#   shape         spread      synthesis    analysis
-#   (256,)        34 -> 9.3   44 -> 9.3    43 -> 14
+#   shape         spread      synthesis    analysis     synthesis by product
+#   (256,)        34 -> 9.3   44 -> 9.3    43 -> 14     5.0 -> 7.7 / 4.1 -> 7.8
 #   (512,)        36 -> 15    55 -> 22     59 -> 107
 #   (1024,)       41 -> 25    49 -> 32
 #   (2048,)       42 -> 57    97 -> 56
 #   (4096,)       58 -> 80    118 -> 161
-#   (16, 16)      32 -> 3.0   31 -> 6.5    32 -> 3.4
-#   (32, 32)      29 -> 6.8   46 -> 21     59 -> 7.1
-#   (8, 8, 8)     34 -> 3.4   29 -> 13     39 -> 6.5
+#   (16, 16)      32 -> 3.0   31 -> 6.5    32 -> 3.4    3.9 -> 1.4 / 3.1 -> 1.4
+#   (32, 32)      29 -> 6.8   46 -> 21     59 -> 7.1    9.0 -> 2.0 / 5.9 -> 2.0
+#   (8, 8, 8)     34 -> 3.4   29 -> 13     39 -> 6.5    4.2 -> 1.5 / 3.9 -> 1.5
 #
 # The gather holds L+1 entries per cell, so it loses on long axes: at d=1
 # the spread from 2^11 cells, synthesis from 2^12.  (64, 64) and
@@ -363,7 +365,8 @@ _SMALL_SIZE_MAX = 1 << 10
 # entries of the matrix; it loses from n = 2^9 (table above).  The same
 # bound holds for the add-gather's interval matrix: µs per call, all axes
 # of a 0/1 tensor, level loop -> products: (16, 16) 31 -> 5.9, (256,) 17 ->
-# 11, (8, 8, 8) 51 -> 10.
+# 11, (8, 8, 8) 51 -> 10.  The synthesis product loses to the gather at
+# (256,) alone, but the bound is kept so that one rule covers all three.
 _HAAR_MATRIX_MAX_N = 1 << 8
 
 
@@ -373,8 +376,9 @@ _SMALL_L_COUNT = _SMALL_SIZE_MAX.bit_length()
 
 
 def _fold_by_product(values: np.ndarray, L: int) -> bool:
-    """The size rule of every fine-to-coarse move (the step analysis and the
-    add-gather): one product with the cached `_fold_matrix`, or `_fold_up`."""
+    """The size rule of the step analysis and the add-gather (one product
+    with the cached `_fold_matrix`, or `_fold_up`) and of the step synthesis
+    (one product with its transpose)."""
     return values.size <= _SMALL_SIZE_MAX and (1 << L) <= _HAAR_MATRIX_MAX_N
 
 
@@ -409,7 +413,8 @@ def _fold_matrix(L: int, pair) -> np.ndarray:
     """A fine-to-coarse fold as an n x n matrix, `_fold_up` by `pair`
     applied to the identity.  By `_op_pair(np.add)` row 2^k + j marks the
     cells of interval (k, j) and row 0 every cell; by `_step_pair` or
-    `_haar_pair` it is the step profile matrix with row 0 all ones."""
+    `_haar_pair` it is the step profile matrix with row 0 all ones, and its
+    transpose the step synthesis."""
     matrix = _fold_up(np.eye(1 << L), 0, L, pair)
     matrix.flags.writeable = False
     return matrix
@@ -437,11 +442,15 @@ def _step_synthesis_axis(coeffs: np.ndarray, axis: int, L: int, zero: bool) -> n
     """Step-family synthesis along one axis, the twin of
     `_step_analysis_axis`: each cell gets the mean slot plus every level-k
     slot times h_(k,j) at the cell (`_haar_children`) on an axis flagged
-    mean zero, times |h_(k,j)| = 2^(k/2) on any other.  The latter is the
-    add-spread of the slots scaled by 2^(k/2).  A small tensor on a
-    mean-zero axis sums its cells' `_ancestor_slots` times
-    `_synthesis_scales` coarse to fine, as `_spread` does: bit for bit the
-    fold's result."""
+    mean zero, times |h_(k,j)| = 2^(k/2) on any other.  A tensor that
+    `_fold_by_product` admits takes one product with the transpose of the
+    analysis's `_fold_matrix`, which sums in another order than the fold.
+    Otherwise the |h| synthesis is the add-spread of the slots scaled by
+    2^(k/2), and a small tensor on a mean-zero axis (d=1 at L=9-10) sums
+    its cells' `_ancestor_slots` times `_synthesis_scales` coarse to fine,
+    as `_spread` does: bit for bit the fold's result."""
+    if _fold_by_product(coeffs, L):
+        return _matrix_axis(coeffs, axis, _fold_matrix(L, _haar_pair if zero else _step_pair).T)
     if not zero:
         shape = (1 << L,) + (1,) * (coeffs.ndim - axis - 1)
         scales = _weight_table(1, L, 0.5, True).reshape(shape)

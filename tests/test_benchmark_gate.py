@@ -40,12 +40,19 @@ def test_traced_pass_matches_reference_and_call_counts(workload, seed):
 
 
 def test_warm_acceptance_pass_builds_no_profile_matrix():
-    # the C01-C12 configurations need fewer distinct profile matrices than
-    # the cache keeps, so a pass after the first builds none
-    from dyadicpara import families
+    # the C01-C12 configurations need fewer distinct profile matrices, fold
+    # matrices, weight tables and weak-norm tail tables (8 keys) than each
+    # cache keeps, so a pass after the first builds none
+    from dyadicpara import families, signals, transforms
     from workloads import run_pass
 
+    caches = (
+        families._profile_matrix_cached,
+        transforms._fold_matrix,
+        transforms._weight_table,
+        signals._tail_table,
+    )
     run_pass(WORKLOADS["acceptance-mix"], seed=0)
-    misses = families._profile_matrix_cached.cache_info().misses
+    misses = [cache.cache_info().misses for cache in caches]
     run_pass(WORKLOADS["acceptance-mix"], seed=0)
-    assert families._profile_matrix_cached.cache_info().misses == misses
+    assert [cache.cache_info().misses for cache in caches] == misses

@@ -533,6 +533,19 @@ def test_cli_paraproduct(tmp_path):
     assert payload["l1"] > 0 and payload["l2"] > 0
 
 
+def test_cli_paraproduct_reads_d_from_json_signals(tmp_path):
+    # JSON signals carry their d: the triple is built at it, not at --d
+    f1, f2 = tmp_path / "f1.json", tmp_path / "f2.json"
+    for seed, path in ((1, f1), (2, f2)):
+        _cli("gen", "--kind", "random-haar", "--d", "2", "--L", "3", "--seed", str(seed),
+             "--out", str(path))
+    for form in ([], ["--f3", str(f1)]):
+        r = _cli("paraproduct", "--f1", str(f1), "--f2", str(f2), *form)
+        assert r.returncode == 0, r.stderr
+        flagged = _cli("paraproduct", "--f1", str(f1), "--f2", str(f2), *form, "--d", "2")
+        assert json.loads(r.stdout) == json.loads(flagged.stdout)
+
+
 def test_cli_config_file(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(

@@ -1,8 +1,9 @@
-"""Every module-level import of the package is used in its module.
+"""Every module-level import of the package is used in its module, and
+every private module-level name is used somewhere in the package.
 
-No linter runs on this repository, so this check keeps deletions from
-leaving imports behind.  `__init__.py` is skipped: its imports are the
-package's public names.
+No linter runs on this repository, so these checks keep deletions from
+leaving imports or private helpers behind.  `__init__.py` is skipped for
+imports: its imports are the package's public names.
 """
 
 import ast
@@ -33,3 +34,47 @@ def test_every_module_level_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert unused == {}, f"{path.name}: unused imports {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Private name bound at module level (function, class or constant,
+    not dunder) -> its definition node."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defs[name] = node
+    return defs
+
+
+def _references(node) -> set:
+    """Every name, attribute and imported name read under `node`."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_private_module_level_name_is_used():
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    statements = [(stmt, _references(stmt)) for tree in trees.values() for stmt in tree.body]
+    # a reference outside its own definition, in any module
+    orphans = [
+        f"{module}: {name}"
+        for module, tree in sorted(trees.items())
+        for name, definition in _private_definitions(tree).items()
+        if not any(name in names for stmt, names in statements if stmt is not definition)
+    ]
+    assert orphans == []

@@ -5,9 +5,9 @@ zero-containing and all-zero signals."""
 import numpy as np
 import pytest
 
-from dyadicpara import Signal, lp_norm, weak_quasinorm
+from dyadicpara import Signal, lp_norm, signals, weak_quasinorm
 
-from norm_oracle import lp_norm_oracle, weak_quasinorm_oracle
+from norm_oracle import lp_norm_oracle, weak_quasinorm_oracle, weak_quasinorm_sort_form
 
 _GRIDS = [(1, 0), (1, 1), (1, 4), (1, 9), (2, 0), (2, 1), (2, 3), (2, 5), (3, 0), (3, 1), (3, 3)]
 
@@ -31,6 +31,20 @@ def _signals(d, L):
 def test_weak_quasinorm_equals_unique_count_form(d, L, r):
     for f in _signals(d, L):
         assert weak_quasinorm(f, r) == weak_quasinorm_oracle(f, r)
+
+
+@pytest.mark.parametrize("d, L", _GRIDS)
+@pytest.mark.parametrize("r", [0.25, 0.5, 1.0, 2.0, 3.7, np.inf])
+def test_weak_quasinorm_tail_table_equals_the_sort_form(d, L, r):
+    for f in _signals(d, L):
+        for _ in range(2):  # the second call reads the cached table
+            assert weak_quasinorm(f, r) == weak_quasinorm_sort_form(f, r)
+    n, cell = 1 << (d * L), 2.0 ** (-d * L)
+    table = signals._tail_table(n, cell, r)
+    assert signals._tail_table(n, cell, r) is table
+    assert np.array_equal(table, (np.arange(n, 0, -1) * cell) ** (1.0 / r))
+    with pytest.raises(ValueError):
+        table[0] = 0.0
 
 
 @pytest.mark.parametrize("d, L", _GRIDS)

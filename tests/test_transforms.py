@@ -375,6 +375,10 @@ _KERNEL_GRIDS = [
 @pytest.mark.parametrize("d, L, small", _KERNEL_GRIDS)
 def test_small_spread_and_synthesis_equal_cascade(monkeypatch, rng, d, L, small):
     assert ((1 << (d * L)) <= transforms._SMALL_SIZE_MAX) == small
+    # the synthesis by product sums in another order: it is held to a bound
+    # in test_product_synthesis_matches_cascade.  Off, the synthesis takes
+    # the gather (in use at d=1 L=9-10) or the fold, both bit for bit.
+    monkeypatch.setattr(transforms, "_HAAR_MATRIX_MAX_N", 0)
     # every slot holds a value, the mean slots included
     for values in _oracle_inputs(rng, ((1 << L),) * d):
         for axis in range(d):
@@ -442,6 +446,35 @@ def test_small_haar_analysis_matches_cascade(rng, d, L, matrix):
             got = _step_analysis_axis(values * 2.0**-L, axis, L, True)
             want = cascade_oracle._haar_analysis_cascade(values, axis, L)
             scale = _abs_step_axis(np.abs(values), axis, mean_row=True).max()
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def _abs_h_synthesis(coeffs, axis, L):
+    """Sum over slots of coeffs times |h|, by the add cascade of the slots
+    scaled by 2^(k/2) (1 for the mean slot).  Of |coeffs| it is |M^T|·|c|,
+    with M either step matrix: the scale of the rounding error of either
+    order of summation."""
+    levels = np.zeros(1 << L)
+    levels[1:] = np.repeat(np.arange(L), 1 << np.arange(L))
+    scales = (2.0 ** (levels / 2.0)).reshape((1 << L,) + (1,) * (coeffs.ndim - axis - 1))
+    return cascade_oracle._spread_cascade(coeffs * scales, axis, L, np.add)
+
+
+@pytest.mark.parametrize("d, L", [(1, 1), (1, 5), (1, 8), (2, 3), (2, 5), (3, 2), (3, 3)])
+@pytest.mark.parametrize("zero", [True, False])
+def test_product_synthesis_matches_cascade(rng, d, L, zero):
+    # one product with the transposed analysis matrix
+    matrix = transforms._fold_matrix(L, transforms._haar_pair if zero else transforms._step_pair).T
+    for values in _oracle_inputs(rng, ((1 << L),) * d):
+        assert transforms._fold_by_product(values, L)
+        for axis in range(d):
+            got = transforms._step_synthesis_axis(values, axis, L, zero)
+            assert np.array_equal(got, _matrix_axis(values, axis, matrix))
+            if zero:
+                want = cascade_oracle._haar_synthesis_cascade(values, axis, L)
+            else:
+                want = _abs_h_synthesis(values, axis, L)
+            scale = _abs_h_synthesis(np.abs(values), axis, L).max()
             assert np.abs(got - want).max() <= 1e-12 * scale
 
 
