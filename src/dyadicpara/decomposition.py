@@ -80,20 +80,16 @@ def _greatest_levels(q: np.ndarray, kappa: float, clamp: int) -> list:
     """Per quantile, the largest integer l with kappa * 2^l < q, clamped to
     [-clamp, clamp]; None where q <= 0 (no level set reaches the fraction).
 
-    The first guess is a difference of logarithms and every comparison is
-    against ldexp(kappa, l), so no finite positive kappa overflows.  The
-    search never leaves [-clamp, clamp]: stopping at a bound gives the
-    clamped label.
+    Exact, from the binary exponents: with q = mq 2^eq and kappa = mk 2^ek,
+    mantissas in [1/2, 1), kappa 2^l < q holds for every l < eq - ek, for
+    no l > eq - ek, and at l = eq - ek iff mk < mq.  No power of two is
+    formed, so nothing overflows or rounds.  q is finite, as the values of
+    a Signal are.
     """
     positive = q > 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        guess = np.floor(np.log2(np.where(positive, q, 1.0)) - math.log2(kappa))
-        ell = np.clip(guess, -clamp, clamp).astype(np.int64)
-        while (down := (ell > -clamp) & (np.ldexp(kappa, ell) >= q)).any():
-            ell -= down
-        while (up := (ell < clamp) & (np.ldexp(kappa, ell + 1) < q)).any():
-            ell += up
-    labels = ell.astype(object)
+    mq, eq = np.frexp(np.where(positive, q, 1.0))
+    mk, ek = math.frexp(kappa)
+    labels = np.clip(eq - ek - (mk >= mq), -clamp, clamp).astype(object)
     labels[~positive] = None
     return labels.tolist()
 
@@ -114,6 +110,8 @@ def classify_rectangles(
     `lattice_rectangles` order, which is the order of the returned dict.
     """
     kappa, frac = _positive("kappa", kappa), _positive("frac", frac, 1.0)
+    if isinstance(clamp, bool) or not isinstance(clamp, (int, np.integer)) or clamp < 0:
+        raise ContractError(f"clamp must be an integer >= 0, got {clamp!r}")
     g = values if values is not None else governing_operator(f, op)
     d, L = g.d, g.L
     if L == 0:

@@ -176,28 +176,6 @@ def _fold_up(values: np.ndarray, axis: int, L: int, pair) -> np.ndarray:
     return out.transpose(back)
 
 
-def _fold_down(coeffs: np.ndarray, axis: int, L: int, children) -> np.ndarray:
-    """Move one axis from coefficient layout to cells, coarse to fine.
-
-    The run starts as the mean slot; at each level k from 0 to L-1,
-    `children(run, block, k, left, right)` writes the left and the right
-    child of every entry of the run and the level-k slots into `left` and
-    `right`, the even and odd rows of the next run.  The runs alternate
-    between the output and one spare of half its length, so that the last
-    lands in the output.  O(2^L) per fiber; each level writes whole
-    hyperplanes of a leading-axis view, in the dtype of `coeffs`."""
-    front, back = _axis_to_front(coeffs.ndim, axis)
-    a = coeffs.transpose(front)
-    out = np.empty(a.shape, dtype=a.dtype)
-    runs = (out, np.empty_like(out[: len(out) >> 1]))
-    run = a[0:1]
-    for k in range(L):
-        nxt = runs[(L - 1 - k) & 1][: 2 << k]
-        children(run, a[1 << k : 2 << k], k, nxt[0::2], nxt[1::2])
-        run = nxt
-    return run.transpose(back)
-
-
 @functools.cache
 def _axis_to_front(ndim: int, axis: int) -> tuple:
     """The permutations that np.moveaxis(x, axis, 0) and its inverse
@@ -217,23 +195,9 @@ def _op_pair(op):
     return pair
 
 
-@functools.cache
-def _op_children(op):
-    """The children of `_spread`: op(run, block) is both children."""
-    def children(run, block, k, left, right):
-        np.copyto(right, op(run, block, out=left))
-    return children
-
-
 def _haar_pair(even, odd, k, slots):  # of cell integrals: difference stored, sum carried
     np.multiply(even - odd, 2.0 ** (k / 2.0), out=slots)
     return even + odd
-
-
-def _haar_children(run, block, k, left, right):
-    scaled = np.multiply(block, 2.0 ** (k / 2.0), out=right)
-    np.add(run, scaled, out=left)
-    np.subtract(run, scaled, out=right)
 
 
 def _spread(coeffs: np.ndarray, axis: int, L: int, op) -> np.ndarray:
@@ -243,16 +207,33 @@ def _spread(coeffs: np.ndarray, axis: int, L: int, op) -> np.ndarray:
     np.logical_or) of the mean slot and of the slots of all intervals
     containing it, in that order.  An axis of 2^(L+1) slots also holds one
     leaf slot 2^L + j per cell j, folded in last.  A small tensor gathers
-    those L+1 slots per cell in one call and folds them along the level
-    axis; that axis is never the innermost one, so numpy folds it in order
-    and the result equals the fold's bit for bit.
+    those slots per cell through `_ancestor_slots` in one call and folds
+    them along the level axis; that axis is never the innermost one, so
+    numpy folds it in order and the result equals the fold's bit for bit,
+    but for one sign: numpy starts an add-reduction from +0.0, so a cell
+    whose terms are all -0.0 gets +0.0.
+
+    The fold starts its run as the mean slot; at each level k it writes
+    op(run, level-k slots) into both children of each entry, the even and
+    odd rows of the next run.  The runs alternate between the output and
+    one spare of half its length, so that the last lands in the output.
+    O(2^L) per fiber, in the dtype of `coeffs`; the input is never written.
     """
-    if coeffs.shape[axis] == 2 << L:
-        coeffs, leaves = np.split(coeffs, 2, axis=axis)
-        return op(_spread(coeffs, axis, L, op), leaves)
-    if coeffs.size <= _SMALL_SIZE_MAX:
-        return op.reduce(coeffs.take(_ancestor_slots(L), axis=axis), axis=axis)
-    return _fold_down(coeffs, axis, L, _op_children(op))
+    leaves = coeffs.shape[axis] == 2 << L
+    if coeffs.size >> leaves <= _SMALL_SIZE_MAX:
+        return op.reduce(coeffs.take(_ancestor_slots(L, leaves), axis=axis), axis=axis)
+    front, back = _axis_to_front(coeffs.ndim, axis)
+    a = coeffs.transpose(front)
+    out = np.empty((1 << L,) + a.shape[1:], dtype=a.dtype)
+    runs = (out, np.empty_like(out[: len(out) >> 1]))
+    run = a[0:1]
+    for k in range(L):
+        nxt = runs[(L - 1 - k) & 1][: 2 << k]
+        np.copyto(nxt[1::2], op(run, a[1 << k : 2 << k], out=nxt[0::2]))
+        run = nxt
+    if leaves:
+        run = op(run, a[1 << L :], out=out)
+    return run.transpose(back)
 
 
 def _gather(cells: np.ndarray, axis: int, L: int, op, leaves: bool = False) -> np.ndarray:
@@ -342,24 +323,25 @@ def _member_slots(collection, d: int, L: int, leaves: bool = False) -> tuple:
 # synthesis) or one matrix product (analysis) instead of the level fold,
 # whose cost there is numpy call overhead.  Measured with one BLAS thread,
 # µs per call on axis 0 (best of 9 x 500 calls; runs on the shared 2-vCPU
-# host move by up to 40%), level loop -> one call; the last column is the
-# synthesis gather -> one product with the transposed fold matrix, on a
-# mean-zero axis / on any other:
+# host move by up to 40%), level loop -> one call.  The synthesis column is
+# the Haar synthesis, the spread of 2^(L+1) signed child slots; the last
+# column is that gather -> one product with the transposed fold matrix, on
+# a mean-zero axis / on any other (the |h| spread of 2^L slots):
 #
 #   shape         spread      synthesis    analysis     synthesis by product
-#   (256,)        34 -> 9.3   44 -> 9.3    43 -> 14     5.0 -> 7.7 / 4.1 -> 7.8
-#   (512,)        36 -> 15    55 -> 22     59 -> 107
-#   (1024,)       41 -> 25    49 -> 32
-#   (2048,)       42 -> 57    97 -> 56
-#   (4096,)       58 -> 80    118 -> 161
-#   (16, 16)      32 -> 3.0   31 -> 6.5    32 -> 3.4    3.9 -> 1.4 / 3.1 -> 1.4
-#   (32, 32)      29 -> 6.8   46 -> 21     59 -> 7.1    9.0 -> 2.0 / 5.9 -> 2.0
-#   (8, 8, 8)     34 -> 3.4   29 -> 13     39 -> 6.5    4.2 -> 1.5 / 3.9 -> 1.5
+#   (256,)        9.5 -> 3.4  12 -> 6.0    12 -> 7.8    6.0 -> 7.7 / 4.3 -> 7.8
+#   (512,)        11 -> 5.8   14 -> 9.0    14 -> 38
+#   (1024,)       12 -> 11    16 -> 15
+#   (2048,)       14 -> 22    19 -> 27
+#   (4096,)       17 -> 47    23 -> 58
+#   (16, 16)      7.7 -> 1.8  12 -> 5.9    9.7 -> 1.4   5.9 -> 1.4 / 3.3 -> 1.4
+#   (32, 32)      10 -> 3.6   16 -> 8.9    14 -> 2.0    9.5 -> 2.0 / 5.8 -> 2.0
+#   (8, 8, 8)     6.5 -> 2.1  12 -> 6.9    7.9 -> 1.5   7.0 -> 1.5 / 3.7 -> 1.5
 #
-# The gather holds L+1 entries per cell, so it loses on long axes: at d=1
-# the spread from 2^11 cells, synthesis from 2^12.  (64, 64) and
-# (16, 16, 16) still win, but size alone decides, and 2^10 covers every
-# grid of the C01-C12 configurations.
+# The gather holds L+1 entries per cell (L+2 with leaf slots), so it loses
+# on long axes: at d=1 the spread and the synthesis from 2^11 cells.
+# (64, 64) and (16, 16, 16) still win, but size alone decides, and 2^10
+# covers every grid of the C01-C12 configurations.
 _SMALL_SIZE_MAX = 1 << 10
 # At d=1 the analysis product is a matrix-vector product that reads all n²
 # entries of the matrix; it loses from n = 2^9 (table above).  The same
@@ -370,8 +352,8 @@ _SMALL_SIZE_MAX = 1 << 10
 _HAAR_MATRIX_MAX_N = 1 << 8
 
 
-# the small-tensor tables are keyed by L <= 10, the fold matrices of the
-# three pairings by L <= 8: about 2.3 MiB at most, together
+# the slot tables are keyed by L <= 10 and the leaf flag, the fold
+# matrices of the three pairings by L <= 8: about 2.3 MiB at most, together
 _SMALL_L_COUNT = _SMALL_SIZE_MAX.bit_length()
 
 
@@ -382,30 +364,17 @@ def _fold_by_product(values: np.ndarray, L: int) -> bool:
     return values.size <= _SMALL_SIZE_MAX and (1 << L) <= _HAAR_MATRIX_MAX_N
 
 
-@functools.lru_cache(maxsize=_SMALL_L_COUNT)
-def _ancestor_slots(L: int) -> np.ndarray:
+@functools.lru_cache(maxsize=2 * _SMALL_L_COUNT)
+def _ancestor_slots(L: int, leaves: bool) -> np.ndarray:
     """(L+1, 2^L) slot table: row 0 the mean slot, row k+1 the slot of each
-    cell's level-k interval."""
+    cell's level-k interval; with `leaves` one more row, leaf slot 2^L + j
+    of each cell j."""
     cells = np.arange(1 << L)
-    levels = np.arange(L)[:, None]
-    table = np.zeros((L + 1, 1 << L), dtype=np.intp)
+    levels = np.arange(L + leaves)[:, None]
+    table = np.zeros((L + 1 + leaves, 1 << L), dtype=np.intp)
     table[1:] = (1 << levels) + (cells >> (L - levels))
     table.flags.writeable = False
     return table
-
-
-@functools.lru_cache(maxsize=_SMALL_L_COUNT)
-def _synthesis_scales(L: int) -> np.ndarray:
-    """The Haar profile of each entry of `_ancestor_slots` at its cell:
-    2^(k/2) for an interval at level k, negated on the right half of the
-    interval; 1 for the mean slot."""
-    cells = np.arange(1 << L)
-    scales = np.ones((L + 1, 1 << L))
-    for k in range(L):
-        scales[k + 1] = 2.0 ** (k / 2.0)
-        scales[k + 1, (cells >> (L - k - 1)) & 1 == 1] *= -1.0
-    scales.flags.writeable = False
-    return scales
 
 
 @functools.lru_cache(maxsize=3 * _SMALL_L_COUNT)
@@ -441,26 +410,29 @@ def _step_analysis_axis(values: np.ndarray, axis: int, L: int, zero: bool) -> np
 def _step_synthesis_axis(coeffs: np.ndarray, axis: int, L: int, zero: bool) -> np.ndarray:
     """Step-family synthesis along one axis, the twin of
     `_step_analysis_axis`: each cell gets the mean slot plus every level-k
-    slot times h_(k,j) at the cell (`_haar_children`) on an axis flagged
-    mean zero, times |h_(k,j)| = 2^(k/2) on any other.  A tensor that
-    `_fold_by_product` admits takes one product with the transpose of the
-    analysis's `_fold_matrix`, which sums in another order than the fold.
-    Otherwise the |h| synthesis is the add-spread of the slots scaled by
-    2^(k/2), and a small tensor on a mean-zero axis (d=1 at L=9-10) sums
-    its cells' `_ancestor_slots` times `_synthesis_scales` coarse to fine,
-    as `_spread` does: bit for bit the fold's result."""
+    slot times h_(k,j) at the cell on an axis flagged mean zero, times
+    |h_(k,j)| = 2^(k/2) on any other.  A tensor that `_fold_by_product`
+    admits takes one product with the transpose of the analysis's
+    `_fold_matrix`, which sums in another order than the fold.  Otherwise
+    the slots, scaled by 2^(k/2), are add-spread.  On a mean-zero axis
+    h_(k,j) is +2^(k/2) on the left child of (k,j) and -2^(k/2) on the
+    right, so the spread runs over 2^(L+1) signed child slots: slot 2i
+    holds scaled slot i and slot 2i+1 its negation, except that slot 1
+    holds -0.0 beside the mean in slot 0.  As x - y == x + (-y) and
+    x + (-0.0) == x, each cell is the Haar cascade's run ± block·2^(k/2)
+    bit for bit."""
     if _fold_by_product(coeffs, L):
         return _matrix_axis(coeffs, axis, _fold_matrix(L, _haar_pair if zero else _step_pair).T)
+    shape = (1 << L,) + (1,) * (coeffs.ndim - axis - 1)
+    scales = _weight_table(1, L, 0.5, True).reshape(shape)
     if not zero:
-        shape = (1 << L,) + (1,) * (coeffs.ndim - axis - 1)
-        scales = _weight_table(1, L, 0.5, True).reshape(shape)
         return _spread(coeffs * scales, axis, L, np.add)
-    if coeffs.size <= _SMALL_SIZE_MAX:
-        trailing = (1,) * (coeffs.ndim - axis - 1)
-        scales = _synthesis_scales(L).reshape((L + 1, 1 << L) + trailing)
-        terms = coeffs.take(_ancestor_slots(L), axis=axis) * scales
-        return np.add.reduce(terms, axis=axis)
-    return _fold_down(coeffs, axis, L, _haar_children)
+    lead = (slice(None),) * axis
+    signed = np.empty(coeffs.shape[:axis] + (2 << L,) + coeffs.shape[axis + 1 :])
+    scaled = np.multiply(coeffs, scales, out=signed[lead + (slice(0, None, 2),)])
+    np.negative(scaled, out=signed[lead + (slice(1, None, 2),)])
+    signed[lead + (1,)] = -0.0
+    return _spread(signed, axis, L, np.add)
 
 
 def _matrix_axis(values: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:

@@ -1,14 +1,17 @@
 """The per-axis level cascades, kept as a differential oracle.
 
 `transforms` used to move an axis between cells and coefficient layout with
-four separate level loops, each along a trailing-axis view; it now runs all
-four moves through `_fold_up` and `_fold_down` with the pairing as a
-parameter.  These copies of the old cascades, unchanged, serve the tests:
-every fold must equal its cascade bit for bit.  The two folds themselves
-are kept here in their np.moveaxis form as well, so that the spelled-out
-transposes can be checked against it, strides included, together with the
-pairings as they were before they wrote into the fold's output: each
-returned its two blocks, which the fold copied or interleaved into place.
+four separate level loops, each along a trailing-axis view.  It now runs
+the two moves to coefficient layout through `_fold_up` with the pairing as
+a parameter, and both moves to cells through `_spread`: the Haar synthesis
+is the add-spread of signed child slots.  These copies of the old cascades,
+unchanged, serve the tests: every move must equal its cascade bit for bit.
+The folds are kept here in their np.moveaxis form as well, `_fold_up` and
+the coarse-to-fine `_fold_down` that `_spread` and the Haar synthesis once
+ran through, so that the spelled-out transposes can be checked against
+them, strides included, together with the pairings as they were before
+they wrote into the fold's output: each returned its two blocks, which the
+fold copied or interleaved into place.
 """
 
 from __future__ import annotations
@@ -75,7 +78,9 @@ def _fold_up_moveaxis(values: np.ndarray, axis: int, L: int, pair) -> np.ndarray
 
 
 def _fold_down_moveaxis(coeffs: np.ndarray, axis: int, L: int, children) -> np.ndarray:
-    """`transforms._fold_down` as it was written with np.moveaxis."""
+    """The coarse-to-fine fold as it was written with np.moveaxis: by
+    `_op_pair(op)` the fold of `transforms._spread`, by `_haar_children`
+    the Haar synthesis."""
     a = np.moveaxis(coeffs, axis, 0)
     run = a[0:1]
     for k in range(L):
@@ -87,8 +92,9 @@ def _fold_down_moveaxis(coeffs: np.ndarray, axis: int, L: int, children) -> np.n
 
 
 def _op_pair(op):
-    """`transforms._op_pair(op)` and `_op_children(op)` returning values:
-    op(a, b) is both blocks, the slots and the run, or the two children."""
+    """`transforms._op_pair(op)`, and the children of the fold of
+    `transforms._spread`, returning values: op(a, b) is both blocks, the
+    slots and the run, or the two children."""
     def pair(a, b, k):
         run = op(a, b)
         return run, run

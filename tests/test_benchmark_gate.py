@@ -8,6 +8,8 @@ public function of the package is called more or less often than the
 recorded counts say, or when one is added or removed.
 """
 
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
-import dyadicpara  # noqa: E402, F401  (the worker patches the loaded package)
+import dyadicpara  # noqa: E402  (the worker patches the loaded package)
 from worker import Run  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -39,20 +41,28 @@ def test_traced_pass_matches_reference_and_call_counts(workload, seed):
     assert tracer.call_counts() == run.call_counts
 
 
+def _package_caches() -> list:
+    """Every functools cache bound at module level in the package, once
+    each, however many modules import it."""
+    caches = {}
+    for info in pkgutil.walk_packages(dyadicpara.__path__, "dyadicpara."):
+        for obj in vars(importlib.import_module(info.name)).values():
+            if hasattr(obj, "cache_info"):
+                caches[id(obj)] = obj
+    return list(caches.values())
+
+
 def test_warm_acceptance_pass_builds_no_profile_matrix():
-    # the C01-C12 configurations need fewer distinct profile matrices, fold
-    # matrices, weight tables and weak-norm tail tables (8 keys) than each
-    # cache keeps, so a pass after the first builds none
-    from dyadicpara import families, signals, transforms
+    # every cache of the package (profile matrices, fold matrices, slot and
+    # weight tables, weak-norm tail tables among them) keeps all the keys
+    # that a pass of either workload needs, so a second pass misses none
+    from dyadicpara import families
     from workloads import run_pass
 
-    caches = (
-        families._profile_matrix_cached,
-        transforms._fold_matrix,
-        transforms._weight_table,
-        signals._tail_table,
-    )
-    run_pass(WORKLOADS["acceptance-mix"], seed=0)
-    misses = [cache.cache_info().misses for cache in caches]
-    run_pass(WORKLOADS["acceptance-mix"], seed=0)
-    assert [cache.cache_info().misses for cache in caches] == misses
+    caches = _package_caches()
+    assert families._profile_matrix_cached in caches
+    for workload in ("acceptance-mix", "rw-d1-L12"):
+        run_pass(WORKLOADS[workload], seed=0)
+        misses = {f"{c.__module__}.{c.__qualname__}": c.cache_info().misses for c in caches}
+        run_pass(WORKLOADS[workload], seed=0)
+        assert {f"{c.__module__}.{c.__qualname__}": c.cache_info().misses for c in caches} == misses

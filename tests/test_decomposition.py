@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -500,6 +501,47 @@ def test_classify_tiny_kappa_clamps_instead_of_overflowing():
     assert set(labels.values()) == {40}
     labels = classify_rectangles(None, _max_spec(), 1e300, values=tf, clamp=40)
     assert set(labels.values()) == {-40}
+
+
+def _exact_label(q, kappa, clamp):
+    """The largest l with kappa * 2^l < q, in rational arithmetic, clamped."""
+    if not q > 0.0:
+        return None
+    ratio = Fraction(q) / Fraction(kappa)
+    ell = ratio.numerator.bit_length() - ratio.denominator.bit_length() + 1  # 2^ell > ratio
+    while Fraction(2) ** ell >= ratio:
+        ell -= 1
+    return max(min(ell, clamp), -clamp)
+
+
+def test_classify_labels_a_subnormal_quantile_exactly():
+    # kappa * 2^-1074 = 0.75 * 5e-324 rounds to 5e-324 itself, which the
+    # comparison against ldexp(kappa, l) took for "not below q"
+    tf = Signal(1, 1, np.array([5e-324, 5e-324]))
+    labels = classify_rectangles(None, _max_spec(), 0.75, values=tf, clamp=1100)
+    assert list(labels.values()) == [-1074] == [_exact_label(5e-324, 0.75, 1100)]
+
+
+@pytest.mark.parametrize("kappa", [0.75, 0.1, 3.0, 1e-3, 2.0**-30, 5e-324, 1e300])
+@pytest.mark.parametrize("clamp", [0, 2, 40, 1100])
+def test_greatest_levels_equal_exact_rational_labels(rng, kappa, clamp):
+    # random floats across the whole exponent range, subnormals included,
+    # and the finite powers kappa * 2^l with both their neighbours
+    q = np.ldexp(rng.random(400), rng.integers(-1080, 1025, 400))
+    with np.errstate(over="ignore"):
+        powers = np.ldexp(kappa, np.arange(-1100, 1100, 7))
+    powers = powers[np.isfinite(powers)]
+    q = np.concatenate([q, powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    q = np.concatenate([q, [0.0, -0.0, -1.0, 5e-324, np.finfo(float).max]])
+    got = decomposition._greatest_levels(q, kappa, clamp)
+    assert got == [_exact_label(v, kappa, clamp) for v in q.tolist()]
+
+
+@pytest.mark.parametrize("clamp", [-1, 2.5, 3.0, "3", None, True, np.float64(4.0)])
+def test_classify_refuses_bad_clamp(clamp):
+    # f=None: the refusal comes before any operator is computed
+    with pytest.raises(ContractError, match="clamp"):
+        classify_rectangles(None, _max_spec(), 1.0, clamp=clamp)
 
 
 def test_hypothesis_with_frac_one_always_holds():

@@ -1,12 +1,13 @@
 """Differential test of the per-axis fold engine against the old cascades.
 
-`_spread`, `_gather`, the Haar analysis and synthesis (`_step_analysis_axis`
-and `_step_synthesis_axis` on a mean-zero axis) move an axis through
-`_fold_up` or `_fold_down`; each must equal its cascade in `cascade_oracle.py`
-bit for bit, dtype included.  The |h| synthesis of an axis without the zero
-flag is the add-spread of its slots scaled by 2^(k/2), the same operations.
-The table paths for small tensors are switched off here, so the fold runs at
-every size.
+`_gather` and the Haar analysis (`_step_analysis_axis` on a mean-zero axis)
+move an axis through `_fold_up`, and `_spread` through its own level loop;
+the Haar synthesis (`_step_synthesis_axis` on a mean-zero axis) is the
+add-spread of signed child slots.  Each must equal its cascade in
+`cascade_oracle.py` bit for bit, dtype included.  The |h| synthesis of an
+axis without the zero flag is the add-spread of its slots scaled by
+2^(k/2), the same operations.  The table paths for small tensors are
+switched off here, so the fold runs at every size.
 """
 
 import numpy as np
@@ -119,7 +120,7 @@ def test_step_synthesis_equals_level_scaled_spread(fold_only, d, L):
 def test_fold_matrices_equal_the_old_tables(L):
     n = 1 << L
     interval = np.zeros((n, n))
-    interval[transforms._ancestor_slots(L), np.arange(n)] = 1.0
+    interval[transforms._ancestor_slots(L, False), np.arange(n)] = 1.0
     haar = oracle._haar_analysis_cascade(np.eye(n), 0, L)
     for pair, want in ((transforms._op_pair(np.add), interval), (transforms._haar_pair, haar)):
         matrix = transforms._fold_matrix(L, pair)
@@ -167,7 +168,9 @@ def _layouts(shape, seed, flags=False):
     return c, np.asfortranarray(c), wide[(slice(None, None, 2),) * len(shape)], frozen
 
 
-# each pairing of the engine, in place, beside its value-returning form
+# each pairing of `_fold_up` and each op of `_spread`, in place, beside the
+# value-returning pairing of the old fold; the Haar synthesis (zero flag
+# set) beside the old fold with the Haar children
 _UPS = [
     (transforms._haar_pair, oracle._haar_pair, False),
     (transforms._step_pair, oracle._step_pair, False),
@@ -177,8 +180,8 @@ _UPS = [
         (np.add, False), (np.maximum, False), (np.logical_or, True), (np.logical_and, True)
     )
 ]
-_DOWNS = [(transforms._haar_children, oracle._haar_children, False)] + [
-    (transforms._op_children(op), oracle._op_pair(op), flags)
+_DOWNS = [
+    (op, oracle._op_pair(op), flags)
     for op, flags in (
         (np.add, False), (np.maximum, False), (np.logical_or, True), (np.logical_and, True)
     )
@@ -188,15 +191,20 @@ _DOWNS = [(transforms._haar_children, oracle._haar_children, False)] + [
 @pytest.mark.parametrize(
     "d, L", [(1, 0), (1, 1), (1, 6), (2, 0), (2, 1), (2, 4), (3, 0), (3, 1), (3, 3)]
 )
-def test_folds_match_their_moveaxis_form(d, L):
-    # values and strides, for every axis and every pairing the engine uses,
-    # each in place against its old form; no input is ever written
+def test_folds_match_their_moveaxis_form(fold_only, d, L):
+    # values and strides, for every axis and every pairing or op the engine
+    # uses, each against its old form; no input is ever written
     for axis in range(d):
         shape, seed = ((1 << L),) * d, 10 * d + L + axis
         for real, flags in zip(_layouts(shape, seed), _layouts(shape, seed, flags=True)):
             for fold, old_fold, cases in (
                 (transforms._fold_up, oracle._fold_up_moveaxis, _UPS),
-                (transforms._fold_down, oracle._fold_down_moveaxis, _DOWNS),
+                (transforms._spread, oracle._fold_down_moveaxis, _DOWNS),
+                (
+                    transforms._step_synthesis_axis,
+                    oracle._fold_down_moveaxis,
+                    [(True, oracle._haar_children, False)],
+                ),
             ):
                 for pair, old_pair, on_flags in cases:
                     values = flags if on_flags else real
@@ -204,7 +212,35 @@ def test_folds_match_their_moveaxis_form(d, L):
                     got = fold(values, axis, L, pair)
                     want = old_fold(values, axis, L, old_pair)
                     _assert_same(got, want)
-                    assert got.strides == want.strides
+                    # at L = 0 the old fold returns a view of its input; the
+                    # Haar synthesis returns a new array, of its own strides
+                    if L or fold is not transforms._step_synthesis_axis:
+                        assert got.strides == want.strides
                     _assert_same(values, before)
                     if L:
                         assert not np.shares_memory(got, values)
+
+
+@pytest.mark.parametrize("d, L", _GRIDS)
+@pytest.mark.parametrize("size_max", [0, 1 << 10])
+def test_haar_synthesis_keeps_every_signed_zero(monkeypatch, d, L, size_max):
+    # -0.0 beside the mean and x + (-y) for x - y: the fold over signed
+    # child slots gives the cascade's bytes, the sign of every zero
+    # included.  The gather (size_max 2^10, on the small grids) equals it
+    # in value: numpy starts an add-reduction from +0.0, so a cell whose
+    # terms are all -0.0 gets +0.0 there.
+    monkeypatch.setattr(transforms, "_HAAR_MATRIX_MAX_N", 0)
+    monkeypatch.setattr(transforms, "_SMALL_SIZE_MAX", size_max)
+    rng = np.random.default_rng(10 * d + L)
+    shape = ((1 << L),) * d
+    zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    mixed = np.where(rng.random(shape) < 0.5, zeros, rng.standard_normal(shape))
+    for values in (zeros, -zeros, np.full(shape, 0.0), np.full(shape, -0.0), mixed):
+        before = values.tobytes()
+        for axis in range(d):
+            got = transforms._step_synthesis_axis(values, axis, L, True)
+            want = oracle._haar_synthesis_cascade(values, axis, L)
+            if values.size > size_max:
+                assert got.tobytes() == want.tobytes()
+            assert np.array_equal(got, want)
+            assert values.tobytes() == before

@@ -377,7 +377,7 @@ def test_small_spread_and_synthesis_equal_cascade(monkeypatch, rng, d, L, small)
     assert ((1 << (d * L)) <= transforms._SMALL_SIZE_MAX) == small
     # the synthesis by product sums in another order: it is held to a bound
     # in test_product_synthesis_matches_cascade.  Off, the synthesis takes
-    # the gather (in use at d=1 L=9-10) or the fold, both bit for bit.
+    # the spread of signed child slots, by gather or fold, both bit for bit.
     monkeypatch.setattr(transforms, "_HAAR_MATRIX_MAX_N", 0)
     # every slot holds a value, the mean slots included
     for values in _oracle_inputs(rng, ((1 << L),) * d):
@@ -394,6 +394,25 @@ def test_small_spread_and_synthesis_equal_cascade(monkeypatch, rng, d, L, small)
                     m.setattr(transforms, "_SMALL_SIZE_MAX", size_max)
                     paths.append(transforms._step_synthesis_axis(values, axis, L, False))
             assert np.array_equal(paths[0], paths[1])
+
+
+@pytest.mark.parametrize("d, L", [(1, 0), (1, 1), (1, 5), (1, 10), (2, 0), (2, 3), (2, 5), (3, 2)])
+def test_leaf_row_take_equals_split_then_op(rng, d, L):
+    # at gather size an axis of 2^(L+1) slots takes one slot table whose
+    # last row is the leaf slots: the same as spreading the first 2^L slots
+    # and applying op to the leaves
+    assert (1 << (d * L)) <= transforms._SMALL_SIZE_MAX
+    assert np.array_equal(transforms._ancestor_slots(L, True)[-1], np.arange(1 << L, 2 << L))
+    for axis in range(d):
+        shape = [1 << L] * d
+        shape[axis] = 2 << L
+        real = rng.standard_normal(shape)
+        for values, op in ((real, np.add), (real, np.maximum), (real > 0, np.logical_or)):
+            coeffs, leaves = np.split(values, 2, axis=axis)
+            want = op(transforms._spread(coeffs, axis, L, op), leaves)
+            got = transforms._spread(values, axis, L, op)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 def _interval_reduce(cells, axis, L, op):
@@ -482,8 +501,7 @@ def test_small_tensor_tables_stay_small():
     """Every table the one-call paths can cache, each level count once."""
     small_L = range(transforms._SMALL_SIZE_MAX.bit_length())
     total = sum(
-        transforms._ancestor_slots(L).nbytes + transforms._synthesis_scales(L).nbytes
-        for L in small_L
+        transforms._ancestor_slots(L, leaves).nbytes for L in small_L for leaves in (False, True)
     )
     pairs = (transforms._haar_pair, transforms._step_pair, transforms._op_pair(np.add))
     total += sum(
