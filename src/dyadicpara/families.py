@@ -183,17 +183,24 @@ def _zero_matrix(n: int) -> np.ndarray:
 # keyed by what a matrix depends on: smooth or step, the zero flag and L.
 # Bounded: a matrix spans 4^L floats of address space (512 MiB at L=13); a
 # step matrix keeps only the pages of its diagonal blocks resident (about
-# 16 MiB at L=12, 32 MiB at L=13), a smooth one all of them.  The C01-C12
+# 16 MiB at L=12, 32 MiB at L=13), a smooth one those of its rows' nonzero
+# spans (about 66 MiB at L=13).  The C01-C12
 # suite configurations need 7 matrices, so each is built once
 @functools.lru_cache(maxsize=8)
 def _profile_matrix_cached(smooth: bool, zero: bool, L: int) -> np.ndarray:
     n = 1 << L
     out = _zero_matrix(n)
     if smooth:
-        # rows come from the uncached builder: the matrix is the only copy kept
+        # rows come from the uncached builder: the matrix is the only copy
+        # kept.  Each is written from its first nonzero entry to its last, so
+        # the pages of its underflowed tails are never touched (a tail of
+        # -0.0 reads +0.0)
         for k in range(L):
             for j in range(1 << k):
-                out[(1 << k) + j] = _gaussian_row(k, j, L, zero)
+                row = _gaussian_row(k, j, L, zero)
+                nonzero = np.flatnonzero(row)
+                span = slice(nonzero[0], nonzero[-1] + 1)
+                out[(1 << k) + j, span] = row[span]
     else:
         # rows 2^k .. 2^(k+1)-1 cut into 2^k column groups of width w hold
         # the step of (k, j) in group j: one write per level.  The step

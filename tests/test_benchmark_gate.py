@@ -54,13 +54,15 @@ def _package_caches() -> list:
 
 def test_warm_acceptance_pass_builds_no_profile_matrix():
     # every cache of the package (profile matrices, fold matrices, slot and
-    # weight tables, weak-norm tail tables among them) keeps all the keys
-    # that a pass of either workload needs, so a second pass misses none
-    from dyadicpara import families
+    # weight tables, weak-norm tail tables and the trial seeds among them)
+    # keeps all the keys that a pass of either workload needs, so a second
+    # pass misses none
+    from dyadicpara import families, harness
     from workloads import run_pass
 
     caches = _package_caches()
     assert families._profile_matrix_cached in caches
+    assert harness._trial_seed in caches
     for workload in ("acceptance-mix", "rw-d1-L12"):
         run_pass(WORKLOADS[workload], seed=0)
         misses = {f"{c.__module__}.{c.__qualname__}": c.cache_info().misses for c in caches}

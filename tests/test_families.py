@@ -225,3 +225,40 @@ def test_step_profile_matrix_keeps_only_its_blocks_resident():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert int(run.stdout) < 48 * 1024
+
+
+@pytest.mark.parametrize("zero", [False, True])
+def test_smooth_profile_matrix_rows_equal_the_row_builder(zero):
+    # rows are written on their nonzero span only: equal in value, and the
+    # underflowed tails outside it read +0.0 where the builder gives -0.0
+    build = families._profile_matrix_cached.__wrapped__
+    for L in range(3, 12):
+        matrix = build(True, zero, L)
+        assert not matrix[0].any()
+        for k in range(L):
+            for j in range(1 << k):
+                row, want = matrix[(1 << k) + j], families._gaussian_row(k, j, L, zero)
+                assert np.array_equal(row, want)
+                differ = row.view(np.uint64) != want.view(np.uint64)
+                assert not np.signbit(row[differ]).any() and np.signbit(want[differ]).all()
+                assert not want[differ].any()
+        del matrix
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_smooth_profile_matrix_keeps_only_its_nonzero_spans_resident():
+    # as above: n = 2^12 spans 128 MiB; the rows' nonzero spans touch about
+    # 30 MiB of it
+    code = (
+        "import re\n"
+        "from dyadicpara import AdaptedFamily\n"
+        "def peak_kib():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return int(re.search(r'VmHWM:\\s*(\\d+) kB', f.read()).group(1))\n"
+        "before = peak_kib()\n"
+        "matrix = AdaptedFamily.make('gaussian-smooth', 1).profile_matrix(0, 12)\n"
+        "print(peak_kib() - before)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 64 * 1024

@@ -73,6 +73,44 @@ def test_normalize():
         normalize(Signal.zeros(1, 3), 2.0)
 
 
+# trial offsets of the suites (harness) and of the acceptance gate
+_TRIAL_OFFSETS = (0, 999, 10_000, 20_000, 30_000, 40_000, 50_000) + tuple(
+    range(1000, 9000, 1000)
+)
+
+
+@pytest.mark.parametrize("seed", [0, 20240817, 2**128 + 1])
+def test_trial_rng_draws_the_default_rng_stream(seed):
+    for trial in (t + extra for t in _TRIAL_OFFSETS for extra in (0, 3)):
+        got = harness._trial_rng(seed, trial)
+        want = np.random.default_rng([seed, trial])
+        assert got.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(got.standard_normal(7), want.standard_normal(7))
+        assert np.array_equal(got.integers(0, 1 << 40, 5), want.integers(0, 1 << 40, 5))
+        assert np.array_equal(got.choice(100, 6, replace=False), want.choice(100, 6, replace=False))
+        assert got.bit_generator.state == want.bit_generator.state
+
+
+def test_trial_rngs_of_one_key_are_independent():
+    first = harness._trial_rng(5, 10_001)
+    second = harness._trial_rng(5, 10_001)
+    assert first is not second and first.bit_generator is not second.bit_generator
+    start = second.bit_generator.state
+    drawn = first.standard_normal(100)
+    assert second.bit_generator.state == start
+    assert np.array_equal(second.standard_normal(100), drawn)
+
+
+def test_trial_seed_words_are_read_only_and_the_cache_is_bounded():
+    words = harness._trial_seed(3, 20_002).generate_state(4, np.uint64)
+    assert words.dtype == np.uint64 and words.shape == (4,)
+    assert not words.flags.writeable
+    with pytest.raises(ValueError):
+        words[0] = 0
+    # one acceptance-mix pass seeds 1476 distinct (seed, trial) keys
+    assert 1476 <= harness._trial_seed.cache_info().maxsize <= 4096
+
+
 # -- configs and reports ------------------------------------------------------
 
 
@@ -568,7 +606,12 @@ def _threshold_loop(t, collection):
     return top
 
 
-@pytest.mark.parametrize("d, L", [(1, 0), (1, 1), (1, 9), (2, 1), (2, 5), (3, 1), (3, 3)])
+# grids of at most 2^10 cells read the quantile tensor, larger ones gather
+# the members' blocks: (1, 10) and (2, 5) sit at the rule, the last three past it
+@pytest.mark.parametrize(
+    "d, L",
+    [(1, 0), (1, 1), (1, 9), (2, 1), (2, 5), (3, 1), (3, 3), (1, 10), (1, 11), (2, 6), (3, 4)],
+)
 def test_hypothesis_threshold_equals_the_member_loop(d, L):
     rng = np.random.default_rng(10 * d + L)
     # members up to level L, one cell each at the finest
@@ -576,8 +619,11 @@ def test_hypothesis_threshold_equals_the_member_loop(d, L):
     ties = np.floor(rng.random(((1 << L),) * d) * 4.0)  # many equal values
     for values in (rng.random(((1 << L),) * d), ties, np.zeros(((1 << L),) * d)):
         t = Signal(d, L, values)
-        for p in (0.0, 0.05, 0.3, 1.0):
-            members = [r for r in rects if rng.random() < p]
+        subsets = [[r for r in rects if rng.random() < p] for p in (0.0, 0.05, 0.3, 1.0)]
+        # every member of at least 2^7 cells, where m > 1 (a finest member's
+        # single cell would set the threshold to the largest value otherwise)
+        subsets.append([r for r in rects if sum(r.levels) <= d * L - 7])
+        for members in subsets:
             collection = RectangleCollection.of(members, L)
             got = _hypothesis_threshold(t, collection)
             assert got.hex() == _threshold_loop(t, collection).hex()

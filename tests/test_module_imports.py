@@ -1,5 +1,6 @@
 """Every module-level import of the package is used in its module, and
-every private module-level name is used somewhere in the package.
+every private module-level name is used somewhere in the package, and
+importing the package does not import `numpy.random`.
 
 No linter runs on this repository, so these checks keep deletions from
 leaving imports or private helpers behind.  `__init__.py` is skipped for
@@ -7,6 +8,9 @@ imports: its imports are the package's public names.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +82,13 @@ def test_every_private_module_level_name_is_used():
         if not any(name in names for stmt, names in statements if stmt is not definition)
     ]
     assert orphans == []
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use; loading it with the package
+    # would slow the start of every process, also of those that draw nothing
+    code = "import sys, dyadicpara; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
