@@ -31,7 +31,7 @@ from .lattice import (
 from .operators import OperatorSpec, _above_dyadic, governing_operator, restricted_operator
 from .paraproducts import ParaproductSpec, eval_B, eval_Lambda, slot_operator_specs
 from .signals import Signal, lp_norm
-from .transforms import _SMALL_SIZE_MAX, _gather, _member_slots, lattice_rectangles
+from .transforms import _gather, _member_slots, lattice_rectangles
 
 FRACTION = 0.01  # bad-set fraction per hypothesis
 OMEGA_FRACTION = 0.01  # threshold scale in the level-set union
@@ -180,29 +180,21 @@ def _allowed_counts(d: int, L: int, frac: float, leaves: bool) -> np.ndarray:
 def _hypothesis_threshold(t: Signal, collection: RectangleCollection) -> float:
     """The least threshold at which `hypothesis_holds` does (0 for no
     member): the largest over members R of the m-th largest value of T on
-    R, m = ceil(FRACTION * cells).
-
-    On a grid of at most `_SMALL_SIZE_MAX` cells the quantile tensor of the
-    members' level tuples is read at their slots.  On a larger one only the
-    members' blocks are gathered and partitioned, one gather per level
-    tuple; the element selected is the same.  µs per call with one BLAS
-    thread, collections of 1-39 random lattice rectangles as in the
-    technical-lemma suite, quantile tensor -> member blocks: d=1 L=10
-    113 -> 131, L=11 155 -> 112; d=2 L=5 93 -> 164, L=6 439 -> 194, L=9
-    17233 -> 215; d=3 L=3 132 -> 228, L=4 367 -> 198."""
-    index, levels, width = _member_slots(collection, t.d, t.L, leaves=True)
-    keys = set(map(tuple, levels.tolist()))
-    if t.values.size <= _SMALL_SIZE_MAX:
-        q = _quantile_tensor(t.values, t.L, keys, width, FRACTION)
-        return float(q[index].max(initial=0.0))
-    slots = np.stack(index, axis=-1)
-    top = 0.0
-    for key in keys:
-        rows = (levels == key).all(axis=1)
-        positions = slots[rows] - np.left_shift(1, key)
-        v = _blocks(t.values, t.L, key)[tuple(positions.T)]
-        top = max(top, float(_mth_largest(v.reshape(len(v), -1), FRACTION).max()))
-    return top
+    R, m = ceil(FRACTION * cells).  The members are grouped by level tuple,
+    and each group's blocks are gathered in one copy and partitioned."""
+    index, levels, _ = _member_slots(collection, t.d, t.L, leaves=True)
+    positions = np.stack(index, axis=-1) - np.left_shift(1, levels)
+    groups = {}
+    for key, position in zip(map(tuple, levels.tolist()), positions.tolist()):
+        groups.setdefault(key, []).append(position)
+    tops = [
+        _mth_largest(
+            _blocks(t.values, t.L, key)[tuple(zip(*members))].reshape(len(members), -1),
+            FRACTION,
+        )
+        for key, members in groups.items()
+    ]
+    return float(np.concatenate(tops).max()) if tops else 0.0
 
 
 # ---------------------------------------------------------------------------

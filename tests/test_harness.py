@@ -107,6 +107,10 @@ def test_trial_seed_words_are_read_only_and_the_cache_is_bounded():
     assert not words.flags.writeable
     with pytest.raises(ValueError):
         words[0] = 0
+    # PCG64 asks for exactly these words; any other request raises
+    for n_words, dtype in ((8, np.uint64), (4, np.uint32), (2, np.uint64)):
+        with pytest.raises(NotImplementedError):
+            harness._trial_seed(3, 20_002).generate_state(n_words, dtype)
     # one acceptance-mix pass seeds 1476 distinct (seed, trial) keys
     assert 1476 <= harness._trial_seed.cache_info().maxsize <= 4096
 
@@ -606,8 +610,6 @@ def _threshold_loop(t, collection):
     return top
 
 
-# grids of at most 2^10 cells read the quantile tensor, larger ones gather
-# the members' blocks: (1, 10) and (2, 5) sit at the rule, the last three past it
 @pytest.mark.parametrize(
     "d, L",
     [(1, 0), (1, 1), (1, 9), (2, 1), (2, 5), (3, 1), (3, 3), (1, 10), (1, 11), (2, 6), (3, 4)],
@@ -623,6 +625,9 @@ def test_hypothesis_threshold_equals_the_member_loop(d, L):
         # every member of at least 2^7 cells, where m > 1 (a finest member's
         # single cell would set the threshold to the largest value otherwise)
         subsets.append([r for r in rects if sum(r.levels) <= d * L - 7])
+        # and each cell count alone, so that every member sets the threshold
+        # somewhere: a wrong m shows at every size where it differs
+        subsets += [[r for r in rects if sum(r.levels) == s] for s in range(d * L - 6)]
         for members in subsets:
             collection = RectangleCollection.of(members, L)
             got = _hypothesis_threshold(t, collection)
