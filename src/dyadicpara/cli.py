@@ -2,7 +2,8 @@
 
 Verbs: gen, norm, transform, paraproduct, verify <suite>, sweep.
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 a contract
-was violated, 64 usage error.
+was violated (an unreadable input or an unwritable --out among them), 64
+usage error.
 """
 
 from __future__ import annotations
@@ -134,6 +135,26 @@ def _read(load, path: str, *args):
         raise ContractError(f"cannot read {path}: {exc}") from exc
 
 
+def _make_parent(path):
+    """Make the missing parent directories of an --out path (None: none);
+    failing to violates the contract, as an unreadable input does."""
+    if path:
+        try:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ContractError(f"cannot write {path}: {exc}") from exc
+
+
+def _write(save, obj, path: str):
+    """Run a file saver, `save(obj, path)`, after `_make_parent`; an
+    unwritable file violates the contract."""
+    _make_parent(path)
+    try:
+        save(obj, path)
+    except OSError as exc:
+        raise ContractError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_signal(path: str, d: int, L: int) -> Signal:
     if Path(path).suffix == ".json":
         return _read(Signal.load_json, path)
@@ -159,7 +180,7 @@ def _cmd_gen(args) -> int:
         params["rect"] = args.rect
     f = generate_signal(args.kind, d, L, seed=seed, params=params)
     if args.out:
-        _save_signal(f, args.out)
+        _write(_save_signal, f, args.out)
     print(json.dumps({"kind": args.kind, "d": f.d, "L": f.L, "out": args.out}))
     return 0
 
@@ -186,7 +207,7 @@ def _cmd_transform(args) -> int:
         field = _read(CoefficientField.load_json, args.infile)
         f = reconstruct(field)
         if args.out:
-            _save_signal(f, args.out)
+            _write(_save_signal, f, args.out)
         print(json.dumps({"inverse": True, "d": f.d, "L": f.L, "out": args.out}))
         return 0
     d, L, _ = _grid_args(args)
@@ -194,7 +215,7 @@ def _cmd_transform(args) -> int:
     fam = AdaptedFamily.make(args.family, f.d)
     field = coefficients(f, fam)
     if args.out:
-        field.save_json(args.out)
+        _write(CoefficientField.save_json, field, args.out)
     print(
         json.dumps(
             {"family": args.family, "energy": field.energy(), "out": args.out}
@@ -215,7 +236,7 @@ def _cmd_paraproduct(args) -> int:
         return 0
     b = eval_B(spec, (f1, f2))
     if args.out:
-        _save_signal(b, args.out)
+        _write(_save_signal, b, args.out)
     print(
         json.dumps(
             {"l1": lp_norm(b, 1.0), "l2": lp_norm(b, 2.0), "out": args.out}
@@ -242,6 +263,7 @@ def _cmd_verify(args, parser) -> int:
     if args.suite not in SUITE_NAMES:
         parser.error(f"unknown suite {args.suite!r}")
     cfg = _make_config(args, suite=args.suite)
+    _make_parent(cfg.out)  # before the first trial
     report, code = run_suite(cfg)
     for check in report["checks"]:
         status = "pass" if check["ok"] else "FAIL"
@@ -253,6 +275,7 @@ def _cmd_verify(args, parser) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _make_config(args, suite="sweep")
+    _make_parent(cfg.out)  # before the first trial
     report = run_sweep(cfg)
     for row in report["rows"]:
         print(

@@ -30,7 +30,7 @@ from .lattice import (
 )
 from .operators import OperatorSpec, _above_dyadic, governing_operator, restricted_operator
 from .paraproducts import ParaproductSpec, eval_B, eval_Lambda, slot_operator_specs
-from .signals import Signal, lp_norm
+from .signals import Signal, _Adopted, lp_norm
 from .transforms import _gather, _member_slots, lattice_rectangles
 
 FRACTION = 0.01  # bad-set fraction per hypothesis
@@ -54,12 +54,21 @@ def _blocks(values: np.ndarray, L: int, levels) -> np.ndarray:
     return values.reshape(shape).transpose(order)
 
 
-def _mth_largest(v: np.ndarray, frac: float) -> np.ndarray:
-    """Over the last axis of `v` (a copy, partitioned in place), the m-th
-    largest value, m = ceil(frac * length), which exceeds a threshold t iff
-    t is exceeded on >= frac of the entries."""
-    cells = v.shape[-1]
+def _mth_largest(
+    blocks: np.ndarray, frac: float, cell_axes: int, owned: bool = False
+) -> np.ndarray:
+    """Per block, the m-th largest of its cells, m = ceil(frac * cells),
+    which exceeds a threshold t iff t is exceeded on >= frac of the cells.
+    The last `cell_axes` axes of `blocks` hold the cells of a block.  At
+    m = 1 (every block of at most 100 cells at the 1/100 fraction) that is
+    the block maximum, read in place; otherwise the cells are partitioned
+    in a copy, or in `blocks` itself when the caller `owned` it."""
+    lead = blocks.shape[: blocks.ndim - cell_axes]
+    cells = math.prod(blocks.shape[len(lead) :])
     m = math.ceil(cells * frac)
+    if m == 1:
+        return blocks.max(axis=tuple(range(len(lead), blocks.ndim)))
+    v = (blocks if owned else blocks.copy()).reshape(lead + (cells,))
     v.partition(cells - m, axis=-1)
     return v[..., cells - m]
 
@@ -68,11 +77,11 @@ def _quantile_tensor(values: np.ndarray, L: int, keys, width: int, frac: float) 
     """A coefficient-layout tensor of `width` slots per axis: at the slot of
     each rectangle R whose level tuple is in `keys`, the m-th largest cell
     value on R (`_mth_largest`); every other slot is left unset."""
-    q = np.empty((width,) * values.ndim)
+    d = values.ndim
+    q = np.empty((width,) * d)
     for levels in keys:
-        v = _blocks(values, L, levels).copy()
         q[tuple(slice(1 << k, 2 << k) for k in levels)] = _mth_largest(
-            v.reshape([1 << k for k in levels] + [-1]), frac
+            _blocks(values, L, levels), frac, d
         )
     return q
 
@@ -189,8 +198,7 @@ def _hypothesis_threshold(t: Signal, collection: RectangleCollection) -> float:
         groups.setdefault(key, []).append(position)
     tops = [
         _mth_largest(
-            _blocks(t.values, t.L, key)[tuple(zip(*members))].reshape(len(members), -1),
-            FRACTION,
+            _blocks(t.values, t.L, key)[tuple(zip(*members))], FRACTION, t.d, owned=True
         )
         for key, members in groups.items()
     ]
@@ -441,7 +449,7 @@ def one_sided_support_builder(L: int, level: Optional[int] = None):
             values[hi:] = 1.0
         else:
             values[:lo] = 1.0
-        return collection, Signal(1, L, values)
+        return collection, Signal(1, L, _Adopted(values))
 
     return build
 
@@ -615,7 +623,7 @@ def _decompose(
 
     e3_prime = e3 & ~state.omega_tilde
     base = cfg.f3 if cfg.f3 is not None else Signal.constant(d, L, 1.0)
-    f3 = Signal(d, L, np.clip(base.values, -1.0, 1.0)).restrict(e3_prime)
+    f3 = Signal(d, L, _Adopted(np.clip(base.values, -1.0, 1.0))).restrict(e3_prime)
     fs = (f1, f2, f3)
     labelled = list(range(leading)) + [2]
     t_values = dict(enumerate(state.t_values))

@@ -78,11 +78,13 @@ class AdaptedFamily:
             zero_pattern = (_DEFAULT_ZERO[kind],) * d
         return cls(kind, d, tuple(zero_pattern), N=N)
 
-    @property
+    # computed on the first read and kept in the instance dict: the fields
+    # never change, and the transforms read both on every call
+    @functools.cached_property
     def is_orthonormal_basis(self) -> bool:
         return self.kind == "haar" and all(self.zero_pattern)
 
-    @property
+    @functools.cached_property
     def is_smooth(self) -> bool:
         return self.kind in ("gaussian-smooth", "gaussian-bump")
 

@@ -48,7 +48,14 @@ from .paraproducts import (
     slot_operator_specs,
     standard_triple,
 )
-from .signals import Signal, _check_resolution, conjugate_exponent, lp_norm, weak_quasinorm
+from .signals import (
+    Signal,
+    _Adopted,
+    _check_resolution,
+    conjugate_exponent,
+    lp_norm,
+    weak_quasinorm,
+)
 from .transforms import CoefficientField, coefficients, lattice_rectangles, reconstruct
 
 SUITE_NAMES = (
@@ -144,7 +151,7 @@ def generate_signal(kind: str, d: int, L: int, seed: int = 0, params=None) -> Si
         return Signal(d, L, AdaptedFamily.smooth_bump(d).rectangle_profile(rect, L))
     rng = np.random.default_rng(seed)
     if kind == "random-cells":
-        return Signal(d, L, rng.standard_normal(((1 << L),) * d))
+        return Signal(d, L, _Adopted(rng.standard_normal(((1 << L),) * d)))
     if kind == "random-haar":
         return random_haar(rng, d, L)
     raise ContractError(f"unknown signal kind {kind!r}")
@@ -153,12 +160,12 @@ def generate_signal(kind: str, d: int, L: int, seed: int = 0, params=None) -> Si
 def random_haar(rng: np.random.Generator, d: int, L: int) -> Signal:
     _check_resolution(d, L)
     tensor = rng.standard_normal(((1 << L),) * d)
-    return reconstruct(CoefficientField(d, L, AdaptedFamily.haar(d), tensor))
+    return reconstruct(CoefficientField(d, L, AdaptedFamily.haar(d), _Adopted(tensor)))
 
 
 def random_cells(rng: np.random.Generator, d: int, L: int) -> Signal:
     _check_resolution(d, L)
-    return Signal(d, L, rng.standard_normal(((1 << L),) * d))
+    return Signal(d, L, _Adopted(rng.standard_normal(((1 << L),) * d)))
 
 
 def normalize(f: Signal, p: float) -> Signal:
@@ -392,7 +399,7 @@ def surgery_corpus(rng, L: int):
     v2 = 0.35 * rng.standard_normal(n)
     v1[int(rng.integers(0, n))] = 8.0
     v2[int(rng.integers(0, n))] = -6.0
-    return Signal(1, L, v1), Signal(1, L, v2)
+    return Signal(1, L, _Adopted(v1)), Signal(1, L, _Adopted(v2))
 
 
 def _surgery_checks(cfg: ExperimentConfig):
@@ -833,20 +840,26 @@ def _json_default(obj):
 
 
 def write_report(report: dict, cfg: ExperimentConfig):
+    """Write `report` to `cfg.out` (and its rows beside it as CSV), making
+    missing parent directories; an OSError while writing is a
+    `ContractError` ("cannot write <out>")."""
     if not cfg.out:
         return
     out = Path(cfg.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(report_json(report) + "\n")
-    if cfg.format == "csv":
-        rows = report.get("rows") or report.get("checks") or []
-        if rows:
-            keys = sorted({k for row in rows for k in row})
-            with out.with_suffix(".csv").open("w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=keys)
-                writer.writeheader()
-                for row in rows:
-                    writer.writerow({k: _csv_cell(row.get(k)) for k in keys})
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(report_json(report) + "\n")
+        if cfg.format == "csv":
+            rows = report.get("rows") or report.get("checks") or []
+            if rows:
+                keys = sorted({k for row in rows for k in row})
+                with out.with_suffix(".csv").open("w", newline="") as fh:
+                    writer = csv.DictWriter(fh, fieldnames=keys)
+                    writer.writeheader()
+                    for row in rows:
+                        writer.writerow({k: _csv_cell(row.get(k)) for k in keys})
+    except OSError as exc:
+        raise ContractError(f"cannot write {cfg.out}: {exc}") from exc
 
 
 def _csv_cell(value):

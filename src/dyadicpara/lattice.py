@@ -290,7 +290,7 @@ class RectangleCollection:
     def __post_init__(self):
         if len({len(r.axes) for r in self.members}) > 1:
             raise ContractError("rectangles in a collection must share d")
-        if self.members and self._levels_slots[0].max() > self.L:
+        if self._levels_slots[2] > self.L:
             r = min(r for r in self.members if max(r.levels) > self.L)
             raise ResolutionError(f"rectangle {r.to_json()} is below resolution L={self.L}")
 
@@ -298,7 +298,7 @@ class RectangleCollection:
     def of(cls, rects: Iterable[DyadicRectangle], L: int) -> "RectangleCollection":
         return cls(frozenset(rects), L)
 
-    @property
+    @functools.cached_property
     def d(self) -> int:
         if not self.members:
             return 0
@@ -315,13 +315,18 @@ class RectangleCollection:
 
     @functools.cached_property
     def _levels_slots(self) -> tuple:
-        """(levels, slots): per member and axis, the interval level k and its
-        slot 2^k + j.  Read through `transforms._member_slots`."""
+        """(levels, index, top): per member and axis, the interval level k,
+        one row per member; the members' slots 2^k + j, as d read-only
+        index arrays with one entry per member; and the top level, -1 for
+        no member.  Built once per collection and read through
+        `transforms._member_slots`, several times per collection."""
         d = self.d or 1
         axes = [a for r in self.members for a in r.axes]
         levels = np.array([a.level for a in axes], dtype=np.intp).reshape(-1, d)
         positions = np.array([a.position for a in axes], dtype=np.intp).reshape(-1, d)
-        return levels, (1 << levels) + positions
+        slots = (1 << levels) + positions
+        levels.flags.writeable = slots.flags.writeable = False
+        return levels, tuple(slots.T), int(levels.max(initial=-1))
 
     def shadow_mask(self) -> np.ndarray:
         """Boolean grid marking every cell covered by some member: the

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ContractError
 from .families import AdaptedFamily
-from .signals import Signal, lp_norm
+from .signals import Signal, _Adopted, lp_norm
 from .transforms import _fold_up, _gather, _per_rectangle, _rectangle_weights, _spread
 from .transforms import _weight_table
 from .transforms import coefficients, lattice_rectangles
@@ -28,7 +28,7 @@ def _extended_square(f: Signal) -> np.ndarray:
 
 def h1_norm(f: Signal) -> float:
     """||f||_1 plus the L^1 norm of the complete Haar square function."""
-    sq = Signal(f.d, f.L, _extended_square(f))
+    sq = Signal(f.d, f.L, _Adopted(_extended_square(f)))
     return lp_norm(f, 1.0) + lp_norm(sq, 1.0)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ContractError
 from .families import AdaptedFamily
 from .lattice import RectangleCollection
-from .signals import Signal
+from .signals import Signal, _Adopted, _checked_cells
 from .transforms import CoefficientField, _rectangle_weights, _spread, coefficients
 
 SQUARE = "square"
@@ -119,12 +119,14 @@ def governing_operator(
             "coefficient field does not match the operator family and grid"
         )
     d, L = f.d, f.L
-    # the cells of the whole lattice are kept on the field, per norm choice
-    # and nesting order, and every output made from them shares one
+    # the cells of the whole lattice are kept on the field, read-only, per
+    # norm choice and nesting order.  Every output made from them is a view
+    # of them, which numpy refuses to make writeable, and they share one
     # hypothesis memo: their values are equal
     key = (tuple(spec.sigma), spec.pi)
-    if collection is None and key in field._cells:
-        return _sharing_level_sets(Signal(d, L, field._cells[key]), field._level_sets[key])
+    kept = field._cells.get(key) if collection is None else None
+    if kept is not None:
+        return _kept_output(d, L, kept, field._level_sets[key])
     acc = np.abs(field.tensor) * _rectangle_weights(d, L, 0.5, collection)
 
     # innermost norm first; a run of square coordinates sums squares
@@ -139,13 +141,15 @@ def governing_operator(
         acc = _spread(acc, coord, L, np.add)
         if i == d - 1 or spec.sigma[order[i + 1]] == MAX:
             acc = np.sqrt(acc)
-    if collection is None:
-        field._cells[key] = acc
-        return _sharing_level_sets(Signal(d, L, acc), field._level_sets.setdefault(key, {}))
-    return Signal(d, L, acc)
+    if collection is not None:
+        return Signal(d, L, _Adopted(acc))
+    # checked once here; each output then checks only its grid's range
+    field._cells[key] = kept = _checked_cells(d, L, _Adopted(acc))
+    return _kept_output(d, L, kept, field._level_sets.setdefault(key, {}))
 
 
-def _sharing_level_sets(out: Signal, memo: dict) -> Signal:
+def _kept_output(d: int, L: int, kept: np.ndarray, memo: dict) -> Signal:
+    out = Signal(d, L, _Adopted(kept.view(), checked=True))
     object.__setattr__(out, "_level_sets", memo)
     return out
 
@@ -181,4 +185,4 @@ def conditional_expectation(f: Signal, intervals) -> Signal:
     for iv in intervals:
         lo, hi = iv.cells(f.L)
         out[lo:hi] = math.fsum(out[lo:hi]) / (hi - lo)
-    return Signal(1, f.L, out)
+    return Signal(1, f.L, _Adopted(out))

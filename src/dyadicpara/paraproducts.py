@@ -32,7 +32,7 @@ from .operators import (
     governing_operator,
     maximal_function,
 )
-from .signals import Signal
+from .signals import Signal, _Adopted
 from .transforms import (
     CoefficientField,
     _member_slots,
@@ -155,8 +155,8 @@ def eval_B(
     if out_family.is_orthonormal_basis:
         # the same synthesis, through `reconstruct`, whose call count the
         # benchmark pins: the branch can go once counts are unpinned (ROADMAP item 1)
-        return reconstruct(CoefficientField(d, L, out_family, weights))
-    return Signal(d, L, _synthesis(weights, out_family, L))
+        return reconstruct(CoefficientField(d, L, out_family, _Adopted(weights)))
+    return Signal(d, L, _Adopted(_synthesis(weights, out_family, L)))
 
 
 def _abs_product(spec, fs, index=...) -> np.ndarray:
@@ -204,7 +204,7 @@ def eval_L(
     )
     for axis in range(d):
         acc = _spread(acc, axis, L, np.add)
-    return Signal(d, L, acc)
+    return Signal(d, L, _Adopted(acc))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 A signal stores one value per grid cell of the unit torus [0, 1)^d
 (row-major over axes); every cell has measure 2^(-dL).  Values are copied
 on construction and kept read-only, so signals can be shared freely.
+Inside the package, an array just allocated for a new signal is adopted
+instead (`_Adopted`): it passes the same checks, without the copy.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,6 +46,61 @@ def _check_resolution(d: int, L: int):
         raise ContractError(f"resolution L={L} outside [0, {top}] for d={d}")
 
 
+class _Adopted(NamedTuple):
+    """An array that the package has just allocated, handed to `Signal` or
+    `CoefficientField` in place of values to copy: no one else holds it,
+    so the constructor checks it and makes it read-only, together with the
+    array that owns its memory, without copying it (unless a signal needs
+    it in C order).  `checked` marks a read-only view of cells that have
+    already passed a signal's checks: then only the range check runs."""
+
+    array: np.ndarray
+    checked: bool = False
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """`arr` made read-only, and the array that owns its memory with it, so
+    that no view of it can be made writeable again."""
+    arr.flags.writeable = False
+    if isinstance(arr.base, np.ndarray):
+        arr.base.flags.writeable = False
+    return arr
+
+
+def _signal_values(d: int, L: int, values) -> np.ndarray:
+    """The checks of every signal's values, copied or adopted: d and L in
+    range (read through `level_cap`), then `_checked_cells`, unless the
+    values are adopted cells that have passed it already."""
+    if d < 1:
+        raise ContractError("parameter count d must be >= 1")
+    if not 0 <= L <= level_cap(d) + 1:
+        raise ContractError(f"resolution L={L} outside [0, {level_cap(d) + 1}] for d={d}")
+    if isinstance(values, _Adopted) and values.checked:
+        return values.array
+    return _checked_cells(d, L, values)
+
+
+def _checked_cells(d: int, L: int, values) -> np.ndarray:
+    """`values` as float64 in C order (copied, or adopted with a copy only
+    when it is not), 2^(dL) of them, flat or on the grid, all finite; the
+    array is returned read-only."""
+    if isinstance(values, _Adopted):
+        arr = np.ascontiguousarray(values.array, dtype=float)
+    else:
+        arr = np.array(_real(values, "signal values"), dtype=float, order="C")
+    grid = _grid_shape(d, L)
+    if arr.shape != grid:
+        if arr.shape != (1 << (d * L),):
+            raise ContractError(
+                f"need 2^{d * L} values, flat or of shape {grid}, got shape {arr.shape}"
+            )
+        arr = arr.reshape(grid)
+    # count_nonzero skips the Python wrapper of ndarray.all
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
+        raise ContractError("signal values must be finite")
+    return _frozen(arr)
+
+
 @dataclass(frozen=True, eq=False)
 class Signal:
     """Signals compare and hash by identity.  `_fields` holds the
@@ -51,61 +108,45 @@ class Signal:
     derived from this signal; it lives exactly as long as the signal.
     `_level_sets` is the memo of `decomposition.hypothesis_holds`, made on
     its first call, or the memo that every whole-lattice output of one
-    operator on one field shares (see `operators.governing_operator`)."""
+    operator on one field shares (see `operators.governing_operator`).
+    `_norms` is the memo of `lp_norm`, per exponent, made on its first
+    call."""
 
     d: int
     L: int
     values: np.ndarray
     _fields: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _level_sets: Optional[dict] = field(init=False, repr=False, compare=False, default=None)
+    _norms: Optional[dict] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ContractError("parameter count d must be >= 1")
-        if not 0 <= self.L <= level_cap(self.d) + 1:
-            raise ContractError(
-                f"resolution L={self.L} outside [0, {level_cap(self.d) + 1}] for d={self.d}"
-            )
-        arr = np.array(_real(self.values, "signal values"), dtype=float, order="C")
-        grid = _grid_shape(self.d, self.L)
-        if arr.shape != grid:
-            if arr.shape != (1 << (self.d * self.L),):
-                raise ContractError(
-                    f"need 2^{self.d * self.L} values, flat or of shape {grid}, "
-                    f"got shape {arr.shape}"
-                )
-            arr = arr.reshape(grid)
-        # count_nonzero skips the Python wrapper of ndarray.all
-        if np.count_nonzero(np.isfinite(arr)) != arr.size:
-            raise ContractError("signal values must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _signal_values(self.d, self.L, self.values))
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zeros(cls, d: int, L: int) -> "Signal":
         _check_resolution(d, L)
-        return cls(d, L, np.zeros(_grid_shape(d, L)))
+        return cls(d, L, _Adopted(np.zeros(_grid_shape(d, L))))
 
     @classmethod
     def constant(cls, d: int, L: int, c: float) -> "Signal":
         _check_resolution(d, L)
-        return cls(d, L, np.full(_grid_shape(d, L), float(c)))
+        return cls(d, L, _Adopted(np.full(_grid_shape(d, L), float(c))))
 
     @classmethod
     def indicator(cls, rect: DyadicRectangle, L: int) -> "Signal":
         _check_resolution(rect.d, L)
         out = np.zeros(_grid_shape(rect.d, L))
         out[rect.cell_slices(L)] = 1.0
-        return cls(rect.d, L, out)
+        return cls(rect.d, L, _Adopted(out))
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "Signal":
         mask = np.asarray(mask)
         d = mask.ndim
         L = int(mask.shape[0]).bit_length() - 1
-        return cls(d, L, mask.astype(float))
+        return cls(d, L, _Adopted(mask.astype(float)))
 
     # -- basic geometry ------------------------------------------------
 
@@ -120,7 +161,8 @@ class Signal:
     # -- arithmetic (all return new signals) ---------------------------
 
     def _like(self, values: np.ndarray) -> "Signal":
-        return Signal(self.d, self.L, values)
+        """A signal on the same grid, adopting `values`, a new array."""
+        return Signal(self.d, self.L, _Adopted(values))
 
     def _check_peer(self, other: "Signal"):
         if (self.d, self.L) != (other.d, other.L):
@@ -186,9 +228,20 @@ class Signal:
 
 
 def lp_norm(f: Signal, p: float) -> float:
-    """(integral |f|^p)^(1/p) with cell-measure weighting; p=inf gives sup."""
+    """(integral |f|^p)^(1/p) with cell-measure weighting; p=inf gives sup.
+    Kept on the signal per exponent, so a second call reads the first."""
     if not p > 0:  # also refuses NaN
         raise ContractError("exponent p must be positive")
+    if f._norms is None:
+        object.__setattr__(f, "_norms", {})
+    key = float(p)  # a 0-d array exponent is not hashable
+    value = f._norms.get(key)
+    if value is None:
+        value = f._norms[key] = _lp_norm(f, p)
+    return value
+
+
+def _lp_norm(f: Signal, p: float) -> float:
     a = np.abs(f.values)
     if math.isinf(p):
         return float(a.max()) if a.size else 0.0

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ContractError, ResolutionError, UnsupportedFamilyError
 from .families import AdaptedFamily
 from .lattice import DyadicInterval, DyadicRectangle, _json_index, enumerate_rectangles
-from .signals import Signal, _check_resolution, _real
+from .signals import Signal, _Adopted, _check_resolution, _frozen, _real
 
 
 def lattice_rectangles(d: int, L: int, cap=None) -> list:
@@ -48,7 +48,9 @@ def index_interval(idx: int):
 @dataclass(frozen=True, eq=False)
 class CoefficientField:
     """Fields compare and hash by identity.  The tensor is copied on
-    construction, keeping its memory layout, and kept read-only.  `_cells`
+    construction, keeping its memory layout, and kept read-only; a tensor
+    the package has just computed is adopted (`signals._Adopted`) with the
+    same checks and no copy.  `_cells`
     holds the cell array that `operators.governing_operator` aggregates
     from this field per (sigma, pi), over the whole lattice, and
     `_level_sets` the hypothesis memo its outputs share; both live exactly
@@ -65,11 +67,13 @@ class CoefficientField:
         _check_resolution(self.d, self.L)
         if self.family.d != self.d:
             raise ContractError("family and field parameter counts differ")
-        arr = np.array(_real(self.tensor, "coefficients"), dtype=float)
+        if isinstance(self.tensor, _Adopted):
+            arr = np.asarray(self.tensor.array, dtype=float)
+        else:
+            arr = np.array(_real(self.tensor, "coefficients"), dtype=float)
         if arr.shape != ((1 << self.L),) * self.d:
             raise ContractError("coefficient tensor has the wrong shape")
-        arr.flags.writeable = False
-        object.__setattr__(self, "tensor", arr)
+        object.__setattr__(self, "tensor", _frozen(arr))
 
     def rectangle_coefficient(self, rect: DyadicRectangle) -> float:
         idx = tuple(flat_index(a.level, a.position) for a in rect.axes)
@@ -307,12 +311,11 @@ def _member_slots(collection, d: int, L: int, leaves: bool = False) -> tuple:
         return (np.empty(0, dtype=np.intp),) * d, np.empty((0, d), dtype=np.intp), 1 << L
     if collection.d != d:
         raise ContractError("collection and tensor parameter counts differ")
-    levels, slots = collection._levels_slots
-    top = int(levels.max())
+    levels, index, top = collection._levels_slots
     if top >= L + leaves:
         rect = min(r for r in collection.members if max(r.levels) >= L + leaves)
         raise ResolutionError(f"rectangle {rect.to_json()} has no slot at resolution L={L}")
-    return tuple(slots.T), levels, (2 if top == L else 1) << L
+    return index, levels, (2 if top == L else 1) << L
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +477,9 @@ def coefficients(f: Signal, family: AdaptedFamily) -> CoefficientField:
     matrices = []
     if not family.is_orthonormal_basis:
         matrices = [family.profile_matrix(axis, f.L) for axis in range(f.d)]
-    if family in f._fields:
-        return f._fields[family]
+    out = f._fields.get(family)
+    if out is not None:
+        return out
     # the cell measure is a power of two: scaling the input once rounds every
     # product as scaling each matrix would (outside the subnormal range)
     tensor = f.values * f.cell_measure
@@ -486,7 +490,7 @@ def coefficients(f: Signal, family: AdaptedFamily) -> CoefficientField:
             tensor = _step_analysis_axis(tensor, axis, f.L, family.zero_pattern[axis])
             if not family.is_orthonormal_basis:
                 tensor[(slice(None),) * axis + (0,)] = 0.0
-    out = f._fields[family] = CoefficientField(f.d, f.L, family, tensor)
+    out = f._fields[family] = CoefficientField(f.d, f.L, family, _Adopted(tensor))
     return out
 
 
@@ -494,4 +498,4 @@ def reconstruct(c: CoefficientField) -> Signal:
     """Synthesis inverse of `coefficients`, Haar families only."""
     if not c.family.is_orthonormal_basis:
         raise UnsupportedFamilyError("reconstruction requires the orthonormal haar family")
-    return Signal(c.d, c.L, _synthesis(c.tensor, c.family, c.L))
+    return Signal(c.d, c.L, _Adopted(_synthesis(c.tensor, c.family, c.L)))

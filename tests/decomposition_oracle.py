@@ -8,6 +8,11 @@ The package now does each of these on coefficient-layout tensors; these
 copies of the old functions, unchanged (the method `shadow_mask` as a
 function of the collection), serve the tests.
 
+Three smaller pieces are kept the same way: the slot table that
+`RectangleCollection._levels_slots` built before it kept the index tuple
+and the top level, `_mth_largest` before its block-maximum shortcut at
+m = 1, and `lp_norm` before it kept its result on the signal.
+
 One known difference: at `frac * cells >= cells - 1` the old
 `hypothesis_holds` reads the partition at index `-1`, the largest value, so
 with `frac = 1` it can report a hypothesis that always holds as failing.
@@ -141,3 +146,40 @@ def _collection_slots(collection, d: int, L: int) -> np.ndarray:
     keep = np.zeros(((1 << L),) * d, dtype=bool)
     keep[tuple(np.array(rows, dtype=np.intp).reshape(-1, d).T)] = True
     return keep
+
+
+def levels_slots(collection: RectangleCollection) -> tuple:
+    """(levels, slots): per member and axis, the interval level k and its
+    slot 2^k + j."""
+    d = collection.d or 1
+    axes = [a for r in collection.members for a in r.axes]
+    levels = np.array([a.level for a in axes], dtype=np.intp).reshape(-1, d)
+    positions = np.array([a.position for a in axes], dtype=np.intp).reshape(-1, d)
+    return levels, (1 << levels) + positions
+
+
+def mth_largest(v: np.ndarray, frac: float) -> np.ndarray:
+    """Over the last axis of `v` (a copy, partitioned in place), the m-th
+    largest value, m = ceil(frac * length), which exceeds a threshold t iff
+    t is exceeded on >= frac of the entries."""
+    cells = v.shape[-1]
+    m = math.ceil(cells * frac)
+    v.partition(cells - m, axis=-1)
+    return v[..., cells - m]
+
+
+def lp_norm(f: Signal, p: float) -> float:
+    """(integral |f|^p)^(1/p) with cell-measure weighting; p=inf gives sup."""
+    if not p > 0:  # also refuses NaN
+        raise ContractError("exponent p must be positive")
+    a = np.abs(f.values)
+    if math.isinf(p):
+        return float(a.max()) if a.size else 0.0
+    with np.errstate(over="ignore"):
+        value = float(((a**p).sum() * f.cell_measure) ** (1.0 / p))
+    if value == 0.0 or math.isinf(value):
+        # a**p may have left the float range: take powers of |f| / max|f|
+        m = float(a.max())
+        if m > 0.0:
+            value = m * float((((a / m) ** p).sum() * f.cell_measure) ** (1.0 / p))
+    return value

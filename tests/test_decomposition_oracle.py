@@ -5,13 +5,16 @@ Labels, classes, hypothesis flags and masks must be equal, not close:
 every step counts or compares, so nothing is rounded differently.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dyadicpara import RectangleCollection, ResolutionError, Signal, lattice_rectangles
-from dyadicpara import decomposition, transforms
+from dyadicpara import ContractError, RectangleCollection, ResolutionError, Signal
+from dyadicpara import decomposition, lattice_rectangles, lp_norm, rectangle, transforms
 from dyadicpara.lattice import enumerate_rectangles
 
 import decomposition_oracle as oracle
@@ -136,3 +139,103 @@ def test_masks_equal_oracle_property(grid, seed, at_grid_level, empty):
             weights = transforms._rectangle_weights(d, coeff_L, 0.5, collection)
             whole = transforms._rectangle_weights(d, coeff_L, 0.5)
             assert np.array_equal(weights, np.where(want, whole, 0.0))
+
+
+@pytest.mark.parametrize("d, L", [(1, 0), (1, 5), (2, 0), (2, 3), (3, 2)])
+def test_slot_table_equals_the_old_comprehension(d, L):
+    rng = np.random.default_rng(d * 10 + L)
+    rects = enumerate_rectangles(d, L, cap=L)
+    collections = [
+        RectangleCollection.of([], L),
+        RectangleCollection.of(rects[:1], L),
+        RectangleCollection.of(rects[-1:], L),  # every side at level L
+        RectangleCollection.of([r for r in rects if rng.random() < 0.4], L),
+    ]
+    for collection in collections:
+        levels, index, top = collection._levels_slots
+        want_levels, want_slots = oracle.levels_slots(collection)
+        assert levels.dtype == want_levels.dtype and np.array_equal(levels, want_levels)
+        assert len(index) == want_slots.shape[1]
+        for axis, slots in enumerate(index):
+            assert slots.dtype == np.intp and np.array_equal(slots, want_slots[:, axis])
+        assert top == (int(want_levels.max()) if collection.members else -1)
+        assert not levels.flags.writeable
+        assert not any(slots.flags.writeable for slots in index)
+        if collection.members:  # built once: every read returns the same arrays
+            assert transforms._member_slots(collection, d, L, leaves=True)[0] is index
+
+
+def test_slot_table_is_never_built_for_mixed_d():
+    with pytest.raises(ContractError, match="must share d"):
+        RectangleCollection.of([rectangle((1, 0)), rectangle((1, 0), (1, 1))], 2)
+
+
+def _ties(rng, shape):
+    """Nonnegative values, as operator values are, with many ties and zeros."""
+    return rng.integers(0, 4, shape).astype(float) * rng.choice([0.25, 3.0, 1e-300])
+
+
+@pytest.mark.parametrize("frac", [0.01, 0.5, 1.0])
+def test_block_maximum_equals_the_partition(frac):
+    rng = np.random.default_rng(7)
+    for cells in range(1, 201):
+        v = _ties(rng, (3, cells))
+        v.flags.writeable = False
+        want = oracle.mth_largest(v.copy(), frac)
+        got = decomposition._mth_largest(v, frac, 1)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        owned = v.copy()
+        got = decomposition._mth_largest(owned, frac, 1, owned=True)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("frac", [0.01, 0.5, 1.0])
+@pytest.mark.parametrize("d, L", [(1, 7), (2, 4), (3, 3)])
+def test_block_maximum_over_several_cell_axes_equals_the_partition(frac, d, L):
+    rng = np.random.default_rng(d + L)
+    values = _ties(rng, ((1 << L),) * d)
+    values.flags.writeable = False
+    for levels in itertools.product(range(L + 1), repeat=d):
+        blocks = decomposition._blocks(values, L, levels)
+        want = oracle.mth_largest(blocks.reshape([1 << k for k in levels] + [-1]).copy(), frac)
+        got = decomposition._mth_largest(blocks, frac, d)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 4.0, np.inf])
+def test_lp_norm_memo_equals_a_fresh_computation(p):
+    rng = np.random.default_rng(11)
+    inputs = [
+        rng.standard_normal(64),
+        np.zeros(64),
+        rng.standard_normal(64) * 1e200,  # p = 4 leaves the float range
+        rng.standard_normal(64) * 1e-200,
+    ]
+    for values in inputs:
+        f = Signal(1, 6, values)
+        assert f._norms is None
+        first, again = lp_norm(f, p), lp_norm(f, p)
+        want = oracle.lp_norm(Signal(1, 6, values), p)
+        assert first == again == want and math.copysign(1.0, first) == 1.0
+        assert f._norms == {p: want}
+        # a signal on the same values starts with no memo
+        g = Signal(1, 6, values)
+        assert g._norms is None
+        assert lp_norm(g, p) == want and f._norms == {p: want}
+
+
+def test_lp_norm_memo_takes_an_array_exponent():
+    values = np.random.default_rng(12).standard_normal(16)
+    want = oracle.lp_norm(Signal(1, 4, values), 3.0)
+    f = Signal(1, 4, values)
+    assert lp_norm(f, np.array(3.0)) == want
+    assert lp_norm(f, np.float64(3.0)) == lp_norm(f, 3) == want
+    assert f._norms == {3.0: want}
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, math.nan])
+def test_lp_norm_refuses_before_the_memo_is_read(p):
+    f = Signal(1, 2, [1.0, 2.0, 3.0, 4.0])
+    object.__setattr__(f, "_norms", {p: 1.0})  # a planted entry is never read
+    with pytest.raises(ContractError, match="positive"):
+        lp_norm(f, p)

@@ -476,6 +476,65 @@ def test_cli_sweep_refuses_resolutions_not_strictly_increasing_exit_2(tmp_path, 
     assert not out.exists()
 
 
+def _cli_inputs(tmp_path):
+    sig = tmp_path / "f.json"
+    assert main(["gen", "--L", "3", "--out", str(sig)]) == 0
+    return ["--in", str(sig)], ["--f1", str(sig), "--f2", str(sig)]
+
+
+_OUT_VERBS = {
+    "gen": lambda single, pair: ["gen", "--L", "3"],
+    "transform": lambda single, pair: ["transform", *single],
+    "paraproduct": lambda single, pair: ["paraproduct", *pair],
+    "verify": lambda single, pair: ["verify", "norms", "--L", "3", "--trials", "2"],
+    "sweep": lambda single, pair: ["sweep", "--L-list", "2,3", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_OUT_VERBS))
+def test_cli_out_makes_its_missing_directories(tmp_path, capsys, verb):
+    args = _OUT_VERBS[verb](*_cli_inputs(tmp_path))
+    out = tmp_path / "new" / "dir" / "out.json"
+    assert main([*args, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("verb", sorted(_OUT_VERBS))
+def test_cli_unwritable_out_exit_2_before_any_trial(tmp_path, capsys, monkeypatch, verb):
+    args = _OUT_VERBS[verb](*_cli_inputs(tmp_path))
+    capsys.readouterr()
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" / "out.json"
+
+    def no_trial(*_):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_trial_rng", no_trial)
+    assert main([*args, "--out", str(out)]) == 2
+    assert f"contract error: cannot write {out}: " in capsys.readouterr().err
+
+
+def test_cli_out_that_is_a_directory_exit_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert main(["verify", "norms", "--L", "3", "--trials", "2", "--out", str(out)]) == 2
+    assert f"contract error: cannot write {out}: " in capsys.readouterr().err
+
+
+def test_cli_os_error_inside_a_suite_is_not_a_write_error(tmp_path, monkeypatch):
+    # only the report's own write is translated; an OSError from a trial
+    # propagates as it is
+    def failing_trial(*_):
+        raise OSError("not the output")
+
+    monkeypatch.setattr(harness, "_trial_rng", failing_trial)
+    out = tmp_path / "r.json"
+    with pytest.raises(OSError, match="not the output"):
+        main(["verify", "norms", "--L", "3", "--trials", "2", "--out", str(out)])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("suite", ["restricted-weak", "endpoint", "domination"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_rectangle_suites_keep_running_at_L1(suite, d):

@@ -112,7 +112,14 @@ def test_operator_memo_hit_equals_fresh_operator(kind, d, L):
             first = governing_operator(f, spec)
             hit = governing_operator(f, spec)
             assert hit is not first
-            assert not np.shares_memory(hit.values, field._cells[(spec.sigma, spec.pi)])
+            # the kept cells are shared read-only: every output is a view
+            # of them that cannot be made writeable
+            kept = field._cells[(spec.sigma, spec.pi)]
+            assert not kept.flags.writeable
+            for out in (first, hit):
+                assert out.values is not kept and np.shares_memory(out.values, kept)
+                with pytest.raises(ValueError):
+                    out.values.flags.writeable = True
             fresh = governing_operator(Signal(d, L, f.values), spec)
             assert np.array_equal(hit.values, fresh.values)
             assert np.array_equal(first.values, fresh.values)

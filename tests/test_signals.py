@@ -16,8 +16,11 @@ from dyadicpara import (
     rectangle,
     weak_quasinorm,
 )
+from dyadicpara import OperatorSpec, coefficients, eval_B, eval_L, governing_operator, reconstruct
+from dyadicpara import standard_triple
 from dyadicpara.harness import random_cells, random_haar
 from dyadicpara.lattice import level_cap
+from dyadicpara.signals import _Adopted
 
 
 def test_lp_examples():
@@ -184,6 +187,87 @@ def test_field_copies_its_tensor():
     assert c.tensor[0, 0] == 0.0
     assert t.flags.writeable
     assert not c.tensor.flags.writeable
+
+
+# -- arrays the package allocates are adopted, with the constructor's checks --
+
+
+def test_adopted_values_are_refused_as_copied_ones_are():
+    with np.errstate(over="ignore"), pytest.raises(ContractError, match="finite"):
+        Signal(1, 1, [1e308, 1.0]) * 10.0
+    f = Signal(1, 3, np.arange(8.0))
+    with pytest.raises(ContractError, match=r"got shape \(8, 8\)"):
+        f.restrict(np.ones((8, 8), dtype=bool))  # broadcasts to another grid
+    top = level_cap(1) + 1
+    with pytest.raises(ContractError, match="outside"):
+        Signal(1, top + 1, _Adopted(np.zeros(2 << top)))
+    with pytest.raises(ContractError, match="outside"):
+        Signal.zeros(1, top + 1)
+    with pytest.raises(ContractError, match="d must be"):
+        Signal(0, 1, _Adopted(np.zeros(2)))
+    with pytest.raises(ContractError, match="shape"):
+        CoefficientField(1, 2, AdaptedFamily.haar(1), _Adopted(np.zeros(8)))
+
+
+def test_adopted_values_take_the_copy_path_layout():
+    a = np.arange(16.0).reshape(4, 4).T  # not C order: a C copy is made
+    f = Signal(2, 2, _Adopted(a))
+    assert f.values.flags.c_contiguous and np.array_equal(f.values, a)
+    flat = np.arange(16.0)
+    g = Signal(2, 2, _Adopted(flat))
+    assert g.values.shape == (4, 4) and np.shares_memory(g.values, flat)
+    # the array owning the memory is frozen too: no view can write to it
+    assert not flat.flags.writeable
+    with pytest.raises(ValueError):
+        g.values.flags.writeable = True
+
+
+def _frozen_float(arr, c_order):
+    return (
+        arr.dtype == np.float64
+        and not arr.flags.writeable
+        and (arr.flags.c_contiguous or not c_order)
+    )
+
+
+@pytest.mark.parametrize("d, L", [(1, 9), (2, 4), (3, 3)])
+def test_internal_outputs_are_read_only_float64(d, L):
+    rng = np.random.default_rng(d + L)
+    spec = standard_triple(d)
+    f1, f2, f3 = random_cells(rng, d, L), random_haar(rng, d, L), random_haar(rng, d, L)
+    signals = [f1, f2, eval_B(spec, (f1, f2)), eval_L(spec, (f1, f2, f3))]
+    fields = [coefficients(f, fam) for f, fam in zip((f1, f2, f3), spec.families)]
+    signals.append(reconstruct(fields[1]))
+    signals += [governing_operator(f1, OperatorSpec.all_max(spec.families[0])) for _ in "ab"]
+    for s in signals:
+        assert _frozen_float(s.values, c_order=True)
+    for c in fields:
+        assert _frozen_float(c.tensor, c_order=False)
+
+
+_FIELD_STRIDES = {  # the strides of the copying constructor
+    (2, 9): {"haar": (4096, 8), "smooth": (8, 4096)},
+    (3, 4): {"haar": (2048, 128, 8), "smooth": (128, 8, 2048)},
+}
+
+
+@pytest.mark.parametrize("d, L", sorted(_FIELD_STRIDES))
+@pytest.mark.parametrize(
+    "kind, family",
+    [
+        ("haar", AdaptedFamily.haar),
+        ("haar", AdaptedFamily.abs_haar),
+        ("haar", lambda d: AdaptedFamily.make("haar", d, [a % 2 == 1 for a in range(d)])),
+        ("smooth", AdaptedFamily.smooth),
+        ("smooth", AdaptedFamily.smooth_bump),
+    ],
+)
+def test_adopted_fields_keep_the_copied_layout(d, L, kind, family):
+    f = random_cells(np.random.default_rng(1), d, L)
+    fam = family(d)
+    field = coefficients(f, fam)
+    assert field.tensor.strides == _FIELD_STRIDES[d, L][kind]
+    assert CoefficientField(d, L, fam, field.tensor).tensor.strides == field.tensor.strides
 
 
 def test_signals_and_fields_compare_by_identity():
