@@ -104,7 +104,6 @@ def build_parser() -> _Parser:
     v.add_argument("--trials", type=int, default=None)
     v.add_argument("--p1", type=float, default=None)
     v.add_argument("--p2", type=float, default=None)
-    v.add_argument("--r", type=float, default=None)
     v.add_argument("--family", default=None)
     v.add_argument("--config", type=str, default=None)
 

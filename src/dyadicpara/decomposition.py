@@ -73,13 +73,13 @@ def _mth_largest(
     return v[..., cells - m]
 
 
-def _quantile_tensor(values: np.ndarray, L: int, keys, width: int, frac: float) -> np.ndarray:
-    """A coefficient-layout tensor of `width` slots per axis: at the slot of
-    each rectangle R whose level tuple is in `keys`, the m-th largest cell
-    value on R (`_mth_largest`); every other slot is left unset."""
+def _quantile_tensor(values: np.ndarray, L: int, frac: float) -> np.ndarray:
+    """A coefficient-layout tensor: at the slot of each rectangle R below
+    the grid level, the m-th largest cell value on R (`_mth_largest`); the
+    mean slots are left unset."""
     d = values.ndim
-    q = np.empty((width,) * d)
-    for levels in keys:
+    q = np.empty(values.shape)
+    for levels in itertools.product(range(L), repeat=d):
         q[tuple(slice(1 << k, 2 << k) for k in levels)] = _mth_largest(
             _blocks(values, L, levels), frac, d
         )
@@ -138,7 +138,7 @@ def classify_rectangles(
     d, L = g.d, g.L
     if L == 0:
         return {}
-    q = _quantile_tensor(g.values, L, itertools.product(range(L), repeat=d), 1 << L, frac)
+    q = _quantile_tensor(g.values, L, frac)
     labels = _greatest_levels(q[(slice(1, None),) * d].ravel(), kappa, clamp)
     return dict(zip(_rectangle_tuple(d, L - 1), labels))
 
@@ -159,17 +159,15 @@ def hypothesis_holds(
     L = t_values.L
     index, _, width = _member_slots(collection, t_values.d, L, leaves=True)
     leaves = width > 1 << L
-    if t_values._level_sets is None:
-        object.__setattr__(t_values, "_level_sets", {})
     key = (threshold, frac, leaves)
-    over = t_values._level_sets.get(key)
+    over = t_values._memo.get(key)
     if over is None:
         count = (t_values.values > threshold).astype(float)
         for axis in range(t_values.d):
             count = _gather(count, axis, L, np.add, leaves=leaves)
         over = count > _allowed_counts(t_values.d, L, frac, leaves)
         over.flags.writeable = False
-        t_values._level_sets[key] = over
+        t_values._memo[key] = over
     return not over[index].any()
 
 

@@ -151,7 +151,7 @@ def generate_signal(kind: str, d: int, L: int, seed: int = 0, params=None) -> Si
         return Signal(d, L, AdaptedFamily.smooth_bump(d).rectangle_profile(rect, L))
     rng = np.random.default_rng(seed)
     if kind == "random-cells":
-        return Signal(d, L, _Adopted(rng.standard_normal(((1 << L),) * d)))
+        return random_cells(rng, d, L)
     if kind == "random-haar":
         return random_haar(rng, d, L)
     raise ContractError(f"unknown signal kind {kind!r}")
@@ -716,6 +716,13 @@ def _check_config(cfg: ExperimentConfig, suite: str, levels):
         # NaN compares false, so it would skip every inequality it enters
         if not getattr(cfg, name) > 0:
             raise ContractError(f"{name} must be > 0, got {getattr(cfg, name)}")
+    if suite == "sweep":
+        # the sweep measures the estimate at Hoelder's exponent; no suite
+        # reads r
+        inv = sum(0.0 if math.isinf(p) else 1.0 / p for p in (cfg.p1, cfg.p2))
+        holder = 1.0 / inv if inv else math.inf
+        if not math.isclose(cfg.r, holder, rel_tol=1e-12):
+            raise ContractError(f"a sweep needs r = 1/(1/p1 + 1/p2) = {holder!r}, got {cfg.r!r}")
     if suite == "technical-lemma" and cfg.trials < _LEMMA_PATTERNS:
         raise ContractError(
             f"technical-lemma needs trials >= {_LEMMA_PATTERNS}, one per hypothesis "

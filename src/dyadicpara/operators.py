@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ContractError
 from .families import AdaptedFamily
 from .lattice import RectangleCollection
-from .signals import Signal, _Adopted, _checked_cells
+from .signals import Signal, _Adopted, _shared_view
 from .transforms import CoefficientField, _rectangle_weights, _spread, coefficients
 
 SQUARE = "square"
@@ -119,14 +119,13 @@ def governing_operator(
             "coefficient field does not match the operator family and grid"
         )
     d, L = f.d, f.L
-    # the cells of the whole lattice are kept on the field, read-only, per
-    # norm choice and nesting order.  Every output made from them is a view
-    # of them, which numpy refuses to make writeable, and they share one
-    # hypothesis memo: their values are equal
+    # the output over the whole lattice is kept on the field per norm choice
+    # and nesting order; each later call gets a read-only view of its cells
+    # that shares its memo
     key = (tuple(spec.sigma), spec.pi)
-    kept = field._cells.get(key) if collection is None else None
+    kept = field._outputs.get(key) if collection is None else None
     if kept is not None:
-        return _kept_output(d, L, kept, field._level_sets[key])
+        return _shared_view(kept)
     acc = np.abs(field.tensor) * _rectangle_weights(d, L, 0.5, collection)
 
     # innermost norm first; a run of square coordinates sums squares
@@ -141,16 +140,9 @@ def governing_operator(
         acc = _spread(acc, coord, L, np.add)
         if i == d - 1 or spec.sigma[order[i + 1]] == MAX:
             acc = np.sqrt(acc)
-    if collection is not None:
-        return Signal(d, L, _Adopted(acc))
-    # checked once here; each output then checks only its grid's range
-    field._cells[key] = kept = _checked_cells(d, L, _Adopted(acc))
-    return _kept_output(d, L, kept, field._level_sets.setdefault(key, {}))
-
-
-def _kept_output(d: int, L: int, kept: np.ndarray, memo: dict) -> Signal:
-    out = Signal(d, L, _Adopted(kept.view(), checked=True))
-    object.__setattr__(out, "_level_sets", memo)
+    out = Signal(d, L, _Adopted(acc))
+    if collection is None:
+        field._outputs[key] = out
     return out
 
 

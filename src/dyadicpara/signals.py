@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,31 +60,29 @@ class _Adopted(NamedTuple):
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """`arr` made read-only, and the array that owns its memory with it, so
-    that no view of it can be made writeable again."""
+    that no view of it can be made writeable again.  An array that owns its
+    memory could be, so a view of it is returned in its place."""
     arr.flags.writeable = False
+    if arr.base is None:
+        return arr.view()
     if isinstance(arr.base, np.ndarray):
         arr.base.flags.writeable = False
     return arr
 
 
 def _signal_values(d: int, L: int, values) -> np.ndarray:
-    """The checks of every signal's values, copied or adopted: d and L in
-    range (read through `level_cap`), then `_checked_cells`, unless the
-    values are adopted cells that have passed it already."""
+    """The checks of every signal's values: d and L in range (read through
+    `level_cap`); then, unless the values are adopted cells that have
+    passed them already, float64 in C order (copied, or adopted with a copy
+    only when it is not), 2^(dL) of them, flat or on the grid, all finite.
+    The array is returned read-only."""
     if d < 1:
         raise ContractError("parameter count d must be >= 1")
     if not 0 <= L <= level_cap(d) + 1:
         raise ContractError(f"resolution L={L} outside [0, {level_cap(d) + 1}] for d={d}")
-    if isinstance(values, _Adopted) and values.checked:
-        return values.array
-    return _checked_cells(d, L, values)
-
-
-def _checked_cells(d: int, L: int, values) -> np.ndarray:
-    """`values` as float64 in C order (copied, or adopted with a copy only
-    when it is not), 2^(dL) of them, flat or on the grid, all finite; the
-    array is returned read-only."""
     if isinstance(values, _Adopted):
+        if values.checked:
+            return values.array
         arr = np.ascontiguousarray(values.array, dtype=float)
     else:
         arr = np.array(_real(values, "signal values"), dtype=float, order="C")
@@ -103,21 +101,18 @@ def _checked_cells(d: int, L: int, values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Signal:
-    """Signals compare and hash by identity.  `_fields` holds the
-    coefficient field of each family that `transforms.coefficients` has
-    derived from this signal; it lives exactly as long as the signal.
-    `_level_sets` is the memo of `decomposition.hypothesis_holds`, made on
-    its first call, or the memo that every whole-lattice output of one
-    operator on one field shares (see `operators.governing_operator`).
-    `_norms` is the memo of `lp_norm`, per exponent, made on its first
-    call."""
+    """Signals compare and hash by identity.  `_memo` holds what is derived
+    from the values: the coefficient field per family
+    (`transforms.coefficients`), the `lp_norm` per exponent, and the level
+    sets of `decomposition.hypothesis_holds` per (threshold, frac, leaves).
+    Keys of these kinds never compare equal.  The memo lives exactly as
+    long as the signal, or is shared with the views of a kept operator
+    output (`_shared_view`)."""
 
     d: int
     L: int
     values: np.ndarray
-    _fields: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _level_sets: Optional[dict] = field(init=False, repr=False, compare=False, default=None)
-    _norms: Optional[dict] = field(init=False, repr=False, compare=False, default=None)
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _signal_values(self.d, self.L, self.values))
@@ -222,6 +217,15 @@ class Signal:
         return cls.from_json(json.loads(Path(path).read_text()))
 
 
+def _shared_view(kept: Signal) -> Signal:
+    """A new signal on a read-only view of `kept`'s cells, which numpy
+    refuses to make writeable, sharing `kept`'s memo: the values are
+    equal, so is everything derived from them."""
+    out = Signal(kept.d, kept.L, _Adopted(kept.values.view(), checked=True))
+    object.__setattr__(out, "_memo", kept._memo)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Norms
 # ---------------------------------------------------------------------------
@@ -232,12 +236,10 @@ def lp_norm(f: Signal, p: float) -> float:
     Kept on the signal per exponent, so a second call reads the first."""
     if not p > 0:  # also refuses NaN
         raise ContractError("exponent p must be positive")
-    if f._norms is None:
-        object.__setattr__(f, "_norms", {})
     key = float(p)  # a 0-d array exponent is not hashable
-    value = f._norms.get(key)
+    value = f._memo.get(key)
     if value is None:
-        value = f._norms[key] = _lp_norm(f, p)
+        value = f._memo[key] = _lp_norm(f, p)
     return value
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,18 +49,15 @@ class CoefficientField:
     """Fields compare and hash by identity.  The tensor is copied on
     construction, keeping its memory layout, and kept read-only; a tensor
     the package has just computed is adopted (`signals._Adopted`) with the
-    same checks and no copy.  `_cells`
-    holds the cell array that `operators.governing_operator` aggregates
-    from this field per (sigma, pi), over the whole lattice, and
-    `_level_sets` the hypothesis memo its outputs share; both live exactly
-    as long as the field."""
+    same checks and no copy.  `_outputs` keeps the signal that
+    `operators.governing_operator` aggregates from this field over the
+    whole lattice, per (sigma, pi); it lives exactly as long as the field."""
 
     d: int
     L: int
     family: AdaptedFamily
     tensor: np.ndarray
-    _cells: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _level_sets: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _outputs: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         _check_resolution(self.d, self.L)
@@ -71,6 +67,10 @@ class CoefficientField:
             arr = np.asarray(self.tensor.array, dtype=float)
         else:
             arr = np.array(_real(self.tensor, "coefficients"), dtype=float)
+            # an adopted tensor is not scanned: what overflows in it is
+            # refused when it reaches a signal
+            if np.count_nonzero(np.isfinite(arr)) != arr.size:
+                raise ContractError("coefficients must be finite")
         if arr.shape != ((1 << self.L),) * self.d:
             raise ContractError("coefficient tensor has the wrong shape")
         object.__setattr__(self, "tensor", _frozen(arr))
@@ -133,8 +133,6 @@ class CoefficientField:
                 raise ContractError(f"duplicate coefficient key {key}")
             seen.add(idx)
             tensor[idx] = float(v)
-            if not math.isfinite(tensor[idx]):
-                raise ContractError(f"coefficient {v!r} at key {key} is not finite")
         return cls(d, L, fam, tensor)
 
     @classmethod
@@ -477,7 +475,7 @@ def coefficients(f: Signal, family: AdaptedFamily) -> CoefficientField:
     matrices = []
     if not family.is_orthonormal_basis:
         matrices = [family.profile_matrix(axis, f.L) for axis in range(f.d)]
-    out = f._fields.get(family)
+    out = f._memo.get(family)
     if out is not None:
         return out
     # the cell measure is a power of two: scaling the input once rounds every
@@ -490,7 +488,7 @@ def coefficients(f: Signal, family: AdaptedFamily) -> CoefficientField:
             tensor = _step_analysis_axis(tensor, axis, f.L, family.zero_pattern[axis])
             if not family.is_orthonormal_basis:
                 tensor[(slice(None),) * axis + (0,)] = 0.0
-    out = f._fields[family] = CoefficientField(f.d, f.L, family, _Adopted(tensor))
+    out = f._memo[family] = CoefficientField(f.d, f.L, family, _Adopted(tensor))
     return out
 
 

@@ -377,6 +377,43 @@ def test_cli_bad_exponent_exit_2_before_any_trial(tmp_path, capsys, monkeypatch,
     assert "must be > 0" in capsys.readouterr().err
 
 
+def _no_trial(*_):
+    raise AssertionError("a trial ran")
+
+
+@pytest.mark.parametrize(
+    "p1, p2, r",
+    [(2.0, 2.0, 0.3), (2.0, 2.0, 1.5), (4.0, 4.0, 1.0), (2.0, math.inf, 1.0),
+     (math.inf, math.inf, 2.0), (2.0, 2.0, 1.0 + 1e-11), (4.0, 4.0, math.inf)],
+)
+def test_sweep_refuses_r_other_than_hoelder_before_any_trial(monkeypatch, p1, p2, r):
+    monkeypatch.setattr(harness, "_trial_rng", _no_trial)
+    cfg = ExperimentConfig(suite="sweep", L_list=(3, 4), trials=2, p1=p1, p2=p2, r=r)
+    with pytest.raises(ContractError, match=r"r = 1/\(1/p1 \+ 1/p2\)"):
+        run_sweep(cfg)
+
+
+@pytest.mark.parametrize(
+    "p1, p2, r",
+    [(2.0, 2.0, 1.0 * (1 + 1e-13)), (4.0, 4.0, 2.0), (2.0, math.inf, 2.0),
+     (math.inf, math.inf, math.inf), (3.0, 6.0, 2.0 * (1 - 1e-13))],
+)
+def test_sweep_takes_r_at_hoelder(p1, p2, r):
+    cfg = ExperimentConfig(suite="sweep", L_list=(1, 2), trials=1, p1=p1, p2=p2, r=r)
+    assert [row["L"] for row in run_sweep(cfg)["rows"]] == [1, 2]
+
+
+def test_cli_refuses_disagreeing_exponents(capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_trial_rng", _no_trial)
+    # no suite reads r: verify takes no --r
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "restricted-weak", "--p1", "2", "--p2", "2", "--r", "0.3"])
+    assert exc.value.code == 64
+    assert "unrecognized arguments: --r 0.3" in capsys.readouterr().err
+    assert main(["sweep", "--L-list", "3,4", "--p1", "2", "--p2", "2", "--r", "0.3"]) == 2
+    assert "a sweep needs r = 1/(1/p1 + 1/p2) = 1.0, got 0.3" in capsys.readouterr().err
+
+
 def test_config_exponents_read_as_floats():
     cfg = ExperimentConfig.from_json({"p1": 3, "p2": 2.5, "r": 1, "out": None, "format": "csv"})
     assert (cfg.p1, cfg.p2, cfg.r) == (3.0, 2.5, 1.0)

@@ -1,12 +1,13 @@
 """Differential oracle for the per-object memos.
 
-`transforms.coefficients` keeps each signal's coefficient field per family,
-`operators.governing_operator` keeps each field's whole-lattice cell array
-per (sigma, pi), and `decomposition.hypothesis_holds` keeps its over-budget
-slots per (threshold, frac, leaves) in a memo that every whole-lattice
-output of one (sigma, pi) on one field shares.  A memo hit must equal, bit
-for bit, a fresh computation on a copy of the signal (a new object with
-empty memos), must still make every public call, and must not outlive its
+Each signal has one memo, `_memo`: `transforms.coefficients` keeps its
+coefficient field per family there, `signals.lp_norm` its norm per
+exponent, and `decomposition.hypothesis_holds` its over-budget slots per
+(threshold, frac, leaves).  `operators.governing_operator` keeps each
+field's whole-lattice output per (sigma, pi) in `_outputs`, and every later
+output of it is a view that shares its memo.  A memo hit must equal, bit
+for bit, a fresh computation on a copy of the signal (a new object with an
+empty memo), must still make every public call, and must not outlive its
 object.
 """
 
@@ -27,6 +28,7 @@ from dyadicpara import (
     governing_operator,
     lattice_rectangles,
     operators,
+    signals,
     transforms,
 )
 from dyadicpara.lattice import _rectangle_tuple
@@ -112,18 +114,19 @@ def test_operator_memo_hit_equals_fresh_operator(kind, d, L):
             first = governing_operator(f, spec)
             hit = governing_operator(f, spec)
             assert hit is not first
-            # the kept cells are shared read-only: every output is a view
-            # of them that cannot be made writeable
-            kept = field._cells[(spec.sigma, spec.pi)]
-            assert not kept.flags.writeable
+            # the first output is kept, its cells shared read-only: every
+            # output, the kept one too, holds a view of them that cannot
+            # be made writeable
+            assert field._outputs[(spec.sigma, spec.pi)] is first
+            assert hit.values is not first.values
+            assert np.shares_memory(hit.values, first.values)
             for out in (first, hit):
-                assert out.values is not kept and np.shares_memory(out.values, kept)
                 with pytest.raises(ValueError):
                     out.values.flags.writeable = True
             fresh = governing_operator(Signal(d, L, f.values), spec)
             assert np.array_equal(hit.values, fresh.values)
             assert np.array_equal(first.values, fresh.values)
-        assert len(field._cells) == len(list(_specs(family)))
+        assert len(field._outputs) == len(list(_specs(family)))
 
 
 @pytest.mark.parametrize("d, L", [(1, 9), (2, 4), (3, 3)])
@@ -136,9 +139,9 @@ def test_collection_bypasses_the_operator_memo(d, L):
         for spec in _specs(family):
             governing_operator(f, spec)  # fills the memo of the whole lattice
             field = coefficients(f, family)
-            kept = dict(field._cells)
+            kept = dict(field._outputs)
             got = governing_operator(f, spec, collection=collection)
-            assert field._cells == kept
+            assert field._outputs == kept
             fresh = governing_operator(Signal(d, L, f.values), spec, collection=collection)
             assert np.array_equal(got.values, fresh.values)
             assert not np.array_equal(got.values, governing_operator(f, spec).values)
@@ -170,14 +173,14 @@ def test_memos_die_with_their_signal():
     spec = OperatorSpec.all_max(family)
     governing_operator(f, spec)
     field_ref = weakref.ref(field)
-    cells_ref = weakref.ref(field._cells[(spec.sigma, spec.pi)])
+    output_ref = weakref.ref(field._outputs[(spec.sigma, spec.pi)])
     del field
     gc.collect()
     assert field_ref() is not None  # the signal keeps its field
     del f
     gc.collect()
     assert field_ref() is None
-    assert cells_ref() is None
+    assert output_ref() is None
 
 
 # -- the level-set memo of `decomposition.hypothesis_holds` ------------------
@@ -230,7 +233,7 @@ def test_hypothesis_memo_hit_equals_fresh_count(d, L):
         f = Signal(d, L, values)
         for spec in _specs(family):
             first = governing_operator(f, spec)
-            memo = first._level_sets
+            memo = first._memo
             collections = list(_collections(rng, d, L))
             thresholds = _thresholds(rng, first)
             cases = list(itertools.product(collections, thresholds, _FRACS))
@@ -239,12 +242,12 @@ def test_hypothesis_memo_hit_equals_fresh_count(d, L):
             stored = len(memo)
             # a later whole-lattice output is a new signal with the same memo
             hit = governing_operator(f, spec)
-            assert hit is not first and hit._level_sets is memo
+            assert hit is not first and hit._memo is memo
             for collection, threshold, frac in cases:
                 got = decomposition.hypothesis_holds(hit, collection, threshold, frac)
                 fresh_t = Signal(d, L, hit.values)
                 fresh = decomposition.hypothesis_holds(fresh_t, collection, threshold, frac)
-                assert fresh_t._level_sets is not memo
+                assert fresh_t._memo is not memo
                 assert got == fresh == _count_and_compare(hit, collection, threshold, frac)
             assert len(memo) == stored  # every verdict above was a memo hit
             assert {leaves for _, _, leaves in memo} == {False, True}
@@ -256,7 +259,7 @@ def test_memo_entries_are_read_only_booleans(d, L):
     t = governing_operator(f, OperatorSpec.all_max(AdaptedFamily.abs_haar(d)))
     for collection in _collections(np.random.default_rng(d), d, L):
         decomposition.hypothesis_holds(t, collection, float(np.median(t.values)))
-    for (_, _, leaves), over in t._level_sets.items():
+    for (_, _, leaves), over in t._memo.items():
         assert over.dtype == bool and not over.flags.writeable
         assert over.shape == (((2 if leaves else 1) << L),) * d
         with pytest.raises(ValueError):
@@ -276,16 +279,18 @@ def test_restricted_output_never_sees_the_whole_lattice_memo(d, L):
     ]
     for collection in collections:
         decomposition.hypothesis_holds(whole, collection, float(np.median(whole.values)))
-    kept = dict(whole._level_sets)
+    signals.lp_norm(whole, 2.0)
+    coefficients(whole, family)
+    kept = dict(whole._memo)
     for collection in collections:
         restricted = operators.restricted_operator(f, spec, collection)
-        assert restricted._level_sets is None
+        assert restricted._memo == {}
         threshold = float(np.median(restricted.values))
         got = decomposition.hypothesis_holds(restricted, collection, threshold)
         assert got == _count_and_compare(restricted, collection, threshold, 0.01)
-        assert restricted._level_sets is not whole._level_sets
-    assert whole._level_sets == kept
-    assert governing_operator(f, spec)._level_sets is whole._level_sets
+        assert restricted._memo is not whole._memo
+    assert whole._memo == kept
+    assert governing_operator(f, spec)._memo is whole._memo
 
 
 def test_level_set_memo_dies_with_its_field():
@@ -294,11 +299,40 @@ def test_level_set_memo_dies_with_its_field():
     t = governing_operator(f, OperatorSpec.all_max(family))
     collection = RectangleCollection.of(lattice_rectangles(2, 4)[::5], 4)
     decomposition.hypothesis_holds(t, collection, 0.5)
-    (entry,) = t._level_sets.values()
-    entry_ref = weakref.ref(entry)
+    (entry,) = t._memo.values()
+    # the field of an output lives in the same memo
+    refs = [weakref.ref(entry), weakref.ref(coefficients(t, family))]
     del entry, t
     gc.collect()
-    assert entry_ref() is not None  # the field keeps the memo of its outputs
+    assert all(ref() is not None for ref in refs)  # the field keeps its output
     del f
     gc.collect()
-    assert entry_ref() is None
+    assert all(ref() is None for ref in refs)
+
+
+# -- what the views of a kept output share ------------------------------------
+
+
+def _refuse_norm(*args):
+    raise AssertionError("lp_norm recomputed on a shared memo")
+
+
+@pytest.mark.parametrize("d, L", [(1, 9), (2, 4), (3, 3)])
+def test_views_share_norms_and_fields(counted, monkeypatch, d, L):
+    family, other = AdaptedFamily.abs_haar(d), AdaptedFamily.smooth(d)
+    f = Signal(d, L, _inputs(d, L)[0])
+    spec = OperatorSpec.all_max(family)
+    first = governing_operator(f, spec)
+    norms = {p: signals.lp_norm(first, p) for p in (1.0, 2.0, np.inf)}
+    fields = {fam: coefficients(first, fam) for fam in (family, other)}
+    fresh_t = Signal(d, L, first.values)
+    want = {p: signals.lp_norm(fresh_t, p) for p in norms}
+    monkeypatch.setattr(signals, "_lp_norm", _refuse_norm)
+    counted.clear()
+    hit = governing_operator(f, spec)
+    assert hit is not first and hit._memo is first._memo
+    assert {p: signals.lp_norm(hit, p) for p in norms} == norms == want
+    for fam, field in fields.items():
+        assert coefficients(hit, fam) is field
+    assert counted and not set(counted) & set(_ANALYSIS)  # fetches only
+

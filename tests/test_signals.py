@@ -135,6 +135,20 @@ def test_signal_and_field_refuse_complex_values(values):
         CoefficientField(1, 1, AdaptedFamily.haar(1), values)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 7])
+def test_field_refuses_any_non_finite_coefficient(where, bad):
+    tensor = np.zeros(8)
+    tensor[where] = bad
+    with pytest.raises(ContractError, match="finite"):
+        CoefficientField(1, 3, AdaptedFamily.haar(1), tensor)
+    with pytest.raises(ContractError, match="finite"):
+        CoefficientField(2, 2, AdaptedFamily.abs_haar(2), np.resize(tensor, (4, 4)))
+    tensor[where] = np.finfo(float).max
+    field = CoefficientField(1, 3, AdaptedFamily.haar(1), tensor)
+    assert field.tensor[where] == np.finfo(float).max
+
+
 def test_field_refuses_a_family_of_another_parameter_count():
     with pytest.raises(ContractError, match="parameter counts"):
         CoefficientField(1, 2, AdaptedFamily.haar(2), np.zeros(4))
@@ -178,6 +192,9 @@ def test_signal_copies_its_values():
     v[0] = 5.0
     assert s.values[0] == 0.0
     assert v.flags.writeable
+    # the copy owns its memory, and the signal holds a view of it
+    with pytest.raises(ValueError):
+        s.values.flags.writeable = True
 
 
 def test_field_copies_its_tensor():
@@ -187,6 +204,8 @@ def test_field_copies_its_tensor():
     assert c.tensor[0, 0] == 0.0
     assert t.flags.writeable
     assert not c.tensor.flags.writeable
+    with pytest.raises(ValueError):
+        c.tensor.flags.writeable = True
 
 
 # -- arrays the package allocates are adopted, with the constructor's checks --
