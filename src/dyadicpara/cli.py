@@ -31,6 +31,10 @@ USAGE_EXIT = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # no prefix matching: `sweep --L 4` would read as `--L-list 4`
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -56,16 +60,28 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="dyadicpara", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
 
-    def common(p):
-        # None means "not set here": config files and defaults fill the rest
+    def file_grid(p):
+        # the grid gen makes, or that of a CSV input, which stores values only
+        p.add_argument("--d", type=int, default=1)
+        p.add_argument("--L", type=int, default=6)
+
+    def run_flags(p):
+        # None means "not set here": the config file and its defaults fill the rest
         p.add_argument("--d", type=int, default=None)
-        p.add_argument("--L", type=int, default=None)
+        p.add_argument("--trials", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--p1", type=float, default=None)
+        p.add_argument("--p2", type=float, default=None)
+        p.add_argument("--family", default=None)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=("json", "csv"), default=None)
+        p.add_argument("--config", type=str, default=None)
 
     g = sub.add_parser("gen", help="generate a signal")
-    common(g)
+    g.set_defaults(run=_cmd_gen)
+    file_grid(g)
+    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--out", type=str, default=None)
     g.add_argument(
         "--kind",
         choices=("constant", "indicator", "bump", "random-cells", "random-haar"),
@@ -75,7 +91,8 @@ def build_parser() -> _Parser:
     g.add_argument("--rect", type=_parse_rect, default=None, help='pairs "k,j;k,j"')
 
     n = sub.add_parser("norm", help="evaluate a norm of a stored signal")
-    common(n)
+    n.set_defaults(run=_cmd_norm)
+    file_grid(n)
     n.add_argument("--in", dest="infile", required=True)
     n.add_argument(
         "--norm",
@@ -86,44 +103,35 @@ def build_parser() -> _Parser:
     n.add_argument("--r", type=float, default=1.0)
 
     t = sub.add_parser("transform", help="coefficient transform of a signal")
-    common(t)
+    t.set_defaults(run=_cmd_transform)
+    file_grid(t)
     t.add_argument("--in", dest="infile", required=True)
+    t.add_argument("--out", type=str, default=None)
     t.add_argument("--family", default="haar")
     t.add_argument("--inverse", action="store_true")
 
     p = sub.add_parser("paraproduct", help="evaluate the bilinear paraproduct")
-    common(p)
+    p.set_defaults(run=_cmd_paraproduct)
+    file_grid(p)
     p.add_argument("--f1", required=True)
     p.add_argument("--f2", required=True)
-    p.add_argument("--f3", default=None)
     p.add_argument("--family", default="haar")
+    # with --f3 the result is the trilinear form, a number: no signal to write
+    third = p.add_mutually_exclusive_group()
+    third.add_argument("--f3", default=None)
+    third.add_argument("--out", type=str, default=None)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    common(v)
-    v.add_argument("suite", help="|".join(SUITE_NAMES))
-    v.add_argument("--trials", type=int, default=None)
-    v.add_argument("--p1", type=float, default=None)
-    v.add_argument("--p2", type=float, default=None)
-    v.add_argument("--family", default=None)
-    v.add_argument("--config", type=str, default=None)
+    v.set_defaults(run=_cmd_verify)
+    v.add_argument("suite", choices=SUITE_NAMES)
+    v.add_argument("--L", type=int, default=None)
+    run_flags(v)
 
     s = sub.add_parser("sweep", help="norm-ratio stability across resolutions")
-    common(s)
+    s.set_defaults(run=_cmd_sweep)
     s.add_argument("--L-list", dest="L_list", type=_parse_levels, default=None)
-    s.add_argument("--trials", type=int, default=None)
-    s.add_argument("--p1", type=float, default=None)
-    s.add_argument("--p2", type=float, default=None)
-    s.add_argument("--r", type=float, default=None)
-    s.add_argument("--family", default=None)
-    s.add_argument("--config", type=str, default=None)
+    run_flags(s)
     return parser
-
-
-def _grid_args(args):
-    d = args.d if args.d is not None else 1
-    L = args.L if args.L is not None else 6
-    seed = args.seed if args.seed is not None else 0
-    return d, L, seed
 
 
 def _read(load, path: str, *args):
@@ -169,7 +177,6 @@ def _save_signal(f: Signal, path: str):
 
 
 def _cmd_gen(args) -> int:
-    d, L, seed = _grid_args(args)
     params = {}
     if args.kind == "constant":
         params["c"] = args.c
@@ -177,7 +184,7 @@ def _cmd_gen(args) -> int:
         if not args.rect:
             raise DyadicError("--rect is required for indicator/bump")
         params["rect"] = args.rect
-    f = generate_signal(args.kind, d, L, seed=seed, params=params)
+    f = generate_signal(args.kind, args.d, args.L, seed=args.seed, params=params)
     if args.out:
         _write(_save_signal, f, args.out)
     print(json.dumps({"kind": args.kind, "d": f.d, "L": f.L, "out": args.out}))
@@ -185,8 +192,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    d, L, _ = _grid_args(args)
-    f = _load_signal(args.infile, d, L)
+    f = _load_signal(args.infile, args.d, args.L)
     if args.norm == "lp":
         value, params = lp_norm(f, args.p), {"p": args.p}
     elif args.norm == "weak":
@@ -209,8 +215,7 @@ def _cmd_transform(args) -> int:
             _write(_save_signal, f, args.out)
         print(json.dumps({"inverse": True, "d": f.d, "L": f.L, "out": args.out}))
         return 0
-    d, L, _ = _grid_args(args)
-    f = _load_signal(args.infile, d, L)
+    f = _load_signal(args.infile, args.d, args.L)
     fam = AdaptedFamily.make(args.family, f.d)
     field = coefficients(f, fam)
     if args.out:
@@ -224,12 +229,11 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_paraproduct(args) -> int:
-    d, L, _ = _grid_args(args)
-    f1 = _load_signal(args.f1, d, L)
-    f2 = _load_signal(args.f2, d, L)
+    f1 = _load_signal(args.f1, args.d, args.L)
+    f2 = _load_signal(args.f2, args.d, args.L)
     spec = standard_triple(f1.d, args.family)
     if args.f3:
-        f3 = _load_signal(args.f3, d, L)
+        f3 = _load_signal(args.f3, args.d, args.L)
         value = eval_Lambda(spec, (f1, f2, f3))
         print(json.dumps({"form": value}))
         return 0
@@ -244,23 +248,30 @@ def _cmd_paraproduct(args) -> int:
     return 0
 
 
-def _make_config(args, suite=None) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = _read(ExperimentConfig.from_file, args.config)
-    else:
-        cfg = ExperimentConfig()
-    cfg.suite = suite or cfg.suite
-    for name in ("d", "L", "trials", "seed", "p1", "p2", "r", "family", "out", "format"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "L_list", None):
-        cfg.L_list = args.L_list
-    return cfg
+# the ExperimentConfig fields that verify and sweep take as flags
+_CONFIG_FLAGS = ("d", "L", "L_list", "trials", "seed", "p1", "p2", "family", "out", "format")
 
 
-def _cmd_verify(args, parser) -> int:
-    if args.suite not in SUITE_NAMES:
-        parser.error(f"unknown suite {args.suite!r}")
+def _make_config(args, suite: str) -> ExperimentConfig:
+    """The config file's fields with the flags given over them, in one
+    construction, so an `r` the file does not name follows the final p1
+    and p2."""
+    data = _read(_config_data, args.config) if args.config else {}
+    for name in _CONFIG_FLAGS:
+        if getattr(args, name, None) is not None:
+            data[name] = getattr(args, name)
+    return ExperimentConfig.from_json({**data, "suite": suite})
+
+
+def _config_data(path: str) -> dict:
+    """A config file's fields, refused when malformed even where a flag
+    overrides them."""
+    data = json.loads(Path(path).read_text())
+    ExperimentConfig.from_json(data)
+    return data
+
+
+def _cmd_verify(args) -> int:
     cfg = _make_config(args, suite=args.suite)
     _make_parent(cfg.out)  # before the first trial
     report, code = run_suite(cfg)
@@ -287,26 +298,12 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.verb == "gen":
-            return _cmd_gen(args)
-        if args.verb == "norm":
-            return _cmd_norm(args)
-        if args.verb == "transform":
-            return _cmd_transform(args)
-        if args.verb == "paraproduct":
-            return _cmd_paraproduct(args)
-        if args.verb == "verify":
-            return _cmd_verify(args, parser)
-        if args.verb == "sweep":
-            return _cmd_sweep(args)
-        parser.error(f"unknown verb {args.verb!r}")
+        return args.run(args)
     except DyadicError as exc:
         print(f"contract error: {exc}", file=sys.stderr)
         return 2
-    return USAGE_EXIT
 
 
 if __name__ == "__main__":

@@ -551,7 +551,6 @@ def shadow_layer_decay(
 class RestrictedWeakConfig:
     p1: float
     p2: float
-    e3_mask: Optional[np.ndarray] = None  # None means the full torus
     f3: Optional[Signal] = None  # bounded profile; defaults to 1
     kappa: Optional[float] = None
     clamp: int = DEFAULT_CLAMP
@@ -606,10 +605,6 @@ def _decompose(
             raise ContractError(f"{name} must be normalized in L^{p}; got {nrm}")
         norms.append(nrm)
     d, L = f1.d, f1.L
-    grid = ((1 << L),) * d
-    e3 = np.ones(grid, bool) if cfg.e3_mask is None else np.asarray(cfg.e3_mask, bool)
-    if e3.shape != grid or float(e3.mean()) != 1.0:
-        raise ContractError(f"E_3 must be the full torus: a {grid} mask of ones")
 
     ops = slot_operator_specs(spec)[:3]
     state = build_exceptional_sets(
@@ -619,7 +614,7 @@ def _decompose(
     if state.omega_tilde_measure >= 0.5:
         raise CalibrationError("inflated exceptional set still covers half the torus")
 
-    e3_prime = e3 & ~state.omega_tilde
+    e3_prime = ~state.omega_tilde  # E_3 is the whole torus, so E_3' is the complement
     base = cfg.f3 if cfg.f3 is not None else Signal.constant(d, L, 1.0)
     f3 = Signal(d, L, _Adopted(np.clip(base.values, -1.0, 1.0))).restrict(e3_prime)
     fs = (f1, f2, f3)
@@ -689,7 +684,7 @@ def restricted_weak_type_pipeline(
 ) -> dict:
     """Full decomposition run for normalized inputs on the unit torus.
 
-    Requires ||f1||_p1 = ||f2||_p2 = 1 and |E_3| = 1.  Builds the
+    Requires ||f1||_p1 = ||f2||_p2 = 1; E_3 is the whole torus.  Builds the
     exceptional sets from both inputs, restricts the third input to the
     complement of the inflated set, classifies every rectangle, and checks
     the explicit summation bound of each class.  Returns the per-class

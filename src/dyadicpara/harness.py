@@ -52,21 +52,12 @@ from .signals import (
     Signal,
     _Adopted,
     _check_resolution,
+    _holder_exponent,
     conjugate_exponent,
     lp_norm,
     weak_quasinorm,
 )
 from .transforms import CoefficientField, coefficients, lattice_rectangles, reconstruct
-
-SUITE_NAMES = (
-    "identities",
-    "norms",
-    "domination",
-    "technical-lemma",
-    "localization",
-    "restricted-weak",
-    "endpoint",
-)
 
 
 @dataclass
@@ -79,10 +70,16 @@ class ExperimentConfig:
     seed: int = 0
     p1: float = 2.0
     p2: float = 2.0
-    r: float = 1.0
+    r: Optional[float] = None  # None: Hoelder's exponent 1/(1/p1 + 1/p2)
     family: str = "haar"
     out: Optional[str] = None
     format: str = "json"
+
+    def __post_init__(self):
+        # an exponent that is not > 0 has no Hoelder exponent: `_check_config`
+        # refuses it before it reads r
+        if self.r is None and self.p1 > 0 and self.p2 > 0:
+            self.r = _holder_exponent((self.p1, self.p2))
 
     def to_json(self):
         data = asdict(self)
@@ -94,11 +91,14 @@ class ExperimentConfig:
         """Raises TypeError for data that is not an object, an integer field
         holding anything but an integer, an exponent that is not a real
         number and an `out` that is neither null nor a string; ValueError
-        for a `format` other than json or csv."""
+        for a key that names no field and a `format` other than json or
+        csv."""
         if not isinstance(data, dict):
             raise TypeError("an experiment config is a JSON object")
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        kwargs = {k: v for k, v in data.items() if k in known}
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
+        kwargs = dict(data)
         for name in ("d", "L", "trials", "seed"):
             if name in kwargs:
                 kwargs[name] = _json_index(kwargs[name])
@@ -694,6 +694,7 @@ SUITES = {
     "restricted-weak": suite_restricted_weak,
     "endpoint": suite_endpoint,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 # the suites that run the Haar family whatever `family` says
@@ -708,6 +709,8 @@ def _check_config(cfg: ExperimentConfig, suite: str, levels):
     """Refuses a configuration no trial can run on, or that passes or fails
     by construction, before any trial.  `suite` is the suite run, "sweep"
     for `run_sweep`."""
+    if suite == "sweep" and len(levels) < 2:
+        raise ContractError("a sweep needs at least two resolutions")
     if cfg.trials < 1:
         raise ContractError(f"trials must be >= 1, got {cfg.trials}")
     if cfg.seed < 0:  # numpy's SeedSequence takes non-negative integers only
@@ -716,13 +719,13 @@ def _check_config(cfg: ExperimentConfig, suite: str, levels):
         # NaN compares false, so it would skip every inequality it enters
         if not getattr(cfg, name) > 0:
             raise ContractError(f"{name} must be > 0, got {getattr(cfg, name)}")
-    if suite == "sweep":
-        # the sweep measures the estimate at Hoelder's exponent; no suite
-        # reads r
-        inv = sum(0.0 if math.isinf(p) else 1.0 / p for p in (cfg.p1, cfg.p2))
-        holder = 1.0 / inv if inv else math.inf
-        if not math.isclose(cfg.r, holder, rel_tol=1e-12):
-            raise ContractError(f"a sweep needs r = 1/(1/p1 + 1/p2) = {holder!r}, got {cfg.r!r}")
+    holder = _holder_exponent((cfg.p1, cfg.p2))
+    if not math.isclose(cfg.r, holder, rel_tol=1e-12):
+        # B: L^p1 x L^p2 -> L^r holds at Hoelder's exponent only, so r is
+        # not a free parameter
+        raise ContractError(
+            f"r must be Hoelder's exponent r = 1/(1/p1 + 1/p2) = {holder!r}, got {cfg.r!r}"
+        )
     if suite == "technical-lemma" and cfg.trials < _LEMMA_PATTERNS:
         raise ContractError(
             f"technical-lemma needs trials >= {_LEMMA_PATTERNS}, one per hypothesis "
@@ -792,8 +795,6 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     the largest ||B(f1, f2)||_r / (||f1||_p1 ||f2||_p2) plus the weak-norm
     variant, and reports the growth factor between the extreme resolutions.
     """
-    if len(cfg.L_list) < 2:
-        raise ContractError("a sweep needs at least two resolutions")
     _check_config(cfg, "sweep", cfg.L_list)
     spec = standard_triple(cfg.d, cfg.family)
     rows = []

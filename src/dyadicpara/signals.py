@@ -298,10 +298,14 @@ class ExponentTuple:
 
     @property
     def r(self) -> float:
-        inv = sum(0.0 if np.isinf(p) else 1.0 / p for p in self.ps)
-        if inv == 0.0:
-            return float("inf")
-        return 1.0 / inv
+        return _holder_exponent(self.ps)
+
+
+def _holder_exponent(ps) -> float:
+    """Hoelder's exponent r of 1/r = sum of 1/p over `ps`, an infinite p
+    adding 0: inf when every p is infinite."""
+    inv = sum(0.0 if math.isinf(p) else 1.0 / p for p in ps)
+    return 1.0 / inv if inv else math.inf
 
 
 def conjugate_exponent(p: float) -> float:

@@ -25,11 +25,11 @@ from .lattice import DyadicInterval, DyadicRectangle, _json_index, enumerate_rec
 from .signals import Signal, _Adopted, _check_resolution, _frozen, _real
 
 
-def lattice_rectangles(d: int, L: int, cap=None) -> list:
+def lattice_rectangles(d: int, L: int) -> list:
     """All rectangles addressable by a resolution-L coefficient tensor."""
     if L < 1:
         return []
-    return enumerate_rectangles(d, L - 1, cap=cap)
+    return enumerate_rectangles(d, L - 1)
 
 
 def flat_index(level: int, position: int) -> int:

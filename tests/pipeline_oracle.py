@@ -2,11 +2,12 @@
 path, kept as a differential oracle.
 
 `restricted_weak_type_pipeline` and `endpoint_pipeline` each repeated the
-normalisation, the E_3 check, the calibration, the third input, the
-classification and the class loop, and computed their leftover bounds by
-hand.  The bodies are copied unchanged, except that the writes to the
-exceptional-set state fields `labels` and `lambdas`, which nothing read
-and which are gone, are dropped.
+normalisation, the calibration, the third input, the classification and
+the class loop, and computed their leftover bounds by hand.  The bodies
+are copied unchanged, except that the writes to the exceptional-set state
+fields `labels` and `lambdas`, which nothing read and which are gone, are
+dropped, and so is the check of an E_3 mask: the pipelines take only the
+whole torus, so E_3' is the complement of the inflated set.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def restricted_weak_type_pipeline(
 ) -> dict:
     """Full decomposition run for normalized inputs on the unit torus.
 
-    Requires ||f1||_p1 = ||f2||_p2 = 1 and |E_3| = 1.  Builds the
+    Requires ||f1||_p1 = ||f2||_p2 = 1; E_3 is the whole torus.  Builds the
     exceptional sets, restricts the third input to the complement of the
     inflated set, classifies every rectangle, and checks the explicit
     summation bound of each class.  Returns the per-class table, the total
@@ -53,13 +54,6 @@ def restricted_weak_type_pipeline(
         if abs(nrm - 1.0) > 1e-8:
             raise ContractError(f"{name} must be normalized in L^{p}; got {nrm}")
     d, L = f1.d, f1.L
-    e3 = (
-        np.ones(((1 << L),) * d, dtype=bool)
-        if cfg.e3_mask is None
-        else np.asarray(cfg.e3_mask, dtype=bool)
-    )
-    if float(e3.mean()) != 1.0:
-        raise ContractError("E_3 must have measure one (the full torus)")
 
     t1, t2, t3 = slot_operator_specs(spec)[:3]
     state = build_exceptional_sets(f1, f2, cfg.p1, cfg.p2, t1, t2, kappa=cfg.kappa)
@@ -67,7 +61,7 @@ def restricted_weak_type_pipeline(
     if state.omega_tilde_measure >= 0.5:
         raise CalibrationError("inflated exceptional set still covers half the torus")
 
-    e3_prime = e3 & ~state.omega_tilde
+    e3_prime = ~state.omega_tilde
     base = cfg.f3 if cfg.f3 is not None else Signal.constant(d, L, 1.0)
     f3 = Signal(d, L, np.clip(base.values, -1.0, 1.0)).restrict(e3_prime)
 
@@ -192,14 +186,7 @@ def endpoint_pipeline(
     if state.omega_tilde_measure >= 0.5:
         raise CalibrationError("inflated exceptional set still covers half the torus")
 
-    e3 = (
-        np.ones(((1 << L),) * d, dtype=bool)
-        if cfg.e3_mask is None
-        else np.asarray(cfg.e3_mask, dtype=bool)
-    )
-    if float(e3.mean()) != 1.0:
-        raise ContractError("E_3 must have measure one (the full torus)")
-    e3_prime = e3 & ~state.omega_tilde
+    e3_prime = ~state.omega_tilde
     base = cfg.f3 if cfg.f3 is not None else Signal.constant(d, L, 1.0)
     f3 = Signal(d, L, np.clip(base.values, -1.0, 1.0)).restrict(e3_prime)
 

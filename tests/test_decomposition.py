@@ -344,16 +344,6 @@ def test_pipeline_normalization_contract(triple2, rng):
         restricted_weak_type_pipeline(cfg, triple2, f, f)
 
 
-def test_pipeline_e3_contract(triple2, rng):
-    f1 = normalize(random_haar(rng, 2, 4), 2.0)
-    f2 = normalize(random_haar(rng, 2, 4), 2.0)
-    bad = np.zeros((16, 16), dtype=bool)
-    bad[0] = True
-    cfg = RestrictedWeakConfig(p1=2.0, p2=2.0, e3_mask=bad)
-    with pytest.raises(ContractError):
-        restricted_weak_type_pipeline(cfg, triple2, f1, f2)
-
-
 def test_pipeline_random_trials(triple2, rng):
     for _ in range(5):
         f1 = normalize(random_haar(rng, 2, 4), 2.0)
@@ -414,30 +404,6 @@ def test_endpoint_requires_sup_normalization(triple2, rng):
     cfg = RestrictedWeakConfig(p1=2.0, p2=float("inf"))
     with pytest.raises(ContractError):
         endpoint_pipeline(cfg, triple2, f1, f2)
-
-
-def test_endpoint_e3_contract(triple2, rng):
-    f1 = normalize(random_haar(rng, 2, 4), 2.0)
-    f2 = normalize(random_haar(rng, 2, 4), np.inf)
-    bad = np.zeros((16, 16), dtype=bool)
-    bad[0] = True
-    cfg = RestrictedWeakConfig(p1=2.0, p2=float("inf"), e3_mask=bad)
-    with pytest.raises(ContractError, match="E_3"):
-        endpoint_pipeline(cfg, triple2, f1, f2)
-
-
-@pytest.mark.parametrize("shape", [(3,), (16, 16)])
-@pytest.mark.parametrize(
-    "pipeline, p2", [(restricted_weak_type_pipeline, 2.0), (endpoint_pipeline, np.inf)]
-)
-def test_e3_mask_of_wrong_shape_refused(triple1, rng, pipeline, p2, shape):
-    # all true, so only the shape is wrong: (3,) used to die in a broadcast,
-    # (16, 16) to broadcast and be refused later by Signal
-    f1 = normalize(random_haar(rng, 1, 4), 2.0)
-    f2 = normalize(random_haar(rng, 1, 4), p2)
-    cfg = RestrictedWeakConfig(p1=2.0, p2=p2, e3_mask=np.ones(shape, dtype=bool))
-    with pytest.raises(ContractError, match="E_3"):
-        pipeline(cfg, triple1, f1, f2)
 
 
 @pytest.mark.parametrize("p2", [2.0, 4.0])

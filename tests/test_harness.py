@@ -21,6 +21,7 @@ from dyadicpara import harness
 from dyadicpara.cli import main
 from dyadicpara.decomposition import FRACTION, _hypothesis_threshold
 from dyadicpara.harness import (
+    SUITE_NAMES,
     SUITES,
     ExperimentConfig,
     report_json,
@@ -291,6 +292,52 @@ def test_cli_malformed_argument_exit_64(capsys, args):
     assert "error: argument" in capsys.readouterr().err
 
 
+# the flags a verb's command never read, with a value each
+_DROPPED_FLAGS = [
+    ("gen", "--format", "json"),
+    ("norm", "--seed", "1"),
+    ("norm", "--out", "n.json"),
+    ("norm", "--format", "csv"),
+    ("transform", "--seed", "1"),
+    ("transform", "--format", "csv"),
+    ("paraproduct", "--seed", "1"),
+    ("paraproduct", "--format", "csv"),
+    ("sweep", "--L", "4"),
+    ("sweep", "--r", "1"),
+]
+_VERB_ARGS = {
+    "gen": [],
+    "norm": ["--in", "f.csv"],
+    "transform": ["--in", "f.csv"],
+    "paraproduct": ["--f1", "f.csv", "--f2", "f.csv"],
+    "sweep": ["--L-list", "3,4"],
+}
+
+
+@pytest.mark.parametrize("verb, flag, value", _DROPPED_FLAGS,
+                         ids=[f"{verb}{flag}" for verb, flag, _ in _DROPPED_FLAGS])
+def test_cli_flag_the_verb_ignores_exit_64(tmp_path, capsys, monkeypatch, verb, flag, value):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "_trial_rng", _no_trial)
+    with pytest.raises(SystemExit) as exc:
+        main([verb, *_VERB_ARGS[verb], flag, value])
+    assert exc.value.code == 64
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_paraproduct_form_and_out_exit_64(tmp_path, capsys):
+    sig = tmp_path / "f.csv"
+    assert main(["gen", "--L", "3", "--out", str(sig)]) == 0
+    out = tmp_path / "b.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["paraproduct", "--L", "3", "--f1", str(sig), "--f2", str(sig), "--f3", str(sig),
+              "--out", str(out)])
+    assert exc.value.code == 64
+    assert "not allowed with argument --f3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -354,13 +401,13 @@ def test_cli_malformed_config_exit_2(tmp_path, capsys, text):
         (["verify", "domination", "--p1", "nan"], None),
         (["verify", "domination", "--p2", "-2"], None),
         (["verify", "restricted-weak", "--L", "3", "--p1", "0"], None),
-        (["sweep", "--L-list", "3,4", "--r", "nan"], None),
         (["verify", "domination"], '{"p1": NaN}'),
         (["verify", "domination"], '{"p2": -Infinity}'),
+        (["sweep", "--L-list", "3,4"], '{"r": NaN}'),
         (["sweep", "--L-list", "3,4"], '{"r": 0}'),
     ],
-    ids=["cli-nan-p1", "cli-negative-p2", "cli-zero-p1", "cli-sweep-nan-r", "config-nan-p1",
-         "config-negative-p2", "config-sweep-zero-r"],
+    ids=["cli-nan-p1", "cli-negative-p2", "cli-zero-p1", "config-nan-p1",
+         "config-negative-p2", "config-sweep-nan-r", "config-sweep-zero-r"],
 )
 def test_cli_bad_exponent_exit_2_before_any_trial(tmp_path, capsys, monkeypatch, args, config):
     # a NaN exponent makes every Hoelder link it enters compare false, so a
@@ -403,15 +450,82 @@ def test_sweep_takes_r_at_hoelder(p1, p2, r):
     assert [row["L"] for row in run_sweep(cfg)["rows"]] == [1, 2]
 
 
-def test_cli_refuses_disagreeing_exponents(capsys, monkeypatch):
+def test_cli_refuses_disagreeing_exponents(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(harness, "_trial_rng", _no_trial)
-    # no suite reads r: verify takes no --r
+    # r follows from p1 and p2: neither verify nor sweep takes --r
     with pytest.raises(SystemExit) as exc:
         main(["verify", "restricted-weak", "--p1", "2", "--p2", "2", "--r", "0.3"])
     assert exc.value.code == 64
     assert "unrecognized arguments: --r 0.3" in capsys.readouterr().err
-    assert main(["sweep", "--L-list", "3,4", "--p1", "2", "--p2", "2", "--r", "0.3"]) == 2
-    assert "a sweep needs r = 1/(1/p1 + 1/p2) = 1.0, got 0.3" in capsys.readouterr().err
+    path = tmp_path / "cfg.json"
+    path.write_text('{"p1": 2, "p2": 2, "r": 0.3}')
+    assert main(["sweep", "--L-list", "3,4", "--config", str(path)]) == 2
+    assert "r = 1/(1/p1 + 1/p2) = 1.0, got 0.3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config", ['{"r": 0.3}', '{"p1": 4, "r": 1}', '{"p1": 4, "p2": 4, "r": 1}'],
+    ids=["r-alone", "r-of-other-p1", "r-of-default-p"],
+)
+def test_cli_verify_refuses_disagreeing_r_before_any_trial(tmp_path, capsys, monkeypatch,
+                                                           config):
+    monkeypatch.setattr(harness, "_trial_rng", _no_trial)
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    assert main(["verify", "domination", "--trials", "2", "--config", str(path)]) == 2
+    assert "r = 1/(1/p1 + 1/p2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, config, r",
+    [
+        (["--p1", "4", "--p2", "4"], None, 2.0),
+        ([], '{"p1": 4, "p2": 4}', 2.0),
+        (["--p1", "4", "--p2", "4"], '{"p1": 2}', 2.0),
+        (["--p1", "2", "--p2", "inf"], None, 2.0),
+        ([], None, 1.0),
+    ],
+    ids=["flags", "config", "flags-over-config", "infinite-p2", "defaults"],
+)
+def test_cli_sweep_derives_r_from_p1_and_p2(tmp_path, args, config, r):
+    out = tmp_path / "sweep.json"
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        args = [*args, "--config", str(tmp_path / "cfg.json")]
+    assert main(["sweep", "--L-list", "3,4", *args, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["r"] == r
+
+
+def test_config_without_r_takes_hoelders_exponent():
+    assert ExperimentConfig().r == 1.0
+    assert ExperimentConfig(p1=4.0, p2=4.0).r == 2.0
+    assert ExperimentConfig.from_json({"p1": 3, "p2": 6}).r == 2.0
+    assert ExperimentConfig(p1=math.inf, p2=math.inf).r == math.inf
+    # a given r is kept as given and refused, if it disagrees, by the run
+    assert ExperimentConfig(p1=4.0, p2=4.0, r=1.0).r == 1.0
+
+
+def test_suites_refuse_disagreeing_r_before_any_trial(monkeypatch):
+    monkeypatch.setattr(harness, "_trial_rng", _no_trial)
+    for suite in SUITE_NAMES:
+        cfg = ExperimentConfig(suite=suite, L=4, trials=3, p1=4.0, p2=4.0, r=1.0)
+        with pytest.raises(ContractError, match=r"r = 1/\(1/p1 \+ 1/p2\) = 2.0, got 1.0"):
+            run_suite(cfg)
+
+
+def test_config_refuses_unknown_keys():
+    with pytest.raises(ValueError, match=r"unknown config keys \['trails'\]"):
+        ExperimentConfig.from_json({"trails": 2})
+
+
+def test_cli_unknown_config_key_exit_2_before_any_trial(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_trial_rng", _no_trial)
+    path = tmp_path / "cfg.json"
+    path.write_text('{"trails": 2}')
+    for args in (["verify", "norms", "--L", "3"], ["sweep", "--L-list", "3,4"]):
+        assert main([*args, "--config", str(path)]) == 2
+        assert f"cannot read {path}" in capsys.readouterr().err
+
 
 
 def test_config_exponents_read_as_floats():
