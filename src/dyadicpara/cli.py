@@ -61,9 +61,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
 
     def file_grid(p):
-        # the grid gen makes, or that of a CSV input, which stores values only
-        p.add_argument("--d", type=int, default=1)
-        p.add_argument("--L", type=int, default=6)
+        # the grid gen makes, or that of a CSV input, which stores values
+        # only; None means "not given" (`_settle_file_flags`)
+        p.add_argument("--d", type=int, default=None)
+        p.add_argument("--L", type=int, default=None)
 
     def run_flags(p):
         # None means "not set here": the config file and its defaults fill the rest
@@ -87,7 +88,7 @@ def build_parser() -> _Parser:
         choices=("constant", "indicator", "bump", "random-cells", "random-haar"),
         default="random-haar",
     )
-    g.add_argument("--c", type=float, default=1.0, help="constant value")
+    g.add_argument("--c", type=float, default=None, help="constant value")
     g.add_argument("--rect", type=_parse_rect, default=None, help='pairs "k,j;k,j"')
 
     n = sub.add_parser("norm", help="evaluate a norm of a stored signal")
@@ -107,7 +108,7 @@ def build_parser() -> _Parser:
     file_grid(t)
     t.add_argument("--in", dest="infile", required=True)
     t.add_argument("--out", type=str, default=None)
-    t.add_argument("--family", default="haar")
+    t.add_argument("--family", default=None)
     t.add_argument("--inverse", action="store_true")
 
     p = sub.add_parser("paraproduct", help="evaluate the bilinear paraproduct")
@@ -132,6 +133,32 @@ def build_parser() -> _Parser:
     s.add_argument("--L-list", dest="L_list", type=_parse_levels, default=None)
     run_flags(s)
     return parser
+
+
+# the defaults of the file verbs' flags that some of their runs do not read
+_FILE_FLAG_DEFAULTS = {"d": 1, "L": 6, "c": 1.0, "family": "haar"}
+
+
+def _settle_file_flags(parser, args):
+    """Refuses, as a usage error, a flag given to a run of a file verb that
+    does not read it; then gives each flag not given its default."""
+    if args.verb == "gen":
+        why = f"--kind {args.kind}"
+        unread = [] if args.kind == "constant" else ["c"]
+        if args.kind not in ("indicator", "bump"):
+            unread.append("rect")
+    elif getattr(args, "inverse", False):  # the field JSON carries d, L and family
+        why, unread = "argument --inverse", ["d", "L", "family"]
+    else:  # a JSON signal carries d and L
+        paths = [getattr(args, name, None) for name in ("infile", "f1", "f2", "f3")]
+        csv = any(p is not None and Path(p).suffix != ".json" for p in paths)
+        why, unread = "JSON inputs only", [] if csv else ["d", "L"]
+    for name in unread:
+        if getattr(args, name) is not None:
+            parser.error(f"argument --{name}: not allowed with {why}")
+    for name, default in _FILE_FLAG_DEFAULTS.items():
+        if getattr(args, name, default) is None:
+            setattr(args, name, default)
 
 
 def _read(load, path: str, *args):
@@ -177,13 +204,9 @@ def _save_signal(f: Signal, path: str):
 
 
 def _cmd_gen(args) -> int:
-    params = {}
-    if args.kind == "constant":
-        params["c"] = args.c
-    if args.kind in ("indicator", "bump"):
-        if not args.rect:
-            raise DyadicError("--rect is required for indicator/bump")
-        params["rect"] = args.rect
+    if args.kind in ("indicator", "bump") and not args.rect:
+        raise DyadicError("--rect is required for indicator/bump")
+    params = {"c": args.c, "rect": args.rect}
     f = generate_signal(args.kind, args.d, args.L, seed=args.seed, params=params)
     if args.out:
         _write(_save_signal, f, args.out)
@@ -298,7 +321,10 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.verb not in ("verify", "sweep"):
+        _settle_file_flags(parser, args)
     try:
         return args.run(args)
     except DyadicError as exc:

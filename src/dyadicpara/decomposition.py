@@ -214,7 +214,6 @@ class DecompositionState:
     nu: float
     p1: float
     p2: float
-    t0_spec: OperatorSpec
     t_values: tuple  # governing operator outputs used to build the sets
     omega_ell: dict  # level index -> boolean grid
     omega: np.ndarray
@@ -260,7 +259,6 @@ def build_exceptional_sets(
     p2: float,
     t1: OperatorSpec,
     t2: Optional[OperatorSpec],
-    t0_spec: Optional[OperatorSpec] = None,
     kappa: Optional[float] = None,
     kappa_limit: float = KAPPA_LIMIT,
 ) -> DecompositionState:
@@ -273,8 +271,7 @@ def build_exceptional_sets(
     if kappa is not None:
         kappa = _positive("kappa", kappa)
     nu = min(p1, p2) / 4.0
-    if t0_spec is None:
-        t0_spec = OperatorSpec.all_max(AdaptedFamily.abs_haar(f1.d))
+    t0_spec = OperatorSpec.all_max(AdaptedFamily.abs_haar(f1.d))
     t_list = [governing_operator(f1, t1)]
     if t2 is not None:
         t_list.append(governing_operator(f2, t2))
@@ -286,7 +283,6 @@ def build_exceptional_sets(
             nu=nu,
             p1=p1,
             p2=p2,
-            t0_spec=t0_spec,
             t_values=tuple(t_list),
             omega_ell=omega_ell,
             omega=omega,
@@ -427,14 +423,14 @@ def _class_bound(collection, spec, fs, ops, lambdas, holding, tol: float) -> dic
 # ---------------------------------------------------------------------------
 
 
-def one_sided_support_builder(L: int, level: Optional[int] = None):
+def one_sided_support_builder(L: int):
     """Default d=1 scenario: one centered interval, data far to its right.
 
     Returns a builder mapping mu to (collection, signal) where the signal
     is the indicator of all cells beyond the outward-rounded mu-dilation,
     taken one-sided so odd profile tails cannot cancel.
     """
-    k = max(2, L // 2) if level is None else level
+    k = max(2, L // 2)
     rect = DyadicRectangle((DyadicInterval(k, 1 << (k - 1)),))
     collection = RectangleCollection.of([rect], L)
 
@@ -501,8 +497,6 @@ def shadow_layer_decay(
     op_spec: OperatorSpec,
     collection: RectangleCollection,
     f: Signal,
-    t0_spec: Optional[OperatorSpec] = None,
-    max_layers: Optional[int] = None,
 ) -> dict:
     """Layered restricted norms against the shadow measure.
 
@@ -510,18 +504,16 @@ def shadow_layer_decay(
     function of the shadow indicator (thresholds 2^-1, 2^-2, ...) and
     reports sum_k ||T_O f_k||_2 against |sh(O)|^(1/2) ||f||_inf.
     """
-    if t0_spec is None:
-        t0_spec = OperatorSpec.all_max(AdaptedFamily.abs_haar(f.d))
+    t0_spec = OperatorSpec.all_max(AdaptedFamily.abs_haar(f.d))
     shadow_mask = collection.shadow_mask()
     shadow = collection.shadow_measure()
     if shadow == 0.0:
         return {"layers": [], "total": 0.0, "ratio": 0.0, "shadow": 0.0}
     spread = governing_operator(Signal.from_mask(shadow_mask), t0_spec).values
-    cap = max_layers if max_layers is not None else 4 * f.L + 8
     layers = []
     prev = np.zeros_like(shadow_mask)
     total = 0.0
-    for k in range(cap + 1):
+    for k in range(4 * f.L + 9):
         mask = _above_dyadic(spread, 2.0 ** (-1 - k))
         ring = mask & ~prev
         prev = mask

@@ -226,8 +226,6 @@ def _profile_matrix_cached(smooth: bool, zero: bool, L: int) -> np.ndarray:
 def adaptedness_check(
     family: AdaptedFamily,
     L: int,
-    levels=None,
-    zero_tolerance: float = 1e-12,
     profile_override=None,
 ) -> dict:
     """Grid sweep of the size/derivative envelopes and the zero flags.
@@ -243,14 +241,12 @@ def adaptedness_check(
     n = 1 << L
     xs = (np.arange(n) + 0.5) / n
     mids = (xs[:-1] + xs[1:]) / 2.0
-    if levels is None:
-        levels = range(L)
     size_K = 0.0
     deriv_K = 0.0
     zero_defect = 0.0
     for axis in range(family.d):
         flagged = family.zero_pattern[axis]
-        for k in levels:
+        for k in range(L):
             h = 2.0**-k
             for j in range(1 << k):
                 if profile_override is not None:
@@ -273,7 +269,7 @@ def adaptedness_check(
         "zero_integral_defect": zero_defect,
         "size_within_declared": size_K <= family.K,
         "derivative_within_declared": deriv_K <= family.K,
-        "zeros_ok": zero_defect <= zero_tolerance,
+        "zeros_ok": zero_defect <= 1e-12,
         "K": family.K,
         "N": family.N,
     }

@@ -31,7 +31,7 @@ from .decomposition import (
 )
 from .errors import ContractError
 from .families import AdaptedFamily
-from .lattice import DyadicRectangle, RectangleCollection, _json_index
+from .lattice import DyadicInterval, DyadicRectangle, RectangleCollection, _json_index
 from .norms import bmo_norm_1param, energy_in_region, h1_norm, product_bmo_lower
 from .operators import (
     OperatorSpec,
@@ -234,7 +234,6 @@ def _check(checks, check_id, ok, **data):
     row = {"id": check_id, "ok": bool(ok)}
     row.update(data)
     checks.append(row)
-    return row
 
 
 def _report(cfg: ExperimentConfig, checks, extra=None) -> dict:
@@ -341,8 +340,6 @@ def suite_identities(cfg: ExperimentConfig) -> dict:
 
 
 def _random_disjoint_intervals(rng, L):
-    from .lattice import DyadicInterval
-
     picked = []
     for _ in range(rng.integers(1, 6)):
         k = int(rng.integers(0, L + 1))
@@ -697,18 +694,42 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
-# the suites that run the Haar family whatever `family` says
-_HAAR_ONLY_SUITES = ("identities", "norms", "localization")
-# the suites whose every check sums or compares over the lattice rectangles
-_RECTANGLE_SUITES = ("restricted-weak", "endpoint", "domination")
-# the least L of the localization suite and of the d=1 identities
-_MIN_L = 3
+@dataclass(frozen=True)
+class _SuiteRow:
+    least_L: tuple  # the least L at d=1 and at d >= 2
+    reads: tuple  # those of `_ROW_FIELDS` the run reads; the rest keep their defaults
+    d: Optional[int] = None  # the only d the run runs at, None for any
+    trials: int = 1  # the least trial count
+
+
+_ROW_FIELDS = ("family", "p1", "p2")
+
+# one row per suite and one for the sweep, whose every level is held to least_L
+_SUITE_ROWS = {
+    # at d=1 and L < 3 the planted spike of `surgery_corpus` alone thickens
+    # the exceptional set to the whole grid, so no surgery trial is nontrivial
+    "identities": _SuiteRow(least_L=(3, 0), reads=()),
+    "norms": _SuiteRow(least_L=(0, 0), reads=(), d=1),
+    # with no rectangle, as at L=0, every check of these three passes vacuously
+    "domination": _SuiteRow(least_L=(1, 1), reads=_ROW_FIELDS),
+    "restricted-weak": _SuiteRow(least_L=(1, 1), reads=_ROW_FIELDS),
+    # runs at p2 = inf
+    "endpoint": _SuiteRow(least_L=(1, 1), reads=("family", "p1")),
+    # each trial draws a collection of 1 to len(lattice) - 1 rectangles
+    "technical-lemma": _SuiteRow(least_L=(2, 2), reads=("family",), trials=_LEMMA_PATTERNS),
+    # below L=6 `one_sided_support_builder` puts its interval at level 2,
+    # whose mu=8 dilation covers the torus: the smooth-tail-decay slope is
+    # then fitted through two points and fails by construction
+    "localization": _SuiteRow(least_L=(6, 6), reads=(), d=1),
+    # a one-cell grid has no rectangles, so its ratio is 0 by construction
+    "sweep": _SuiteRow(least_L=(1, 1), reads=_ROW_FIELDS),
+}
 
 
 def _check_config(cfg: ExperimentConfig, suite: str, levels):
-    """Refuses a configuration no trial can run on, or that passes or fails
-    by construction, before any trial.  `suite` is the suite run, "sweep"
-    for `run_sweep`."""
+    """Refuses a configuration no trial can run on, that passes or fails
+    by construction, or that sets a field the run does not read, before
+    any trial.  `suite` is the suite run, "sweep" for `run_sweep`."""
     if suite == "sweep" and len(levels) < 2:
         raise ContractError("a sweep needs at least two resolutions")
     if cfg.trials < 1:
@@ -726,23 +747,16 @@ def _check_config(cfg: ExperimentConfig, suite: str, levels):
         raise ContractError(
             f"r must be Hoelder's exponent r = 1/(1/p1 + 1/p2) = {holder!r}, got {cfg.r!r}"
         )
-    if suite == "technical-lemma" and cfg.trials < _LEMMA_PATTERNS:
-        raise ContractError(
-            f"technical-lemma needs trials >= {_LEMMA_PATTERNS}, one per hypothesis "
-            f"pattern, got {cfg.trials}"
-        )
-    if suite in ("norms", "localization") and cfg.d != 1:
-        raise ContractError(f"the {suite} suite runs at d=1 only, got d={cfg.d}")
+    row = _SUITE_ROWS[suite]
+    if row.d is not None and cfg.d != row.d:
+        raise ContractError(f"{suite} runs at d={row.d} only, got d={cfg.d}")
     for L in levels:
         _check_resolution(cfg.d, L)
-    if suite == "technical-lemma" and cfg.L < 2:
-        # each trial draws a collection of 1 to len(lattice) - 1 rectangles
-        raise ContractError(
-            f"technical-lemma needs L >= 2, a lattice of two or more rectangles, got L={cfg.L}"
-        )
-    if suite == "sweep" and min(levels) < 1:
-        # a one-cell grid has no rectangles, so its ratio is 0 by construction
-        raise ContractError(f"a sweep needs every L >= 1, got L={min(levels)}")
+    if cfg.trials < row.trials:
+        raise ContractError(f"{suite} needs trials >= {row.trials}, got {cfg.trials}")
+    least_L = row.least_L[cfg.d > 1]
+    if min(levels) < least_L:
+        raise ContractError(f"{suite} at d={cfg.d} needs L >= {least_L}, got L={min(levels)}")
     if suite == "sweep" and any(b <= a for a, b in zip(levels, levels[1:])):
         # the growth factor compares the first and the last resolution: a
         # repeat reads 1 by construction, and an unsorted list compares two
@@ -750,23 +764,13 @@ def _check_config(cfg: ExperimentConfig, suite: str, levels):
         raise ContractError(
             f"a sweep needs strictly increasing resolutions, got L_list={list(levels)}"
         )
-    if suite in _RECTANGLE_SUITES and cfg.L < 1:
-        # a one-cell grid has no rectangle, so every check passes vacuously
-        raise ContractError(
-            f"the {suite} suite needs L >= 1, a grid with rectangles, got L={cfg.L}"
-        )
-    if suite == "localization" and cfg.L < _MIN_L:
-        # the default collection of `localization_experiment` sits at level 2
-        raise ContractError(f"the localization suite needs L >= {_MIN_L}, got L={cfg.L}")
-    if suite == "identities" and cfg.d == 1 and cfg.L < _MIN_L:
-        # the planted spike of `surgery_corpus` alone thickens the exceptional
-        # set to the whole grid, so no surgery trial is nontrivial
-        raise ContractError(f"the identities suite at d=1 needs L >= {_MIN_L}, got L={cfg.L}")
-    if suite in _HAAR_ONLY_SUITES and cfg.family != "haar":
-        raise ContractError(
-            f"the {suite} suite fixes its own families and takes family 'haar' only, "
-            f"got {cfg.family!r}"
-        )
+    for name in _ROW_FIELDS:
+        default = ExperimentConfig.__dataclass_fields__[name].default
+        if name not in row.reads and getattr(cfg, name) != default:
+            raise ContractError(
+                f"{suite} does not read {name}, which must keep its default {default!r}, "
+                f"got {getattr(cfg, name)!r}"
+            )
 
 
 def run_suite(cfg: ExperimentConfig):
@@ -818,13 +822,8 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     lo = rows[0]["max_ratio"]
     hi = rows[-1]["max_ratio"]
     factor = hi / lo if lo > 0 else float("inf")
-    checks = [
-        {
-            "id": "ratio-stability",
-            "ok": bool(factor <= 1.5),
-            "growth_factor": factor,
-        }
-    ]
+    checks = []
+    _check(checks, "ratio-stability", factor <= 1.5, growth_factor=factor)
     report = _report(cfg, checks, extra={"rows": rows, "skipped": skipped})
     write_report(report, cfg)
     return report

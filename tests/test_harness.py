@@ -326,6 +326,69 @@ def test_cli_flag_the_verb_ignores_exit_64(tmp_path, capsys, monkeypatch, verb, 
     assert not any(tmp_path.iterdir())
 
 
+def _file_inputs(tmp_path):
+    """f.json, f.csv (d=1, L=3) and c.json, the Haar field of f.json."""
+    for name in ("f.json", "f.csv"):
+        assert main(["gen", "--L", "3", "--out", str(tmp_path / name)]) == 0
+    assert main(["transform", "--in", str(tmp_path / "f.json"),
+                 "--out", str(tmp_path / "c.json")]) == 0
+
+
+# runs whose mode leaves one flag unread: a field JSON carries its grid and
+# family, a JSON signal its grid, and gen reads --c and --rect for some kinds only
+_UNREAD_FLAGS = [
+    (["transform", "--inverse", "--in", "c.json", "--d", "1"], "--d", "argument --inverse"),
+    (["transform", "--inverse", "--in", "c.json", "--L", "3"], "--L", "argument --inverse"),
+    (["transform", "--inverse", "--in", "c.json", "--family", "haar"], "--family",
+     "argument --inverse"),
+    (["norm", "--in", "f.json", "--d", "1"], "--d", "JSON inputs only"),
+    (["norm", "--in", "f.json", "--L", "3"], "--L", "JSON inputs only"),
+    (["transform", "--in", "f.json", "--L", "3"], "--L", "JSON inputs only"),
+    (["paraproduct", "--f1", "f.json", "--f2", "f.json", "--d", "1"], "--d", "JSON inputs only"),
+    (["paraproduct", "--f1", "f.json", "--f2", "f.json", "--f3", "f.json", "--L", "3"], "--L",
+     "JSON inputs only"),
+    (["gen", "--c", "2"], "--c", "--kind random-haar"),
+    (["gen", "--kind", "indicator", "--rect", "1,0", "--c", "2"], "--c", "--kind indicator"),
+    (["gen", "--rect", "1,0"], "--rect", "--kind random-haar"),
+    (["gen", "--kind", "constant", "--rect", "1,0"], "--rect", "--kind constant"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, flag, why", _UNREAD_FLAGS,
+    ids=["inverse-d", "inverse-L", "inverse-family", "norm-json-d", "norm-json-L",
+         "transform-json-L", "paraproduct-json-d", "form-json-L", "gen-random-c",
+         "gen-indicator-c", "gen-random-rect", "gen-constant-rect"],
+)
+def test_cli_flag_the_run_does_not_read_exit_64(tmp_path, capsys, monkeypatch, args, flag, why):
+    _file_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 64
+    assert f"error: argument {flag}: not allowed with {why}" in capsys.readouterr().err
+
+
+def test_cli_file_flags_read_by_the_run_or_left_at_their_defaults(tmp_path, capsys, monkeypatch):
+    _file_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    # one CSV input among JSON ones takes the grid flags
+    assert main(["paraproduct", "--f1", "f.json", "--f2", "f.csv", "--d", "1", "--L", "3"]) == 0
+    assert main(["norm", "--in", "f.csv", "--L", "3"]) == 0
+    capsys.readouterr()
+    assert main(["gen"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"kind": "random-haar", "d": 1, "L": 6,
+                                                   "out": None}
+    assert main(["gen", "--kind", "constant", "--L", "2", "--out", "c2.json"]) == 0
+    assert Signal.load_json("c2.json").values.tolist() == [1.0] * 4
+    assert main(["gen", "--kind", "constant", "--L", "2", "--c", "3", "--out", "c3.json"]) == 0
+    assert Signal.load_json("c3.json").values.tolist() == [3.0] * 4
+    capsys.readouterr()
+    assert main(["transform", "--in", "f.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["family"] == "haar"
+
+
 def test_cli_paraproduct_form_and_out_exit_64(tmp_path, capsys):
     sig = tmp_path / "f.csv"
     assert main(["gen", "--L", "3", "--out", str(sig)]) == 0
@@ -575,15 +638,15 @@ def test_run_suite_refuses_zero_trials():
         (["verify", "technical-lemma", "--d", "1", "--L", "4", "--trials", "2"],
          "technical-lemma needs trials >= 3"),
         (["verify", "norms", "--d", "3", "--L", "5", "--trials", "2"],
-         "the norms suite runs at d=1 only, got d=3"),
+         "norms runs at d=1 only, got d=3"),
         (["verify", "localization", "--d", "2", "--L", "6"],
-         "the localization suite runs at d=1 only, got d=2"),
+         "localization runs at d=1 only, got d=2"),
         (["verify", "technical-lemma", "--d", "1", "--L", "0", "--trials", "3"],
-         "technical-lemma needs L >= 2"),
+         "technical-lemma at d=1 needs L >= 2, got L=0"),
         (["verify", "technical-lemma", "--d", "1", "--L", "1", "--trials", "3"],
-         "technical-lemma needs L >= 2"),
+         "technical-lemma at d=1 needs L >= 2, got L=1"),
         (["verify", "technical-lemma", "--d", "2", "--L", "1", "--trials", "3"],
-         "technical-lemma needs L >= 2"),
+         "technical-lemma at d=2 needs L >= 2, got L=1"),
     ],
     ids=["technical-lemma-two-trials", "norms-d3", "localization-d2",
          "technical-lemma-d1-L0", "technical-lemma-d1-L1", "technical-lemma-d2-L1"],
@@ -611,7 +674,8 @@ def test_cli_sweep_refuses_a_one_cell_grid_exit_2(tmp_path, capsys, args):
     # (exit 1) with L=0 first and 0 (exit 0) with L=0 last
     out = tmp_path / "sweep.json"
     assert main(["sweep", *args, "--out", str(out)]) == 2
-    assert "contract error: a sweep needs every L >= 1, got L=0" in capsys.readouterr().err
+    d = "2" if "--d" in args else "1"
+    assert f"contract error: sweep at d={d} needs L >= 1, got L=0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -697,34 +761,39 @@ def test_rectangle_suites_keep_running_at_L1(suite, d):
     "args, message",
     [
         (["verify", "identities", "--L", "3", "--trials", "2", "--family", "bogus"],
-         "the identities suite fixes its own families and takes family 'haar' only, "
-         "got 'bogus'"),
+         "identities does not read family, which must keep its default 'haar', got 'bogus'"),
         (["verify", "norms", "--L", "4", "--trials", "2", "--family", "bogus"],
-         "the norms suite fixes its own families and takes family 'haar' only, got 'bogus'"),
-        (["verify", "localization", "--L", "4", "--family", "smooth"],
-         "the localization suite fixes its own families and takes family 'haar' only, "
-         "got 'smooth'"),
-        (["verify", "localization", "--L", "0"], "the localization suite needs L >= 3, got L=0"),
-        (["verify", "localization", "--L", "1"], "the localization suite needs L >= 3, got L=1"),
-        (["verify", "localization", "--L", "2"], "the localization suite needs L >= 3, got L=2"),
+         "norms does not read family, which must keep its default 'haar', got 'bogus'"),
+        (["verify", "localization", "--L", "6", "--family", "smooth"],
+         "localization does not read family, which must keep its default 'haar', got 'smooth'"),
+        (["verify", "identities", "--L", "3", "--trials", "1", "--p1", "4", "--p2", "4"],
+         "identities does not read p1, which must keep its default 2.0, got 4.0"),
+        (["verify", "endpoint", "--d", "1", "--L", "2", "--trials", "1", "--p2", "3"],
+         "endpoint does not read p2, which must keep its default 2.0, got 3.0"),
+    ] + [
+        # below L=6 the smooth-tail-decay slope is fitted through two points
+        (["verify", "localization", "--L", L], f"localization at d=1 needs L >= 6, got L={L}")
+        for L in ("0", "1", "2", "3", "4", "5")
+    ] + [
         (["verify", "identities", "--d", "1", "--L", "0", "--trials", "2"],
-         "the identities suite at d=1 needs L >= 3, got L=0"),
+         "identities at d=1 needs L >= 3, got L=0"),
         (["verify", "identities", "--d", "1", "--L", "2", "--trials", "2"],
-         "the identities suite at d=1 needs L >= 3, got L=2"),
+         "identities at d=1 needs L >= 3, got L=2"),
         # today's messages come first
         (["verify", "norms", "--d", "2", "--L", "4", "--family", "bogus"],
-         "the norms suite runs at d=1 only, got d=2"),
+         "norms runs at d=1 only, got d=2"),
         (["verify", "localization", "--L", "-1", "--family", "bogus"], "resolution L=-1"),
     ] + [
         # with no rectangle, every check passed vacuously with zero class rows
         (["verify", suite, "--d", d, "--L", "0", "--trials", "2"],
-         f"the {suite} suite needs L >= 1, a grid with rectangles, got L=0")
+         f"{suite} at d={d} needs L >= 1, got L=0")
         for suite in ("restricted-weak", "endpoint", "domination")
         for d in ("1", "2")
     ],
-    ids=["identities-family", "norms-family", "localization-family", "localization-L0",
-         "localization-L1", "localization-L2", "identities-d1-L0", "identities-d1-L2",
-         "norms-d2-before-family", "localization-negative-L-before-minimum",
+    ids=["identities-family", "norms-family", "localization-family", "identities-p1",
+         "endpoint-p2", "localization-L0", "localization-L1", "localization-L2",
+         "localization-L3", "localization-L4", "localization-L5", "identities-d1-L0",
+         "identities-d1-L2", "norms-d2-before-family", "localization-negative-L-before-minimum",
          "restricted-weak-d1-L0", "restricted-weak-d2-L0", "endpoint-d1-L0", "endpoint-d2-L0",
          "domination-d1-L0", "domination-d2-L0"],
 )
@@ -735,6 +804,60 @@ def test_cli_verify_refuses_config_that_is_ignored_or_cannot_pass_exit_2(
     assert main([*args, "--out", str(out)]) == 2
     assert f"contract error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# every run by its row name: the suites and the sweep
+_RUNS = {**SUITES, "sweep": run_sweep}
+# a value other than the default of each field a row may leave unread
+_OTHER_VALUES = {"family": "gaussian", "p1": 4.0, "p2": 4.0}
+
+
+def _least_config(name, **fields):
+    """The smallest configuration that the row of `name` lets run."""
+    row = harness._SUITE_ROWS[name]
+    least_L = max(row.least_L[0], 1)
+    return ExperimentConfig(suite=name, d=row.d or 1, L=least_L, L_list=(least_L, least_L + 1),
+                            trials=row.trials, **fields)
+
+
+class _ReadRecorder:
+    """Stands in for an ExperimentConfig and records which of the row
+    fields a run reads."""
+
+    def __init__(self, cfg):
+        self._cfg = cfg
+        self.read = set()
+
+    def __getattr__(self, name):
+        if name in harness._ROW_FIELDS:
+            self.read.add(name)
+        return getattr(self._cfg, name)
+
+
+@pytest.mark.parametrize("name", sorted(_RUNS))
+def test_suite_rows_name_the_fields_each_run_reads(monkeypatch, name):
+    # `_report` records the whole config, and `run_sweep` calls
+    # `_check_config`, which reads every field: neither is the run reading them
+    monkeypatch.setattr(harness, "_report", lambda cfg, checks, extra=None: {"checks": checks})
+    monkeypatch.setattr(harness, "_check_config", lambda *_: None)
+    cfg = _ReadRecorder(_least_config(name))
+    _RUNS[name](cfg)
+    assert cfg.read == set(harness._SUITE_ROWS[name].reads)
+
+
+@pytest.mark.parametrize("field", sorted(_OTHER_VALUES))
+@pytest.mark.parametrize("name", sorted(_RUNS))
+def test_a_field_other_than_its_default_is_refused_exactly_where_the_row_leaves_it_unread(
+    monkeypatch, name, field
+):
+    cfg = _least_config(name, **{field: _OTHER_VALUES[field]})
+    run = run_sweep if name == "sweep" else run_suite
+    if field in harness._SUITE_ROWS[name].reads:
+        assert run(cfg)
+        return
+    monkeypatch.setattr(harness, "_trial_rng", _no_trial)
+    with pytest.raises(ContractError, match=f"{name} does not read {field}, which must keep"):
+        run(cfg)
 
 
 def test_identities_at_d2_keep_running_below_the_d1_minimum():
@@ -795,7 +918,8 @@ def test_cli_paraproduct_reads_d_from_json_signals(tmp_path):
         r = _cli("paraproduct", "--f1", str(f1), "--f2", str(f2), *form)
         assert r.returncode == 0, r.stderr
         flagged = _cli("paraproduct", "--f1", str(f1), "--f2", str(f2), *form, "--d", "2")
-        assert json.loads(r.stdout) == json.loads(flagged.stdout)
+        assert flagged.returncode == 64
+        assert "argument --d: not allowed with JSON inputs only" in flagged.stderr
 
 
 def test_cli_config_file(tmp_path):
