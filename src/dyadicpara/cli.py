@@ -81,7 +81,7 @@ def build_parser() -> _Parser:
     g = sub.add_parser("gen", help="generate a signal")
     g.set_defaults(run=_cmd_gen)
     file_grid(g)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=None)
     g.add_argument("--out", type=str, default=None)
     g.add_argument(
         "--kind",
@@ -100,8 +100,8 @@ def build_parser() -> _Parser:
         choices=("lp", "weak", "h1", "bmo", "product-bmo"),
         default="lp",
     )
-    n.add_argument("--p", type=float, default=2.0)
-    n.add_argument("--r", type=float, default=1.0)
+    n.add_argument("--p", type=float, default=None)
+    n.add_argument("--r", type=float, default=None)
 
     t = sub.add_parser("transform", help="coefficient transform of a signal")
     t.set_defaults(run=_cmd_transform)
@@ -136,26 +136,32 @@ def build_parser() -> _Parser:
 
 
 # the defaults of the file verbs' flags that some of their runs do not read
-_FILE_FLAG_DEFAULTS = {"d": 1, "L": 6, "c": 1.0, "family": "haar"}
+_FILE_FLAG_DEFAULTS = {"d": 1, "L": 6, "c": 1.0, "family": "haar", "seed": 0, "p": 2.0, "r": 1.0}
 
 
 def _settle_file_flags(parser, args):
     """Refuses, as a usage error, a flag given to a run of a file verb that
     does not read it; then gives each flag not given its default."""
     if args.verb == "gen":
-        why = f"--kind {args.kind}"
         unread = [] if args.kind == "constant" else ["c"]
         if args.kind not in ("indicator", "bump"):
             unread.append("rect")
+        if args.kind not in ("random-cells", "random-haar"):
+            unread.append("seed")
+        refused = [(f"--kind {args.kind}", unread)]
     elif getattr(args, "inverse", False):  # the field JSON carries d, L and family
-        why, unread = "argument --inverse", ["d", "L", "family"]
+        refused = [("argument --inverse", ["d", "L", "family"])]
     else:  # a JSON signal carries d and L
         paths = [getattr(args, name, None) for name in ("infile", "f1", "f2", "f3")]
         csv = any(p is not None and Path(p).suffix != ".json" for p in paths)
-        why, unread = "JSON inputs only", [] if csv else ["d", "L"]
-    for name in unread:
-        if getattr(args, name) is not None:
-            parser.error(f"argument --{name}: not allowed with {why}")
+        refused = [("JSON inputs only", [] if csv else ["d", "L"])]
+        if args.verb == "norm":  # --p is the exponent of lp, --r that of weak
+            unread = [name for name, kind in (("p", "lp"), ("r", "weak")) if args.norm != kind]
+            refused.append((f"--norm {args.norm}", unread))
+    for why, unread in refused:
+        for name in unread:
+            if getattr(args, name) is not None:
+                parser.error(f"argument --{name}: not allowed with {why}")
     for name, default in _FILE_FLAG_DEFAULTS.items():
         if getattr(args, name, default) is None:
             setattr(args, name, default)

@@ -37,6 +37,7 @@ FRACTION = 0.01  # bad-set fraction per hypothesis
 OMEGA_FRACTION = 0.01  # threshold scale in the level-set union
 DEFAULT_CLAMP = 40
 KAPPA_LIMIT = float(2**20)
+_TOL = 1e-10  # relative slack of every bound comparison
 
 
 # ---------------------------------------------------------------------------
@@ -54,18 +55,24 @@ def _blocks(values: np.ndarray, L: int, levels) -> np.ndarray:
     return values.reshape(shape).transpose(order)
 
 
-def _mth_largest(
-    blocks: np.ndarray, frac: float, cell_axes: int, owned: bool = False
-) -> np.ndarray:
-    """Per block, the m-th largest of its cells, m = ceil(frac * cells),
-    which exceeds a threshold t iff t is exceeded on >= frac of the cells.
-    The last `cell_axes` axes of `blocks` hold the cells of a block.  At
-    m = 1 (every block of at most 100 cells at the 1/100 fraction) that is
-    the block maximum, read in place; otherwise the cells are partitioned
-    in a copy, or in `blocks` itself when the caller `owned` it."""
+def _rank(cells: int) -> int:
+    """m(R) = ceil(FRACTION * cells of R): T exceeds t on at least FRACTION
+    of R iff it does on m(R) cells, iff the m(R)-th largest value of T on R
+    exceeds t.  No count 2^j with j < 59 makes FRACTION * 2^j an integer,
+    so "more than FRACTION of R", the failing hypothesis, is "at least m(R)
+    cells" as well."""
+    return math.ceil(cells * FRACTION)
+
+
+def _mth_largest(blocks: np.ndarray, cell_axes: int, owned: bool = False) -> np.ndarray:
+    """Per block, the m-th largest of its cells, m = `_rank(cells)`.  The
+    last `cell_axes` axes of `blocks` hold the cells of a block.  At m = 1
+    (every block of at most 100 cells) that is the block maximum, read in
+    place; otherwise the cells are partitioned in a copy, or in `blocks`
+    itself when the caller `owned` it."""
     lead = blocks.shape[: blocks.ndim - cell_axes]
     cells = math.prod(blocks.shape[len(lead) :])
-    m = math.ceil(cells * frac)
+    m = _rank(cells)
     if m == 1:
         return blocks.max(axis=tuple(range(len(lead), blocks.ndim)))
     v = (blocks if owned else blocks.copy()).reshape(lead + (cells,))
@@ -73,7 +80,7 @@ def _mth_largest(
     return v[..., cells - m]
 
 
-def _quantile_tensor(values: np.ndarray, L: int, frac: float) -> np.ndarray:
+def _quantile_tensor(values: np.ndarray, L: int) -> np.ndarray:
     """A coefficient-layout tensor: at the slot of each rectangle R below
     the grid level, the m-th largest cell value on R (`_mth_largest`); the
     mean slots are left unset."""
@@ -81,20 +88,19 @@ def _quantile_tensor(values: np.ndarray, L: int, frac: float) -> np.ndarray:
     q = np.empty(values.shape)
     for levels in itertools.product(range(L), repeat=d):
         q[tuple(slice(1 << k, 2 << k) for k in levels)] = _mth_largest(
-            _blocks(values, L, levels), frac, d
+            _blocks(values, L, levels), d
         )
     return q
 
 
-def _positive(name: str, value, upper: float = math.inf) -> float:
-    """`value` as a finite float in (0, upper]; a ContractError otherwise."""
+def _positive(name: str, value) -> float:
+    """`value` as a finite float > 0; a ContractError otherwise."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         number = math.nan
-    if not (0.0 < number <= upper and math.isfinite(number)):
-        bound = "finite and > 0" if upper == math.inf else f"in (0, {upper:g}]"
-        raise ContractError(f"{name} must be {bound}, got {value!r}")
+    if not (0.0 < number < math.inf):
+        raise ContractError(f"{name} must be finite and > 0, got {value!r}")
     return number
 
 
@@ -116,70 +122,62 @@ def _greatest_levels(q: np.ndarray, kappa: float, clamp: int) -> list:
     return labels.tolist()
 
 
-def classify_rectangles(
-    f: Signal,
-    op: OperatorSpec,
-    kappa: float,
-    frac: float = FRACTION,
-    clamp: int = DEFAULT_CLAMP,
-    values: Optional[Signal] = None,
-) -> dict:
+def classify_rectangles(values: Signal, kappa: float, clamp: int = DEFAULT_CLAMP) -> dict:
     """Label each lattice rectangle with the greatest l such that
-    |R intersect {T f > kappa 2^l}| >= frac * |R|  (None if no l works).
+    |R intersect {values > kappa 2^l}| >= FRACTION |R|  (None if no l
+    works).  `values` is an operator output: a caller holding a signal
+    passes `governing_operator(f, op)`.
 
     The quantiles fill one coefficient-layout tensor, every level tuple
     below L; its rectangle slots in row-major order are the rectangles in
     `lattice_rectangles` order, which is the order of the returned dict.
     """
-    kappa, frac = _positive("kappa", kappa), _positive("frac", frac, 1.0)
+    kappa = _positive("kappa", kappa)
     if isinstance(clamp, bool) or not isinstance(clamp, (int, np.integer)) or clamp < 0:
         raise ContractError(f"clamp must be an integer >= 0, got {clamp!r}")
-    g = values if values is not None else governing_operator(f, op)
-    d, L = g.d, g.L
+    d, L = values.d, values.L
     if L == 0:
         return {}
-    q = _quantile_tensor(g.values, L, frac)
+    q = _quantile_tensor(values.values, L)
     labels = _greatest_levels(q[(slice(1, None),) * d].ravel(), kappa, clamp)
     return dict(zip(_rectangle_tuple(d, L - 1), labels))
 
 
 def hypothesis_holds(
-    t_values: Signal,
-    collection: RectangleCollection,
-    threshold: float,
-    frac: float = FRACTION,
+    t_values: Signal, collection: RectangleCollection, threshold: float
 ) -> bool:
-    """True iff |R intersect {T > threshold}| <= frac |R| for all members.
+    """True iff |R intersect {T > threshold}| <= FRACTION |R| for all
+    members, that is, iff T exceeds the threshold on fewer than m(R) cells
+    of each member R (`_rank`).
 
     The exceedances are add-gathered to coefficient layout (with leaf slots
-    when a member sits at the grid level), and the slots whose count passes
-    frac of their cells are marked once per (threshold, frac, leaves) in
-    the signal's memo, so each member reads its verdict at its slot."""
-    frac = _positive("frac", frac, 1.0)
+    when a member sits at the grid level), and the slots whose count
+    reaches m(R) are marked once per (threshold, leaves) in the signal's
+    memo, so each member reads its verdict at its slot."""
     L = t_values.L
     index, _, width = _member_slots(collection, t_values.d, L, leaves=True)
     leaves = width > 1 << L
-    key = (threshold, frac, leaves)
+    key = (threshold, leaves)
     over = t_values._memo.get(key)
     if over is None:
         count = (t_values.values > threshold).astype(float)
         for axis in range(t_values.d):
             count = _gather(count, axis, L, np.add, leaves=leaves)
-        over = count > _allowed_counts(t_values.d, L, frac, leaves)
+        over = count >= _rank_table(t_values.d, L, leaves)
         over.flags.writeable = False
         t_values._memo[key] = over
     return not over[index].any()
 
 
 @functools.lru_cache(maxsize=4)
-def _allowed_counts(d: int, L: int, frac: float, leaves: bool) -> np.ndarray:
-    """floor(frac * cells of R) at the slot of each rectangle R of a
-    coefficient tensor, leaf slots with `leaves`; the mean slot counts as
-    level 0, and no member sits there."""
+def _rank_table(d: int, L: int, leaves: bool) -> np.ndarray:
+    """m(R) (`_rank`) at the slot of each rectangle R of a coefficient
+    tensor, leaf slots with `leaves`; the mean slot counts as level 0, and
+    no member sits there."""
     slots = np.arange((2 if leaves else 1) << L)
     cells = L - (np.frexp(np.maximum(slots, 1))[1] - 1)  # L - level
     exponent = sum(cells.reshape((-1,) + (1,) * (d - 1 - axis)) for axis in range(d))
-    out = np.floor(np.ldexp(1.0, exponent) * frac)
+    out = np.array([_rank(1 << j) for j in range(d * L + 1)], dtype=float)[exponent]
     out.flags.writeable = False
     return out
 
@@ -187,7 +185,7 @@ def _allowed_counts(d: int, L: int, frac: float, leaves: bool) -> np.ndarray:
 def _hypothesis_threshold(t: Signal, collection: RectangleCollection) -> float:
     """The least threshold at which `hypothesis_holds` does (0 for no
     member): the largest over members R of the m-th largest value of T on
-    R, m = ceil(FRACTION * cells).  The members are grouped by level tuple,
+    R, m = `_rank(cells)`.  The members are grouped by level tuple,
     and each group's blocks are gathered in one copy and partitioned."""
     index, levels, _ = _member_slots(collection, t.d, t.L, leaves=True)
     positions = np.stack(index, axis=-1) - np.left_shift(1, levels)
@@ -196,7 +194,7 @@ def _hypothesis_threshold(t: Signal, collection: RectangleCollection) -> float:
         groups.setdefault(key, []).append(position)
     tops = [
         _mth_largest(
-            _blocks(t.values, t.L, key)[tuple(zip(*members))], FRACTION, t.d, owned=True
+            _blocks(t.values, t.L, key)[tuple(zip(*members))], t.d, owned=True
         )
         for key, members in groups.items()
     ]
@@ -355,7 +353,6 @@ def technical_lemma_check(
     lambdas,
     hypothesis_flags,
     op_specs=None,
-    tol: float = 1e-10,
 ) -> dict:
     """Verify the summation bound selected by the hypothesis pattern.
 
@@ -382,7 +379,7 @@ def technical_lemma_check(
             f"measured level sets {measured}"
         )
     holding = [j for j in range(3) if measured[j]]
-    result = _class_bound(collection, spec, fs, ops, lambdas, holding, tol)
+    result = _class_bound(collection, spec, fs, ops, lambdas, holding)
     result["good_set_measure"] = None
     if len(collection):
         good = collection.shadow_mask().copy()
@@ -392,7 +389,7 @@ def technical_lemma_check(
     return result
 
 
-def _class_bound(collection, spec, fs, ops, lambdas, holding, tol: float) -> dict:
+def _class_bound(collection, spec, fs, ops, lambdas, holding) -> dict:
     """Sum(collection) against the conclusion selected by the holding slots:
     the shadow measure, one restricted L^2 norm per failing slot, and the
     explicit constant of `_conclusion_bound`.  The hypotheses themselves
@@ -411,7 +408,7 @@ def _class_bound(collection, spec, fs, ops, lambdas, holding, tol: float) -> dic
         "sum": total,
         "bound": bound,
         "margin": bound - total,
-        "ok": total <= bound * (1.0 + tol) + 1e-300,
+        "ok": total <= bound * (1.0 + _TOL) + 1e-300,
         "shadow": shadow,
         "holding": holding,
         "restricted_norms": restricted_norms,
@@ -546,7 +543,6 @@ class RestrictedWeakConfig:
     f3: Optional[Signal] = None  # bounded profile; defaults to 1
     kappa: Optional[float] = None
     clamp: int = DEFAULT_CLAMP
-    tol: float = 1e-10
 
 
 def _group_classes(labels_list, lattice, clamp, leading: int):
@@ -613,10 +609,7 @@ def _decompose(
     labelled = list(range(leading)) + [2]
     t_values = dict(enumerate(state.t_values))
     t_values[2] = governing_operator(f3, ops[2])
-    labels = [
-        classify_rectangles(fs[j], ops[j], kappa, clamp=cfg.clamp, values=t_values[j])
-        for j in labelled
-    ]
+    labels = [classify_rectangles(t_values[j], kappa, clamp=cfg.clamp) for j in labelled]
     main, leftover = _group_classes(labels, lattice_rectangles(d, L), cfg.clamp, leading)
 
     rows = []
@@ -629,14 +622,13 @@ def _decompose(
                 lambdas[j] = kappa * 2.0 ** (e + 1)
             if len(holding) == 3:
                 check = technical_lemma_check(
-                    collection, spec, fs, lambdas, (True, True, True),
-                    op_specs=ops, tol=cfg.tol,
+                    collection, spec, fs, lambdas, (True, True, True), op_specs=ops
                 )
             else:
                 for j in holding:
                     if not hypothesis_holds(t_values[j], collection, lambdas[j]):
                         raise ContractError(f"hypothesis {j + 1} fails on {kind} class {ells}")
-                check = _class_bound(collection, spec, fs, ops, lambdas, holding, cfg.tol)
+                check = _class_bound(collection, spec, fs, ops, lambdas, holding)
             row = {
                 "class": kind,
                 "labels": list(ells),
@@ -688,7 +680,7 @@ def restricted_weak_type_pipeline(
     pairing = abs(float(np.sum(b_out.values * f3.values)) * f1.cell_measure)
     pairing_abs = float(np.sum(np.abs(b_out.values) * np.abs(f3.values))) * f1.cell_measure
     # absolute slack for cancellation dust when the pairing is near zero
-    slack = cfg.tol * max(total, lp_norm(b_out, 1.0), 1.0)
+    slack = _TOL * max(total, lp_norm(b_out, 1.0), 1.0)
     return {
         **report,
         "omega_measure": state.omega_measure,

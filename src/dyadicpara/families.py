@@ -50,6 +50,9 @@ class AdaptedFamily:
             raise ContractError("parameter count d must be >= 1")
         if len(self.zero_pattern) != self.d:
             raise ContractError("zero pattern length must equal d")
+        # a truth value would read "no" or 1 as a zero, and 0 or [] as none
+        if not {bool, np.bool_}.issuperset(map(type, self.zero_pattern)):
+            raise ContractError(f"zero pattern entries must be bools, got {self.zero_pattern!r}")
         if self.K < 1:
             raise ContractError("adaptation constant K must be >= 1")
 

@@ -65,14 +65,15 @@ def energy_in_region(f: Signal, mask: np.ndarray) -> float:
 
 # exact-marginal greedy only below this n_rects^2 * n_cells budget
 _EXACT_GREEDY_OPS = 1 << 26
+_GREEDY_STEPS = 16
 
 
-def product_bmo_lower(f: Signal, budget: int = 16) -> float:
+def product_bmo_lower(f: Signal) -> float:
     """Certified lower bound for the product-BMO norm of f.
 
     Maximizes (|U|^-1 sum_{R in U} <f, h_R>^2)^(1/2) over single lattice
     rectangles and over greedy unions grown by the rectangle with the best
-    marginal energy per added measure, for at most `budget` steps.  The
+    marginal energy per added measure, for at most `_GREEDY_STEPS` steps.  The
     true norm takes a supremum over all finite-measure sets, so every
     region visited certifies a lower bound; grids too large for the exact
     marginal computation fall back to ranking candidates by their own
@@ -117,7 +118,7 @@ def product_bmo_lower(f: Signal, budget: int = 16) -> float:
         best = max(best, float(np.max(singles / (counts * cell))))
 
     current = 0.0
-    for _ in range(max(budget, 0)):
+    for _ in range(_GREEDY_STEPS):
         added = _per_rectangle((~marked).astype(np.intp), L, np.add)
         if exact:
             # which rectangles lie inside marked ∪ R, per candidate R

@@ -22,7 +22,7 @@ from .errors import ContractError
 from .families import AdaptedFamily
 from .lattice import RectangleCollection
 from .signals import Signal, _Adopted, _shared_view
-from .transforms import CoefficientField, _rectangle_weights, _spread, coefficients
+from .transforms import _rectangle_weights, _spread, coefficients
 
 SQUARE = "square"
 MAX = "max"
@@ -108,16 +108,10 @@ def governing_operator(
     f: Signal,
     spec: OperatorSpec,
     collection: Optional[RectangleCollection] = None,
-    field: Optional[CoefficientField] = None,
 ) -> Signal:
     if spec.d != f.d:
         raise ContractError("operator and signal parameter counts differ")
-    if field is None:
-        field = coefficients(f, spec.family)
-    elif field.family != spec.family or (field.d, field.L) != (f.d, f.L):
-        raise ContractError(
-            "coefficient field does not match the operator family and grid"
-        )
+    field = coefficients(f, spec.family)
     d, L = f.d, f.L
     # the output over the whole lattice is kept on the field per norm choice
     # and nesting order; each later call gets a read-only view of its cells
@@ -147,13 +141,10 @@ def governing_operator(
 
 
 def restricted_operator(
-    f: Signal,
-    spec: OperatorSpec,
-    collection: RectangleCollection,
-    field: Optional[CoefficientField] = None,
+    f: Signal, spec: OperatorSpec, collection: RectangleCollection
 ) -> Signal:
     """Same aggregation, but only over rectangles in the collection."""
-    return governing_operator(f, spec, collection=collection, field=field)
+    return governing_operator(f, spec, collection=collection)
 
 
 def conditional_expectation(f: Signal, intervals) -> Signal:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ContractError
 from .families import AdaptedFamily
-from .lattice import RectangleCollection, maximal_intervals_in_mask
+from .lattice import RectangleCollection, _json_index, maximal_intervals_in_mask
 from .operators import (
     MAX,
     SQUARE,
@@ -92,7 +92,7 @@ class ParaproductSpec:
     @classmethod
     def from_json(cls, data) -> "ParaproductSpec":
         fams = tuple(
-            AdaptedFamily.make(s["kind"], int(data["d"]), tuple(s["zero_pattern"]))
+            AdaptedFamily.make(s["kind"], _json_index(data["d"]), tuple(s["zero_pattern"]))
             for s in data["slots"]
         )
         return cls(fams)

@@ -104,7 +104,7 @@ class Signal:
     """Signals compare and hash by identity.  `_memo` holds what is derived
     from the values: the coefficient field per family
     (`transforms.coefficients`), the `lp_norm` per exponent, and the level
-    sets of `decomposition.hypothesis_holds` per (threshold, frac, leaves).
+    sets of `decomposition.hypothesis_holds` per (threshold, leaves).
     Keys of these kinds never compare equal.  The memo lives exactly as
     long as the signal, or is shared with the views of a kept operator
     output (`_shared_view`)."""

@@ -7,7 +7,9 @@ the class loop, and computed their leftover bounds by hand.  The bodies
 are copied unchanged, except that the writes to the exceptional-set state
 fields `labels` and `lambdas`, which nothing read and which are gone, are
 dropped, and so is the check of an E_3 mask: the pipelines take only the
-whole torus, so E_3' is the complement of the inflated set.
+whole torus, so E_3' is the complement of the inflated set.  The options
+that became constants are read as such: `classify_rectangles` takes the
+operator output, and the bound tolerance, once `cfg.tol`, is `_TOL`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import numpy as np
 
 from dyadicpara.decomposition import (
+    _TOL,
     RestrictedWeakConfig,
     _group_classes,
     build_exceptional_sets,
@@ -65,9 +68,9 @@ def restricted_weak_type_pipeline(
     base = cfg.f3 if cfg.f3 is not None else Signal.constant(d, L, 1.0)
     f3 = Signal(d, L, np.clip(base.values, -1.0, 1.0)).restrict(e3_prime)
 
-    labels1 = classify_rectangles(f1, t1, kappa, clamp=cfg.clamp, values=state.t_values[0])
-    labels2 = classify_rectangles(f2, t2, kappa, clamp=cfg.clamp, values=state.t_values[1])
-    labels3 = classify_rectangles(f3, t3, kappa, clamp=cfg.clamp)
+    labels1 = classify_rectangles(state.t_values[0], kappa, clamp=cfg.clamp)
+    labels2 = classify_rectangles(state.t_values[1], kappa, clamp=cfg.clamp)
+    labels3 = classify_rectangles(governing_operator(f3, t3), kappa, clamp=cfg.clamp)
     lattice = lattice_rectangles(d, L)
     main, leftover = _group_classes(
         [labels1, labels2, labels3], lattice, cfg.clamp, leading=2
@@ -81,7 +84,7 @@ def restricted_weak_type_pipeline(
         lambdas = tuple(kappa * 2.0 ** (e + 1) for e in ells)
         check = technical_lemma_check(
             collection, spec, (f1, f2, f3), lambdas, (True, True, True),
-            op_specs=(t1, t2, t3), tol=cfg.tol,
+            op_specs=(t1, t2, t3),
         )
         row = {
             "class": "main",
@@ -112,7 +115,7 @@ def restricted_weak_type_pipeline(
                 )
         total = sum_over(collection, spec, f1, f2, f3)
         bound = (100.0 / 98.0) * lambdas[0] * lambdas[1] * math.sqrt(shadow) * t3_norm
-        ok = total <= bound * (1.0 + cfg.tol) + 1e-300
+        ok = total <= bound * (1.0 + _TOL) + 1e-300
         rows.append(
             {
                 "class": "leftover",
@@ -137,7 +140,7 @@ def restricted_weak_type_pipeline(
     )
     pairing_abs = float(np.sum(np.abs(b_out.values) * np.abs(f3.values))) * f1.cell_measure
     # absolute slack for cancellation dust when the pairing is near zero
-    slack = cfg.tol * max(total, lp_norm(b_out, 1.0), 1.0)
+    slack = _TOL * max(total, lp_norm(b_out, 1.0), 1.0)
 
     return {
         "kappa": kappa,
@@ -191,8 +194,8 @@ def endpoint_pipeline(
     f3 = Signal(d, L, np.clip(base.values, -1.0, 1.0)).restrict(e3_prime)
 
     t3_values = governing_operator(f3, t3)
-    labels1 = classify_rectangles(f1, t1, kappa, clamp=cfg.clamp, values=state.t_values[0])
-    labels3 = classify_rectangles(f3, t3, kappa, clamp=cfg.clamp, values=t3_values)
+    labels1 = classify_rectangles(state.t_values[0], kappa, clamp=cfg.clamp)
+    labels3 = classify_rectangles(t3_values, kappa, clamp=cfg.clamp)
     lattice = lattice_rectangles(d, L)
     main, leftover = _group_classes([labels1, labels3], lattice, cfg.clamp, leading=1)
 
@@ -220,7 +223,7 @@ def endpoint_pipeline(
         else:
             t3_norm = lp_norm(restricted_operator(f3, t3, collection), 2.0)
             bound = (100.0 / 99.0) * lam1 * t2_norm * t3_norm
-        ok = total <= bound * (1.0 + cfg.tol) + 1e-300
+        ok = total <= bound * (1.0 + _TOL) + 1e-300
         rows.append(
             {
                 "class": "main" if is_main else "leftover",

@@ -31,35 +31,29 @@ from dyadicpara.decomposition import hypothesis_holds
 from dyadicpara.harness import normalize, random_cells, random_haar
 
 
-def _max_spec(d=1):
-    return OperatorSpec.all_max(AdaptedFamily.abs_haar(d))
-
-
 # -- classification ---------------------------------------------------------
 
 
 def test_classify_constant_one():
-    labels = classify_rectangles(
-        None, _max_spec(), 1.0, values=Signal.constant(1, 4, 1.0)
-    )
+    labels = classify_rectangles(Signal.constant(1, 4, 1.0), 1.0)
     assert set(labels.values()) == {-1}
 
 
 def test_classify_zero_sentinel():
-    labels = classify_rectangles(None, _max_spec(), 1.0, values=Signal.zeros(1, 4))
+    labels = classify_rectangles(Signal.zeros(1, 4), 1.0)
     assert set(labels.values()) == {None}
 
 
 def test_classify_hand_example():
     tf = Signal(1, 4, 4.0 * Signal.indicator(rectangle((2, 0)), 4).values)
-    labels = classify_rectangles(None, _max_spec(), 1.0, values=tf)
+    labels = classify_rectangles(tf, 1.0)
     assert labels[rectangle((0, 0))] == 1
 
 
 def test_classify_monotone_in_kappa(rng):
     tf = Signal(1, 5, np.abs(rng.standard_normal(32)))
-    lab1 = classify_rectangles(None, _max_spec(), 1.0, values=tf)
-    lab2 = classify_rectangles(None, _max_spec(), 2.0, values=tf)
+    lab1 = classify_rectangles(tf, 1.0)
+    lab2 = classify_rectangles(tf, 2.0)
     for r, l1 in lab1.items():
         l2 = lab2[r]
         if l1 is None:
@@ -70,14 +64,14 @@ def test_classify_monotone_in_kappa(rng):
 
 def test_classify_clamps():
     tf = Signal.constant(1, 3, 2.0**50)
-    labels = classify_rectangles(None, _max_spec(), 1.0, values=tf, clamp=10)
+    labels = classify_rectangles(tf, 1.0, clamp=10)
     assert set(labels.values()) == {10}
 
 
 def test_label_consistent_with_hypothesis(rng):
     # hypothesis at threshold kappa 2^(label+1) always holds, by maximality
     tf = Signal(2, 3, np.abs(rng.standard_normal((8, 8))))
-    labels = classify_rectangles(None, _max_spec(2), 1.0, values=tf)
+    labels = classify_rectangles(tf, 1.0)
     for r, lab in labels.items():
         ell = -40 if lab is None else lab
         col = RectangleCollection.of([r], 3)
@@ -440,32 +434,22 @@ def test_endpoint_spike_produces_vanishing_leftovers(triple1, rng):
 def test_labels_come_in_lattice_order(rng, d, L):
     # _group_classes reads the label vectors in this order
     tf = Signal(d, L, np.abs(rng.standard_normal(((1 << L),) * d)))
-    labels = classify_rectangles(None, _max_spec(d), 0.5, values=tf)
+    labels = classify_rectangles(tf, 0.5)
     assert list(labels) == lattice_rectangles(d, L)
 
 
 @pytest.mark.parametrize("kappa", [0, 0.0, -1.0, float("nan"), float("inf"), -float("inf"), "x", None])
 def test_classify_refuses_bad_kappa(kappa):
-    # f=None: the refusal comes before any operator is computed
     with pytest.raises(ContractError, match="kappa"):
-        classify_rectangles(None, _max_spec(), kappa)
-
-
-@pytest.mark.parametrize("frac", [0, -0.1, 1.0 + 1e-12, 2.0, float("nan"), float("inf")])
-def test_classify_and_hypothesis_refuse_bad_frac(frac):
-    tf = Signal(1, 4, np.arange(16.0))
-    with pytest.raises(ContractError, match="frac"):
-        classify_rectangles(None, _max_spec(), 1.0, frac=frac)
-    with pytest.raises(ContractError, match="frac"):
-        hypothesis_holds(tf, RectangleCollection.of([rectangle((0, 0))], 4), 1.0, frac=frac)
+        classify_rectangles(Signal(1, 4, np.arange(16.0)), kappa)
 
 
 def test_classify_tiny_kappa_clamps_instead_of_overflowing():
     # q / kappa overflows at kappa = 1e-320; the log-difference search does not
     tf = Signal(1, 4, np.arange(16.0))
-    labels = classify_rectangles(None, _max_spec(), 1e-320, values=tf, clamp=40)
+    labels = classify_rectangles(tf, 1e-320, clamp=40)
     assert set(labels.values()) == {40}
-    labels = classify_rectangles(None, _max_spec(), 1e300, values=tf, clamp=40)
+    labels = classify_rectangles(tf, 1e300, clamp=40)
     assert set(labels.values()) == {-40}
 
 
@@ -484,7 +468,7 @@ def test_classify_labels_a_subnormal_quantile_exactly():
     # kappa * 2^-1074 = 0.75 * 5e-324 rounds to 5e-324 itself, which the
     # comparison against ldexp(kappa, l) took for "not below q"
     tf = Signal(1, 1, np.array([5e-324, 5e-324]))
-    labels = classify_rectangles(None, _max_spec(), 0.75, values=tf, clamp=1100)
+    labels = classify_rectangles(tf, 0.75, clamp=1100)
     assert list(labels.values()) == [-1074] == [_exact_label(5e-324, 0.75, 1100)]
 
 
@@ -505,17 +489,8 @@ def test_greatest_levels_equal_exact_rational_labels(rng, kappa, clamp):
 
 @pytest.mark.parametrize("clamp", [-1, 2.5, 3.0, "3", None, True, np.float64(4.0)])
 def test_classify_refuses_bad_clamp(clamp):
-    # f=None: the refusal comes before any operator is computed
     with pytest.raises(ContractError, match="clamp"):
-        classify_rectangles(None, _max_spec(), 1.0, clamp=clamp)
-
-
-def test_hypothesis_with_frac_one_always_holds():
-    # |R cut {T > t}| <= |R| always; the partition index used to wrap to -1
-    tf = Signal(1, 4, np.arange(16.0))
-    whole = RectangleCollection.of([rectangle((0, 0))], 4)
-    assert hypothesis_holds(tf, whole, 14.5, frac=1.0)
-    assert not hypothesis_holds(tf, whole, 14.5, frac=1.0 / 32)
+        classify_rectangles(Signal(1, 4, np.arange(16.0)), 1.0, clamp=clamp)
 
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan")])

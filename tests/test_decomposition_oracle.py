@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from dyadicpara import ContractError, RectangleCollection, ResolutionError, Signal
 from dyadicpara import decomposition, lattice_rectangles, lp_norm, rectangle, transforms
+from dyadicpara.decomposition import FRACTION
 from dyadicpara.lattice import enumerate_rectangles
 
 import decomposition_oracle as oracle
@@ -46,15 +47,14 @@ def _collection(rng, d, L, top):
     grid=st.sampled_from(GRIDS),
     seed=st.integers(0, 2**32 - 1),
     kappa=st.sampled_from([1.0, 0.375, 3.0, 1e-3, 2.0**-30]),
-    frac=st.sampled_from([0.01, 0.25, 0.5, 1.0]),
     clamp=st.sampled_from([0, 2, 5, 40]),
 )
-def test_labels_equal_oracle_property(grid, seed, kappa, frac, clamp):
+def test_labels_equal_oracle_property(grid, seed, kappa, clamp):
     d, L = grid
     rng = np.random.default_rng(seed)
     g = _operator_values(rng, d, L, kappa)
-    got = decomposition.classify_rectangles(None, None, kappa, frac, clamp, values=g)
-    want = oracle.classify_rectangles(None, None, kappa, frac, clamp, values=g)
+    got = decomposition.classify_rectangles(g, kappa, clamp)
+    want = oracle.classify_rectangles(None, None, kappa, FRACTION, clamp, values=g)
     assert got == want
     assert all(type(got[r]) is type(want[r]) for r in want)  # int or None
     assert list(got) == lattice_rectangles(d, L)
@@ -72,9 +72,7 @@ def test_classes_equal_oracle_property(grid, seed, leading, clamp):
     rng = np.random.default_rng(seed)
     kappa = float(rng.choice([0.05, 0.5]))
     labels = [
-        decomposition.classify_rectangles(
-            None, None, kappa, clamp=clamp, values=_operator_values(rng, d, L, kappa)
-        )
+        decomposition.classify_rectangles(_operator_values(rng, d, L, kappa), kappa, clamp)
         for _ in range(leading + 1)
     ]
     lattice = lattice_rectangles(d, L)
@@ -89,19 +87,17 @@ def test_classes_equal_oracle_property(grid, seed, leading, clamp):
 @given(
     grid=st.sampled_from(GRIDS),
     seed=st.integers(0, 2**32 - 1),
-    frac=st.floats(1e-3, 0.999),
     at_grid_level=st.booleans(),
 )
-def test_hypothesis_equals_oracle_property(grid, seed, frac, at_grid_level):
-    # frac < 1: the oracle wraps its partition index at frac = 1
+def test_hypothesis_equals_oracle_property(grid, seed, at_grid_level):
     d, L = grid
     rng = np.random.default_rng(seed)
     t = _operator_values(rng, d, L, 1.0)
     collection = _collection(rng, d, L, L if at_grid_level else max(L - 1, 0))
     thresholds = [0.0, *np.quantile(t.values, [0.5, 0.9, 0.99]), float(t.values.max())]
     for threshold in thresholds:
-        got = decomposition.hypothesis_holds(t, collection, threshold, frac)
-        assert got == oracle.hypothesis_holds(t, collection, threshold, frac)
+        got = decomposition.hypothesis_holds(t, collection, threshold)
+        assert got == oracle.hypothesis_holds(t, collection, threshold, FRACTION)
 
 
 @SETTINGS
@@ -175,31 +171,57 @@ def _ties(rng, shape):
     return rng.integers(0, 4, shape).astype(float) * rng.choice([0.25, 3.0, 1e-300])
 
 
-@pytest.mark.parametrize("frac", [0.01, 0.5, 1.0])
-def test_block_maximum_equals_the_partition(frac):
+def test_block_maximum_equals_the_partition():
     rng = np.random.default_rng(7)
     for cells in range(1, 201):
         v = _ties(rng, (3, cells))
         v.flags.writeable = False
-        want = oracle.mth_largest(v.copy(), frac)
-        got = decomposition._mth_largest(v, frac, 1)
+        want = oracle.mth_largest(v.copy(), FRACTION)
+        got = decomposition._mth_largest(v, 1)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         owned = v.copy()
-        got = decomposition._mth_largest(owned, frac, 1, owned=True)
+        got = decomposition._mth_largest(owned, 1, owned=True)
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("frac", [0.01, 0.5, 1.0])
 @pytest.mark.parametrize("d, L", [(1, 7), (2, 4), (3, 3)])
-def test_block_maximum_over_several_cell_axes_equals_the_partition(frac, d, L):
+def test_block_maximum_over_several_cell_axes_equals_the_partition(d, L):
     rng = np.random.default_rng(d + L)
     values = _ties(rng, ((1 << L),) * d)
     values.flags.writeable = False
     for levels in itertools.product(range(L + 1), repeat=d):
         blocks = decomposition._blocks(values, L, levels)
-        want = oracle.mth_largest(blocks.reshape([1 << k for k in levels] + [-1]).copy(), frac)
-        got = decomposition._mth_largest(blocks, frac, d)
+        want = oracle.mth_largest(blocks.reshape([1 << k for k in levels] + [-1]).copy(), FRACTION)
+        got = decomposition._mth_largest(blocks, d)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _label_rank(j: int) -> int:
+    """The m of `_mth_largest` on one block of 2^j cells, read off its
+    result on the distinct values 0 .. 2^j - 1: the m-th largest is 2^j - m."""
+    n = 1 << j
+    return n - int(decomposition._mth_largest(np.arange(n, dtype=float)[None], 1)[0])
+
+
+@pytest.mark.parametrize("d, L", [(1, 13), (2, 9), (3, 6)])  # the resolution caps
+def test_label_rank_is_the_hypothesis_rank_up_to_the_caps(d, L):
+    # with leaf slots at L, the slots of 2^0 .. 2^(dL) cells; without them
+    # at L + 1, those of 2^d .. 2^(d(L+1)) cells
+    ranks = {}
+    for top, leaves in ((L, True), (L + 1, False)):
+        table = decomposition._rank_table.__wrapped__(d, top, leaves)
+        for levels in itertools.product(range(top + (1 if leaves else 0)), repeat=d):
+            j = sum(top - k for k in levels)
+            entries = np.unique(table[tuple(slice(1 << k, 2 << k) for k in levels)])
+            assert entries.size == 1
+            ranks.setdefault(j, set()).add(float(entries[0]))
+    assert sorted(ranks) == list(range(d * (L + 1) + 1))
+    for j, entries in ranks.items():
+        # 2^j is never a multiple of 100: at least 1/100 of the cells is
+        # more than 1/100 of them, one cell past the old floor table
+        want = (1 << j) // 100 + 1
+        assert entries == {want} and _label_rank(j) == want
+        assert math.floor((1 << j) * FRACTION) + 1 == want
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 4.0, np.inf])

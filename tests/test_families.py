@@ -22,6 +22,21 @@ def test_kind_validation():
         AdaptedFamily("haar", 1, (True,), K=0.5)
 
 
+@pytest.mark.parametrize("entry", ["no", "", 0, 1, 0.0, None, [], np.int64(1)])
+def test_zero_pattern_refuses_an_entry_that_is_not_a_bool(entry):
+    # read by its truth value, "no" was a zero and 0 none
+    with pytest.raises(ContractError, match="zero pattern"):
+        AdaptedFamily.make("haar", 2, (True, entry))
+    with pytest.raises(ContractError, match="zero pattern"):
+        AdaptedFamily("gaussian-smooth", 1, (entry,))
+
+
+def test_zero_pattern_takes_numpy_bools():
+    fam = AdaptedFamily.make("haar", 2, np.array([True, False]))
+    assert fam == AdaptedFamily.make("haar", 2, (True, False))
+    assert hash(fam) == hash(AdaptedFamily.make("haar", 2, (True, False)))
+
+
 @pytest.mark.parametrize("kind", ["haar", "abs-haar", "gaussian-smooth", "gaussian-bump"])
 def test_profiles_unit_norm(kind):
     fam = AdaptedFamily.make(kind, 1)

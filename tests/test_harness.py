@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from dyadicpara import (
     coefficients,
     enumerate_rectangles,
     generate_signal,
+    lp_norm,
     normalize,
     rectangle,
+    weak_quasinorm,
 )
 from dyadicpara import harness
 from dyadicpara.cli import main
@@ -241,6 +244,17 @@ def test_cli_transform_inverse_malformed_keys_exit_2(tmp_path, entries):
     assert "contract error" in r.stderr
 
 
+@pytest.mark.parametrize("pattern", [["no"], [0], [1], [None], ["true"]])
+def test_cli_transform_inverse_non_boolean_zero_pattern_exit_2(tmp_path, capsys, pattern):
+    # ["no"] reconstructed the field in the orthonormal Haar basis, exit 0
+    coef = tmp_path / "c.json"
+    data = coefficients(Signal.zeros(1, 4), AdaptedFamily.haar(1)).to_json()
+    data["family"]["zero_pattern"] = pattern
+    coef.write_text(json.dumps(data))
+    assert main(["transform", "--inverse", "--in", str(coef)]) == 2
+    assert "zero pattern entries must be bools" in capsys.readouterr().err
+
+
 def test_cli_transform_inverse_huge_resolution_exit_2(tmp_path, capsys):
     coef = tmp_path / "c.json"
     data = coefficients(Signal.zeros(1, 4), AdaptedFamily.haar(1)).to_json()
@@ -351,6 +365,12 @@ _UNREAD_FLAGS = [
     (["gen", "--kind", "indicator", "--rect", "1,0", "--c", "2"], "--c", "--kind indicator"),
     (["gen", "--rect", "1,0"], "--rect", "--kind random-haar"),
     (["gen", "--kind", "constant", "--rect", "1,0"], "--rect", "--kind constant"),
+    (["gen", "--kind", "constant", "--L", "2", "--seed", "5"], "--seed", "--kind constant"),
+    (["gen", "--kind", "bump", "--rect", "1,0", "--seed", "0"], "--seed", "--kind bump"),
+    (["norm", "--in", "f.json", "--norm", "h1", "--p", "3"], "--p", "--norm h1"),
+    (["norm", "--in", "f.json", "--norm", "h1", "--r", "7"], "--r", "--norm h1"),
+    (["norm", "--in", "f.json", "--norm", "weak", "--p", "2"], "--p", "--norm weak"),
+    (["norm", "--in", "f.json", "--r", "1"], "--r", "--norm lp"),
 ]
 
 
@@ -358,7 +378,8 @@ _UNREAD_FLAGS = [
     "args, flag, why", _UNREAD_FLAGS,
     ids=["inverse-d", "inverse-L", "inverse-family", "norm-json-d", "norm-json-L",
          "transform-json-L", "paraproduct-json-d", "form-json-L", "gen-random-c",
-         "gen-indicator-c", "gen-random-rect", "gen-constant-rect"],
+         "gen-indicator-c", "gen-random-rect", "gen-constant-rect", "gen-constant-seed",
+         "gen-bump-seed", "norm-h1-p", "norm-h1-r", "norm-weak-p", "norm-lp-r"],
 )
 def test_cli_flag_the_run_does_not_read_exit_64(tmp_path, capsys, monkeypatch, args, flag, why):
     _file_inputs(tmp_path)
@@ -387,6 +408,28 @@ def test_cli_file_flags_read_by_the_run_or_left_at_their_defaults(tmp_path, caps
     capsys.readouterr()
     assert main(["transform", "--in", "f.json"]) == 0
     assert json.loads(capsys.readouterr().out)["family"] == "haar"
+
+
+def test_cli_seed_p_and_r_are_read_by_the_modes_that_read_them(tmp_path, capsys, monkeypatch):
+    _file_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    f = Signal.load_json("f.json")
+    for kind in ("random-cells", "random-haar"):
+        assert main(["gen", "--kind", kind, "--L", "3", "--out", "s0.json"]) == 0
+        assert main(["gen", "--kind", kind, "--L", "3", "--seed", "0", "--out", "t0.json"]) == 0
+        assert main(["gen", "--kind", kind, "--L", "3", "--seed", "5", "--out", "t5.json"]) == 0
+        assert Path("s0.json").read_bytes() == Path("t0.json").read_bytes()
+        assert Path("s0.json").read_bytes() != Path("t5.json").read_bytes()
+    capsys.readouterr()
+    runs = [
+        (["--norm", "lp"], lp_norm(f, 2.0), {"kind": "lp", "p": 2.0}),
+        (["--p", "3"], lp_norm(f, 3.0), {"kind": "lp", "p": 3.0}),
+        (["--norm", "weak"], weak_quasinorm(f, 1.0), {"kind": "weak", "r": 1.0}),
+        (["--norm", "weak", "--r", "2"], weak_quasinorm(f, 2.0), {"kind": "weak", "r": 2.0}),
+    ]
+    for args, value, parameters in runs:
+        assert main(["norm", "--in", "f.json", *args]) == 0
+        assert json.loads(capsys.readouterr().out) == {"norm": value, "parameters": parameters}
 
 
 def test_cli_paraproduct_form_and_out_exit_64(tmp_path, capsys):

@@ -2,8 +2,8 @@
 
 Each signal has one memo, `_memo`: `transforms.coefficients` keeps its
 coefficient field per family there, `signals.lp_norm` its norm per
-exponent, and `decomposition.hypothesis_holds` its over-budget slots per
-(threshold, frac, leaves).  `operators.governing_operator` keeps each
+exponent, and `decomposition.hypothesis_holds` its failing slots per
+(threshold, leaves).  `operators.governing_operator` keeps each
 field's whole-lattice output per (sigma, pi) in `_outputs`, and every later
 output of it is a view that shares its memo.  A memo hit must equal, bit
 for bit, a fresh computation on a copy of the signal (a new object with an
@@ -31,6 +31,7 @@ from dyadicpara import (
     signals,
     transforms,
 )
+from dyadicpara.decomposition import FRACTION
 from dyadicpara.lattice import _rectangle_tuple
 from dyadicpara.operators import MAX, SQUARE
 
@@ -147,25 +148,6 @@ def test_collection_bypasses_the_operator_memo(d, L):
             assert not np.array_equal(got.values, governing_operator(f, spec).values)
 
 
-def _refuse(*args):
-    raise AssertionError("coefficients called despite an explicit field")
-
-
-@pytest.mark.parametrize("d, L", [(1, 9), (2, 4), (3, 3)])
-def test_explicit_field_bypasses_the_signal_memo(monkeypatch, d, L):
-    family = AdaptedFamily.haar(d)
-    f_values, g_values = _inputs(d, L)
-    f = Signal(d, L, f_values)
-    g_field = coefficients(Signal(d, L, g_values), family)
-    specs = list(_specs(family))
-    want = [governing_operator(Signal(d, L, g_values), spec).values for spec in specs]
-    for spec in specs:
-        governing_operator(f, spec)  # f keeps its own field and cells
-    monkeypatch.setattr(operators, "coefficients", _refuse)
-    for spec, w in zip(specs, want):
-        assert np.array_equal(governing_operator(f, spec, field=g_field).values, w)
-
-
 def test_memos_die_with_their_signal():
     family = AdaptedFamily.abs_haar(2)
     f = Signal(2, 4, _inputs(2, 4)[0])
@@ -187,9 +169,9 @@ def test_memos_die_with_their_signal():
 
 
 def _count_and_compare(t_values, collection, threshold, frac):
-    """`hypothesis_holds` before its memo: the exceedances add-gathered to
-    coefficient layout, each member's count compared with its allowance."""
-    frac = decomposition._positive("frac", frac, 1.0)
+    """`hypothesis_holds` before its memo and its one rank: the exceedances
+    add-gathered to coefficient layout, each member's count compared with
+    its allowance, floor(frac * cells)."""
     L = t_values.L
     index, levels, width = transforms._member_slots(collection, t_values.d, L, leaves=True)
     count = (t_values.values > threshold).astype(float)
@@ -197,9 +179,6 @@ def _count_and_compare(t_values, collection, threshold, frac):
         count = transforms._gather(count, axis, L, np.add, leaves=width > 1 << L)
     allowed = np.floor(np.ldexp(1.0, (L - levels).sum(axis=1)) * frac)
     return bool((count[index] <= allowed).all())
-
-
-_FRACS = (0.01, 0.5, 1.0)
 
 
 def _collections(rng, d, L):
@@ -236,21 +215,22 @@ def test_hypothesis_memo_hit_equals_fresh_count(d, L):
             memo = first._memo
             collections = list(_collections(rng, d, L))
             thresholds = _thresholds(rng, first)
-            cases = list(itertools.product(collections, thresholds, _FRACS))
-            for collection, threshold, frac in cases:
-                decomposition.hypothesis_holds(first, collection, threshold, frac)
+            cases = list(itertools.product(collections, thresholds))
+            for collection, threshold in cases:
+                decomposition.hypothesis_holds(first, collection, threshold)
             stored = len(memo)
             # a later whole-lattice output is a new signal with the same memo
             hit = governing_operator(f, spec)
             assert hit is not first and hit._memo is memo
-            for collection, threshold, frac in cases:
-                got = decomposition.hypothesis_holds(hit, collection, threshold, frac)
+            for collection, threshold in cases:
+                got = decomposition.hypothesis_holds(hit, collection, threshold)
                 fresh_t = Signal(d, L, hit.values)
-                fresh = decomposition.hypothesis_holds(fresh_t, collection, threshold, frac)
+                fresh = decomposition.hypothesis_holds(fresh_t, collection, threshold)
                 assert fresh_t._memo is not memo
-                assert got == fresh == _count_and_compare(hit, collection, threshold, frac)
+                want = _count_and_compare(hit, collection, threshold, FRACTION)
+                assert got == fresh == want
             assert len(memo) == stored  # every verdict above was a memo hit
-            assert {leaves for _, _, leaves in memo} == {False, True}
+            assert {leaves for _, leaves in memo} == {False, True}
 
 
 @pytest.mark.parametrize("d, L", [(1, 8), (2, 4), (3, 3)])
@@ -259,7 +239,7 @@ def test_memo_entries_are_read_only_booleans(d, L):
     t = governing_operator(f, OperatorSpec.all_max(AdaptedFamily.abs_haar(d)))
     for collection in _collections(np.random.default_rng(d), d, L):
         decomposition.hypothesis_holds(t, collection, float(np.median(t.values)))
-    for (_, _, leaves), over in t._memo.items():
+    for (_, leaves), over in t._memo.items():
         assert over.dtype == bool and not over.flags.writeable
         assert over.shape == (((2 if leaves else 1) << L),) * d
         with pytest.raises(ValueError):
@@ -287,7 +267,7 @@ def test_restricted_output_never_sees_the_whole_lattice_memo(d, L):
         assert restricted._memo == {}
         threshold = float(np.median(restricted.values))
         got = decomposition.hypothesis_holds(restricted, collection, threshold)
-        assert got == _count_and_compare(restricted, collection, threshold, 0.01)
+        assert got == _count_and_compare(restricted, collection, threshold, FRACTION)
         assert restricted._memo is not whole._memo
     assert whole._memo == kept
     assert governing_operator(f, spec)._memo is whole._memo

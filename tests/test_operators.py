@@ -309,22 +309,6 @@ def test_mixed_operator_at_resolution_cap(rng):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_governing_rejects_foreign_field(rng):
-    f = Signal(1, 4, rng.standard_normal(16))
-    spec = OperatorSpec.all_max(AdaptedFamily.abs_haar(1))
-    with pytest.raises(ContractError):
-        governing_operator(f, spec, field=coefficients(f, AdaptedFamily.haar(1)))
-    coarse = Signal(1, 3, rng.standard_normal(8))
-    full = RectangleCollection.of(lattice_rectangles(1, 3), 3)
-    with pytest.raises(ContractError):
-        restricted_operator(f, spec, full, field=coefficients(coarse, spec.family))
-    own = coefficients(f, spec.family)
-    assert np.array_equal(
-        governing_operator(f, spec, field=own).values,
-        governing_operator(f, spec).values,
-    )
-
-
 def _exact_density_above(mask, j):
     """Cells lying in a lattice rectangle where the mask's density exceeds
     2^-j, in integer arithmetic."""

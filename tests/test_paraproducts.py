@@ -239,6 +239,21 @@ def test_spec_json_round_trip(triple2):
     assert data["n"] == 2 and data["d"] == 2 and len(data["slots"]) == 3
 
 
+@pytest.mark.parametrize("d", [2.7, 2.0, True, "2", None])
+def test_spec_json_refuses_a_d_that_is_not_an_integer(triple2, d):
+    # int() read 2.7 as 2 and true as 1
+    data = {**triple2.to_json(), "d": d}
+    with pytest.raises(TypeError):
+        ParaproductSpec.from_json(data)
+
+
+def test_spec_json_refuses_a_zero_pattern_that_is_not_boolean(triple2):
+    data = triple2.to_json()
+    data["slots"][1]["zero_pattern"] = ["no", True]
+    with pytest.raises(ContractError, match="zero pattern"):
+        ParaproductSpec.from_json(data)
+
+
 def test_wrong_arity(triple1):
     with pytest.raises(ContractError):
         eval_B(triple1, (Signal.zeros(1, 3),))
