@@ -21,11 +21,9 @@ from .lattice import (
     dilate,
     enumerate_intervals,
     enumerate_rectangles,
-    halves,
     interval,
     maximal_intervals_in_mask,
     rectangle,
-    shadow_measure,
 )
 from .norms import bmo_norm_1param, h1_norm, product_bmo_lower
 from .operators import (

@@ -307,8 +307,6 @@ def build_exceptional_sets(
 
 def sum_over(collection: RectangleCollection, spec: ParaproductSpec, f1, f2, f3) -> float:
     """sum_{R in O} |R| prod_v |<f_v, phi_(v,R)>| / sqrt(|R|)."""
-    if spec.n != 2:
-        raise ContractError("sum_over is defined for the bilinear form")
     return eval_Lambda(spec, (f1, f2, f3), collection=collection)
 
 
@@ -368,7 +366,7 @@ def technical_lemma_check(
         raise ContractError(
             f"collection at L={collection.L} but signals at L={[f.L for f in fs]}"
         )
-    ops = tuple(op_specs) if op_specs is not None else slot_operator_specs(spec)[:3]
+    ops = tuple(op_specs) if op_specs is not None else slot_operator_specs(spec)
     t_vals = [governing_operator(f, op) for f, op in zip(fs, ops)]
     measured = tuple(
         hypothesis_holds(t, collection, lam) for t, lam in zip(t_vals, lambdas)
@@ -584,8 +582,8 @@ def _decompose(
     report, the exceptional-set state, the restricted third input and the
     measured input norms.
     """
-    if spec.n != 2 or spec.d != f1.d:
-        raise ContractError("pipeline needs a bilinear spec matching the inputs")
+    if spec.d != f1.d:
+        raise ContractError("pipeline needs a spec matching the inputs")
     norms = []
     for f, p, name in ((f1, cfg.p1, "f1"), (f2, cfg.p2, "f2")):
         nrm = lp_norm(f, p)
@@ -594,7 +592,7 @@ def _decompose(
         norms.append(nrm)
     d, L = f1.d, f1.L
 
-    ops = slot_operator_specs(spec)[:3]
+    ops = slot_operator_specs(spec)
     state = build_exceptional_sets(
         f1, f2, cfg.p1, cfg.p2, ops[0], ops[1] if leading == 2 else None, kappa=cfg.kappa
     )

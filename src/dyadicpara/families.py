@@ -1,7 +1,8 @@
 """Adapted function families: one unit-L^2 profile per dyadic interval.
 
-A family produces, for every rectangle, a tensor product of one-variable
-profiles.  Four kinds are supported:
+A family is its kind, its parameter count d and its per-coordinate zero
+pattern; it produces, for every rectangle, a tensor product of
+one-variable profiles.  Four kinds are supported:
 
   haar            step profile h_I = |I|^(-1/2) (1 on the left half, -1 on
                   the right half); mean zero by construction
@@ -13,6 +14,8 @@ profiles.  Four kinds are supported:
 Profiles are sampled at cell centers, renormalized to unit L^2 norm on the
 grid, and (for coordinates flagged mean zero) corrected to exact zero grid
 integral by subtracting a constant on a window of width 4|I| around c(I).
+`adaptedness_check` measures every family against one envelope, whose
+constants K and N are the module's.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ from .errors import ContractError, UnsupportedFamilyError
 
 KINDS = ("haar", "abs-haar", "gaussian-smooth", "gaussian-bump")
 
+# the envelope constants of `adaptedness_check`
+K = 1.0
+N = 8
+
 _DEFAULT_ZERO = {
     "haar": True,
     "abs-haar": False,
@@ -40,8 +47,6 @@ class AdaptedFamily:
     kind: str
     d: int
     zero_pattern: tuple
-    K: float = 1.0
-    N: int = 8
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -53,8 +58,8 @@ class AdaptedFamily:
         # a truth value would read "no" or 1 as a zero, and 0 or [] as none
         if not {bool, np.bool_}.issuperset(map(type, self.zero_pattern)):
             raise ContractError(f"zero pattern entries must be bools, got {self.zero_pattern!r}")
-        if self.K < 1:
-            raise ContractError("adaptation constant K must be >= 1")
+        # numpy.bool_ entries become bool, which JSON writes and hashing agrees on
+        object.__setattr__(self, "zero_pattern", tuple(map(bool, self.zero_pattern)))
 
     @classmethod
     def haar(cls, d: int) -> "AdaptedFamily":
@@ -65,21 +70,21 @@ class AdaptedFamily:
         return cls("abs-haar", d, (False,) * d)
 
     @classmethod
-    def smooth(cls, d: int, N: int = 8, zero_pattern=None) -> "AdaptedFamily":
+    def smooth(cls, d: int, zero_pattern=None) -> "AdaptedFamily":
         pattern = (True,) * d if zero_pattern is None else tuple(zero_pattern)
-        return cls("gaussian-smooth", d, pattern, N=N)
+        return cls("gaussian-smooth", d, pattern)
 
     @classmethod
-    def smooth_bump(cls, d: int, N: int = 8) -> "AdaptedFamily":
-        return cls("gaussian-bump", d, (False,) * d, N=N)
+    def smooth_bump(cls, d: int) -> "AdaptedFamily":
+        return cls("gaussian-bump", d, (False,) * d)
 
     @classmethod
-    def make(cls, kind: str, d: int, zero_pattern=None, N: int = 8) -> "AdaptedFamily":
+    def make(cls, kind: str, d: int, zero_pattern=None) -> "AdaptedFamily":
         if kind not in KINDS:
             raise ContractError(f"unknown family kind {kind!r}")
         if zero_pattern is None:
             zero_pattern = (_DEFAULT_ZERO[kind],) * d
-        return cls(kind, d, tuple(zero_pattern), N=N)
+        return cls(kind, d, tuple(zero_pattern))
 
     # computed on the first read and kept in the instance dict: the fields
     # never change, and the transforms read both on every call
@@ -100,7 +105,7 @@ class AdaptedFamily:
 
     def profile_matrix(self, axis: int, L: int) -> np.ndarray:
         """Rows 2^k + j hold the (k, j) profile; row 0 is unused (zeros)."""
-        return _profile_matrix_cached(self.is_smooth, bool(self.zero_pattern[axis]), L)
+        return _profile_matrix_cached(self.is_smooth, self.zero_pattern[axis], L)
 
     def rectangle_profile(self, rect, L: int) -> np.ndarray:
         parts = [
@@ -238,7 +243,7 @@ def adaptedness_check(
     proxy applies the analogous bound with |I|^(-3/2) to first differences
     scaled by the grid spacing.  Returns the smallest constants that make
     each condition hold, the worst zero-integral defect, and pass flags
-    against the family's declared (K, N).  Step profiles are expected to
+    against the module's (K, N).  Step profiles are expected to
     pass only the size condition.
     """
     n = 1 << L
@@ -257,10 +262,10 @@ def adaptedness_check(
                 else:
                     phi = family.axis_profile(axis, k, j, L)
                 c = (j + 0.5) * h
-                env0 = h**-0.5 * (0.5 + np.abs(xs - c) / h) ** -family.N
+                env0 = h**-0.5 * (0.5 + np.abs(xs - c) / h) ** -N
                 size_K = max(size_K, float(np.max(np.abs(phi) / env0)))
                 dphi = np.diff(phi) * n
-                env1 = h**-1.5 * (0.5 + np.abs(mids - c) / h) ** -family.N
+                env1 = h**-1.5 * (0.5 + np.abs(mids - c) / h) ** -N
                 deriv_K = max(deriv_K, float(np.max(np.abs(dphi) / env1)))
                 if flagged:
                     zero_defect = max(
@@ -270,9 +275,9 @@ def adaptedness_check(
         "size_constant": size_K,
         "derivative_constant": deriv_K,
         "zero_integral_defect": zero_defect,
-        "size_within_declared": size_K <= family.K,
-        "derivative_within_declared": deriv_K <= family.K,
+        "size_within_declared": size_K <= K,
+        "derivative_within_declared": deriv_K <= K,
         "zeros_ok": zero_defect <= 1e-12,
-        "K": family.K,
-        "N": family.N,
+        "K": K,
+        "N": N,
     }

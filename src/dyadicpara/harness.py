@@ -113,10 +113,6 @@ class ExperimentConfig:
             raise ValueError(f"format must be json or csv, got {kwargs['format']!r}")
         return cls(**kwargs)
 
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        return cls.from_json(json.loads(Path(path).read_text()))
-
 
 def _json_real(value) -> float:
     """A JSON number as a float: TypeError for a bool or a non-number,
@@ -492,7 +488,7 @@ def suite_domination(cfg: ExperimentConfig) -> dict:
     p3 = 1.0 / max(1.0 - 1.0 / cfg.p1 - 1.0 / cfg.p2, 0.0) if (
         1.0 / cfg.p1 + 1.0 / cfg.p2 < 1.0
     ) else None
-    tspecs = slot_operator_specs(spec)[:3]
+    tspecs = slot_operator_specs(spec)
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)
         fs = [random_cells(rng, d, L) for _ in range(3)]
@@ -541,7 +537,7 @@ def suite_technical_lemma(cfg: ExperimentConfig) -> dict:
     checks = []
     d, L = cfg.d, cfg.L
     spec = standard_triple(d, cfg.family)
-    tspecs = slot_operator_specs(spec)[:3]
+    tspecs = slot_operator_specs(spec)
     lattice = lattice_rectangles(d, L)
     violations = 0
     realized = {"all-hold": 0, "one-fails": 0, "two-fail": 0}

@@ -79,12 +79,8 @@ class DyadicInterval:
     def center(self) -> float:
         return (2 * self.position + 1) * 2.0 ** -(self.level + 1)
 
-    def halves(self, max_level: Optional[int] = None):
+    def halves(self):
         """Left and right halves (I_minus, I_plus), one level finer."""
-        if max_level is not None and self.level >= max_level:
-            raise ResolutionError(
-                f"halving level-{self.level} interval exceeds grid level {max_level}"
-            )
         k, j = self.level + 1, 2 * self.position
         return DyadicInterval(k, j), DyadicInterval(k, j + 1)
 
@@ -117,10 +113,6 @@ class DyadicInterval:
     def from_json(cls, data) -> "DyadicInterval":
         k, j = data
         return cls(_json_index(k), _json_index(j))
-
-
-def halves(interval: DyadicInterval, max_level: Optional[int] = None):
-    return interval.halves(max_level=max_level)
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -202,17 +194,18 @@ def _interval_tuple(L: int) -> tuple:
     return tuple(DyadicInterval(k, j) for k in range(L + 1) for j in range(1 << k))
 
 
-def enumerate_rectangles(d: int, L: int, cap: Optional[int] = None) -> list:
+def enumerate_rectangles(d: int, L: int) -> list:
     """All rectangles with every side level in [0, L].
 
-    The count is (2^(L+1) - 1)^d, so a hard cap refuses runaway requests.
-    Each call returns a new list of the shared, immutable rectangles.
+    The count is (2^(L+1) - 1)^d, so the hard cap `level_cap(d)` refuses
+    runaway requests.  Each call returns a new list of the shared,
+    immutable rectangles.
     """
     if d < 1:
         raise ContractError("parameter count d must be >= 1")
     if L < 0:
         raise ContractError("level bound L must be >= 0")
-    limit = level_cap(d) if cap is None else cap
+    limit = level_cap(d)
     if L > limit:
         raise ResourceError(
             f"enumeration at d={d}, L={L} exceeds the cap {limit}"
@@ -355,10 +348,6 @@ class RectangleCollection:
 
     def to_json(self):
         return {"L": self.L, "members": [r.to_json() for r in self]}
-
-
-def shadow_measure(collection: RectangleCollection) -> float:
-    return collection.shadow_measure()
 
 
 def maximal_intervals_in_mask(mask: np.ndarray) -> list:

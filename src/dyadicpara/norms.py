@@ -7,8 +7,7 @@ import numpy as np
 from .errors import ContractError
 from .families import AdaptedFamily
 from .signals import Signal, _Adopted, lp_norm
-from .transforms import _fold_up, _gather, _per_rectangle, _rectangle_weights, _spread
-from .transforms import _weight_table
+from .transforms import _fold_up, _gather, _per_rectangle, _spread, _weight_table
 from .transforms import coefficients, lattice_rectangles
 
 
@@ -20,7 +19,7 @@ def _extended_square(f: Signal) -> np.ndarray:
     norm below stays faithful for signals that are not mean zero.
     """
     field = coefficients(f, AdaptedFamily.haar(f.d))
-    acc = field.tensor**2 * _rectangle_weights(f.d, f.L, 1.0, means=True)
+    acc = field.tensor**2 * _weight_table(f.d, f.L, 1.0, True)
     for axis in range(f.d):
         acc = _spread(acc, axis, f.L, np.add)
     return np.sqrt(acc)

@@ -1,11 +1,11 @@
-"""n-linear rectangle paraproducts and their sublinear majorants.
+"""Bilinear rectangle paraproducts and their sublinear majorants.
 
-With coefficient products c_v(R) = <f_v, phi_(v,R)> over the rectangle
-lattice, the three objects are
+With coefficients c_v(R) = <f_v, phi_(v,R)> over the rectangle lattice,
+for two input slots and one output slot, the three objects are
 
-    B(f_1..f_n)   = sum_R |R|^(-(n-1)/2) phi_(n+1,R) prod_v c_v(R)
-    Lambda(f_1..f_(n+1)) = sum_R |R|^(-(n-1)/2) prod_v |c_v(R)|
-    L(f_1..f_(n+1))(x)   = sum_R |R|^(-(n+1)/2) prod_v |c_v(R)| 1_R(x)
+    B(f_1, f_2)         = sum_R |R|^(-1/2) phi_(3,R) c_1(R) c_2(R)
+    Lambda(f_1, f_2, f_3) = sum_R |R|^(-1/2) |c_1(R) c_2(R) c_3(R)|
+    L(f_1, f_2, f_3)(x)   = sum_R |R|^(-3/2) |c_1(R) c_2(R) c_3(R)| 1_R(x)
 
 so that integral(L) = Lambda term by term.  Every coordinate must carry at
 least two mean-zero slots; violating specs are refused outright.
@@ -49,13 +49,13 @@ from .transforms import (
 
 @dataclass(frozen=True)
 class ParaproductSpec:
-    """Slot families for an n-linear form: n input slots plus one output."""
+    """Slot families of the bilinear form: two input slots and one output."""
 
     families: tuple
 
     def __post_init__(self):
-        if len(self.families) < 3:
-            raise ContractError("need at least 3 slots (bilinear case)")
+        if len(self.families) != 3:
+            raise ContractError(f"a bilinear spec has 3 slots, got {len(self.families)}")
         ds = {fam.d for fam in self.families}
         if len(ds) != 1:
             raise ContractError("all slot families must share d")
@@ -64,10 +64,6 @@ class ParaproductSpec:
                 raise ContractError(
                     f"coordinate {j} has fewer than two mean-zero slots"
                 )
-
-    @property
-    def n(self) -> int:
-        return len(self.families) - 1
 
     @property
     def d(self) -> int:
@@ -81,7 +77,6 @@ class ParaproductSpec:
 
     def to_json(self):
         return {
-            "n": self.n,
             "d": self.d,
             "slots": [
                 {"kind": fam.kind, "zero_pattern": list(fam.zero_pattern)}
@@ -124,8 +119,6 @@ def standard_triple(d: int, kind: str = "haar") -> ParaproductSpec:
 
 
 def _slot_fields(spec: ParaproductSpec, fs) -> list:
-    if len(fs) > len(spec.families):
-        raise ContractError("more signals than slots")
     d, L = fs[0].d, fs[0].L
     for f in fs:
         if (f.d, f.L) != (d, L):
@@ -140,17 +133,14 @@ def eval_B(
     fs,
     collection: Optional[RectangleCollection] = None,
 ) -> Signal:
-    """The n-linear paraproduct, reassembled against the last slot one
+    """The bilinear paraproduct, reassembled against the output slot one
     axis at a time."""
-    if len(fs) != spec.n:
-        raise ContractError(f"expected {spec.n} input signals")
-    fields = _slot_fields(spec, fs)
+    if len(fs) != 2:
+        raise ContractError("expected 2 input signals")
+    first, second = _slot_fields(spec, fs)
     d, L = fs[0].d, fs[0].L
     out_family = spec.families[-1]
-    weights = fields[0].tensor
-    for field in fields[1:]:
-        weights = weights * field.tensor
-    weights = weights * _rectangle_weights(d, L, (spec.n - 1) / 2.0, collection)
+    weights = first.tensor * second.tensor * _rectangle_weights(d, L, 0.5, collection)
 
     if out_family.is_orthonormal_basis:
         # the same synthesis, through `reconstruct`, whose call count the
@@ -174,9 +164,9 @@ def eval_Lambda(
     fs,
     collection: Optional[RectangleCollection] = None,
 ) -> float:
-    """The scalar sublinear form over n+1 signals."""
-    if len(fs) != spec.n + 1:
-        raise ContractError(f"expected {spec.n + 1} input signals")
+    """The scalar sublinear form over 3 signals."""
+    if len(fs) != 3:
+        raise ContractError("expected 3 input signals")
     d, L = fs[0].d, fs[0].L
     # the rectangle slots, or only the members' slots: a mean slot or a
     # rectangle outside the collection weighs 0 in the whole tensor
@@ -184,7 +174,7 @@ def eval_Lambda(
         index = (slice(1, None),) * d
     else:
         index = _member_slots(collection, d, L)[0]
-    weights = _weight_table(d, L, (spec.n - 1) / 2.0, False)[index]
+    weights = _weight_table(d, L, 0.5, False)[index]
     terms = _abs_product(spec, fs, index) * weights
     # every term is >= +0, so leaving out the zeros keeps fsum's exact sum
     return math.fsum(terms[terms != 0].tolist())
@@ -196,12 +186,10 @@ def eval_L(
     collection: Optional[RectangleCollection] = None,
 ) -> Signal:
     """The pointwise sublinear operator; integral(eval_L) == eval_Lambda."""
-    if len(fs) != spec.n + 1:
-        raise ContractError(f"expected {spec.n + 1} input signals")
+    if len(fs) != 3:
+        raise ContractError("expected 3 input signals")
     d, L = fs[0].d, fs[0].L
-    acc = _abs_product(spec, fs) * _rectangle_weights(
-        d, L, (spec.n + 1) / 2.0, collection
-    )
+    acc = _abs_product(spec, fs) * _rectangle_weights(d, L, 1.5, collection)
     for axis in range(d):
         acc = _spread(acc, axis, L, np.add)
     return Signal(d, L, _Adopted(acc))
@@ -230,11 +218,9 @@ def slot_operator_specs(spec: ParaproductSpec) -> tuple:
 
 def domination_check(spec: ParaproductSpec, f1, f2, f3) -> dict:
     """Verify pointwise eval_L <= prod_k T_k f_k on the whole grid."""
-    if spec.n != 2:
-        raise ContractError("the domination check is bilinear")
     fs = (f1, f2, f3)
     lhs = eval_L(spec, fs).values
-    tspecs = slot_operator_specs(spec)[:3]
+    tspecs = slot_operator_specs(spec)
     rhs = np.ones_like(lhs)
     for f, tspec in zip(fs, tspecs):
         rhs = rhs * governing_operator(f, tspec).values
@@ -262,8 +248,8 @@ def haar_surgery(spec: ParaproductSpec, f1: Signal, f2: Signal) -> dict:
     test: the paraproduct restricted to intervals not inside F, applied to
     the averaged inputs, agrees with the full paraproduct off F.
     """
-    if spec.d != 1 or spec.n != 2:
-        raise ContractError("surgery is for bilinear one-parameter specs")
+    if spec.d != 1:
+        raise ContractError("surgery is for one-parameter specs")
     L = f1.L
     mf = AdaptedFamily.abs_haar(1)
     m1 = maximal_function(f1, mf).values

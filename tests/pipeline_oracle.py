@@ -50,7 +50,7 @@ def restricted_weak_type_pipeline(
     summation bound of each class.  Returns the per-class table, the total
     mass, and the duality pairing comparisons.
     """
-    if spec.n != 2 or spec.d != f1.d:
+    if spec.d != f1.d:
         raise ContractError("pipeline needs a bilinear spec matching the inputs")
     for f, p, name in ((f1, cfg.p1, "f1"), (f2, cfg.p2, "f2")):
         nrm = lp_norm(f, p)
@@ -172,7 +172,7 @@ def endpoint_pipeline(
     alone, and the second slot enters every bound through its restricted
     L^2 norm, reported also as a multiple of |sh|^(1/2) ||f2||_inf.
     """
-    if spec.n != 2 or spec.d != f1.d:
+    if spec.d != f1.d:
         raise ContractError("pipeline needs a bilinear spec matching the inputs")
     if abs(lp_norm(f1, cfg.p1) - 1.0) > 1e-8:
         raise ContractError("f1 must be normalized in L^p1")

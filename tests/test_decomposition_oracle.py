@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from dyadicpara import ContractError, RectangleCollection, ResolutionError, Signal
 from dyadicpara import decomposition, lattice_rectangles, lp_norm, rectangle, transforms
 from dyadicpara.decomposition import FRACTION
-from dyadicpara.lattice import enumerate_rectangles
+from dyadicpara.lattice import _rectangle_tuple
 
 import decomposition_oracle as oracle
 
@@ -38,7 +38,7 @@ def _operator_values(rng, d, L, kappa):
 
 def _collection(rng, d, L, top):
     """Random members with side levels up to `top` (L includes one-cell sides)."""
-    rects = enumerate_rectangles(d, top, cap=top)
+    rects = _rectangle_tuple(d, top)
     return RectangleCollection.of([r for r in rects if rng.random() < 0.3], L)
 
 
@@ -140,7 +140,7 @@ def test_masks_equal_oracle_property(grid, seed, at_grid_level, empty):
 @pytest.mark.parametrize("d, L", [(1, 0), (1, 5), (2, 0), (2, 3), (3, 2)])
 def test_slot_table_equals_the_old_comprehension(d, L):
     rng = np.random.default_rng(d * 10 + L)
-    rects = enumerate_rectangles(d, L, cap=L)
+    rects = _rectangle_tuple(d, L)
     collections = [
         RectangleCollection.of([], L),
         RectangleCollection.of(rects[:1], L),

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -18,8 +19,6 @@ def test_kind_validation():
         AdaptedFamily.make("triangle", 1)
     with pytest.raises(ContractError):
         AdaptedFamily("haar", 1, (True, True))
-    with pytest.raises(ContractError):
-        AdaptedFamily("haar", 1, (True,), K=0.5)
 
 
 @pytest.mark.parametrize("entry", ["no", "", 0, 1, 0.0, None, [], np.int64(1)])
@@ -35,6 +34,13 @@ def test_zero_pattern_takes_numpy_bools():
     fam = AdaptedFamily.make("haar", 2, np.array([True, False]))
     assert fam == AdaptedFamily.make("haar", 2, (True, False))
     assert hash(fam) == hash(AdaptedFamily.make("haar", 2, (True, False)))
+    assert fam.zero_pattern == (True, False)
+    assert all(type(z) is bool for z in fam.zero_pattern)
+
+
+def test_a_family_is_its_kind_d_and_zero_pattern():
+    # the envelope constants K and N are the module's, not a family's
+    assert [f.name for f in dataclasses.fields(AdaptedFamily)] == ["kind", "d", "zero_pattern"]
 
 
 @pytest.mark.parametrize("kind", ["haar", "abs-haar", "gaussian-smooth", "gaussian-bump"])
@@ -86,20 +92,14 @@ def test_adaptedness_haar():
     assert report["zeros_ok"]
 
 
-def test_adaptedness_gaussian():
-    report = adaptedness_check(AdaptedFamily.smooth(1, N=8), 5)
+def test_adaptedness_gaussian(monkeypatch):
+    report = adaptedness_check(AdaptedFamily.smooth(1), 5)
     assert np.isfinite(report["size_constant"])
     assert np.isfinite(report["derivative_constant"])
     assert report["zeros_ok"]
-    declared = AdaptedFamily.smooth(1, N=8)
-    tuned = AdaptedFamily(
-        "gaussian-smooth",
-        1,
-        declared.zero_pattern,
-        K=report["size_constant"] * 1.01,
-        N=8,
-    )
-    retry = adaptedness_check(tuned, 5)
+    assert (report["K"], report["N"]) == (families.K, families.N) == (1.0, 8)
+    monkeypatch.setattr(families, "K", report["size_constant"] * 1.01)
+    retry = adaptedness_check(AdaptedFamily.smooth(1), 5)
     assert retry["size_within_declared"]
 
 

@@ -226,9 +226,8 @@ def test_folds_match_their_moveaxis_form(fold_only, d, L):
 def test_haar_synthesis_keeps_every_signed_zero(monkeypatch, d, L, size_max):
     # -0.0 beside the mean and x + (-y) for x - y: the fold over signed
     # child slots gives the cascade's bytes, the sign of every zero
-    # included.  The gather (size_max 2^10, on the small grids) equals it
-    # in value: numpy starts an add-reduction from +0.0, so a cell whose
-    # terms are all -0.0 gets +0.0 there.
+    # included.  So does the gather (size_max 2^10, on the small grids),
+    # whose add-reduction starts from -0.0
     monkeypatch.setattr(transforms, "_HAAR_MATRIX_MAX_N", 0)
     monkeypatch.setattr(transforms, "_SMALL_SIZE_MAX", size_max)
     rng = np.random.default_rng(10 * d + L)
@@ -240,7 +239,6 @@ def test_haar_synthesis_keeps_every_signed_zero(monkeypatch, d, L, size_max):
         for axis in range(d):
             got = transforms._step_synthesis_axis(values, axis, L, True)
             want = oracle._haar_synthesis_cascade(values, axis, L)
-            if values.size > size_max:
-                assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == want.tobytes()
             assert np.array_equal(got, want)
             assert values.tobytes() == before

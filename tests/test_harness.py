@@ -122,14 +122,12 @@ def test_trial_seed_words_are_read_only_and_the_cache_is_bounded():
 # -- configs and reports ------------------------------------------------------
 
 
-def test_config_round_trip(tmp_path):
+def test_config_round_trip():
     cfg = ExperimentConfig(suite="domination", d=2, L=4, L_list=(3, 4), seed=9)
     data = cfg.to_json()
     clone = ExperimentConfig.from_json(data)
     assert clone == cfg
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(data))
-    assert ExperimentConfig.from_file(path) == cfg
+    assert ExperimentConfig.from_json(json.loads(json.dumps(data))) == cfg
 
 
 def test_report_determinism():

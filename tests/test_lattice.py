@@ -18,11 +18,9 @@ from dyadicpara import (
     dilate,
     enumerate_intervals,
     enumerate_rectangles,
-    halves,
     interval,
     maximal_intervals_in_mask,
     rectangle,
-    shadow_measure,
 )
 from dyadicpara.lattice import _rectangle_tuple
 
@@ -36,7 +34,7 @@ from dyadicpara.lattice import _rectangle_tuple
     ],
 )
 def test_halves_examples(parent, left, right):
-    lo, hi = halves(interval(*parent))
+    lo, hi = interval(*parent).halves()
     assert (lo.level, lo.position) == left
     assert (hi.level, hi.position) == right
     assert lo.left == interval(*parent).left
@@ -51,11 +49,6 @@ def test_halves_partition_parent():
         assert lo.length == hi.length == iv.length / 2
         assert lo.right == hi.left
         assert lo.parent() == hi.parent() == iv
-
-
-def test_halves_refuses_beyond_grid():
-    with pytest.raises(ResolutionError):
-        halves(interval(4, 3), max_level=4)
 
 
 def test_interval_validation():
@@ -83,8 +76,6 @@ def test_enumerate_rectangle_counts(d, L, count):
 def test_enumerate_cap():
     with pytest.raises(ResourceError):
         enumerate_rectangles(2, 9)
-    with pytest.raises(ResourceError):
-        enumerate_rectangles(1, 4, cap=3)
     assert len(enumerate_rectangles(3, 2)) == 7**3
 
 
@@ -224,13 +215,13 @@ def test_nested_or_disjoint_property(k1, j1, k2, j2):
 
 
 def test_shadow_examples():
-    assert shadow_measure(RectangleCollection.of([], 4)) == 0.0
+    assert RectangleCollection.of([], 4).shadow_measure() == 0.0
     nested = RectangleCollection.of(
         [rectangle((1, 0), (0, 0)), rectangle((2, 1), (1, 0))], 4
     )
-    assert shadow_measure(nested) == 0.5
+    assert nested.shadow_measure() == 0.5
     split = RectangleCollection.of([rectangle((1, 0)), rectangle((1, 1))], 3)
-    assert shadow_measure(split) == 1.0
+    assert split.shadow_measure() == 1.0
 
 
 def test_shadow_monotone_subadditive(rng):

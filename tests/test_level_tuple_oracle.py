@@ -93,22 +93,13 @@ def test_governing_operator_matches_oracle(rng, d, L, kind, collection_kind):
 def _paraproduct_specs(d):
     yield standard_triple(d, "haar")
     yield standard_triple(d, "gaussian")
-    # trilinear, all four kinds; Haar output reconstructs by the cascade
+    # mixed kinds, all four between them; a Haar output reconstructs by
+    # the cascade
     yield ParaproductSpec(
-        (
-            AdaptedFamily.smooth_bump(d),
-            AdaptedFamily.abs_haar(d),
-            AdaptedFamily.smooth(d),
-            AdaptedFamily.haar(d),
-        )
+        (AdaptedFamily.smooth_bump(d), AdaptedFamily.smooth(d), AdaptedFamily.haar(d))
     )
     yield ParaproductSpec(
-        (
-            AdaptedFamily.haar(d),
-            AdaptedFamily.abs_haar(d),
-            AdaptedFamily.haar(d),
-            AdaptedFamily.smooth(d),
-        )
+        (AdaptedFamily.haar(d), AdaptedFamily.abs_haar(d), AdaptedFamily.smooth(d))
     )
 
 
@@ -117,7 +108,7 @@ def _paraproduct_specs(d):
 def test_paraproducts_match_oracle(rng, d, L, collection_kind):
     collection = _collection(collection_kind, d, L, rng)
     for spec in _paraproduct_specs(d):
-        fs = _signals(rng, d, L, spec.n + 1)
+        fs = _signals(rng, d, L, 3)
         # only the Haar output reconstructs in the oracle's order; every
         # other output is synthesised per axis, which sums in another order
         _assert_matches(
@@ -211,14 +202,13 @@ def test_governing_operator_matches_oracle_property(data, d, L, rng):
 
 
 def _drawn_paraproduct(data, d):
-    """An n-linear spec, n = 2 or 3, with n + 1 drawn slot families."""
-    n = data.draw(st.integers(2, 3), label="n")
-    slots = [_drawn_family(data, d) for _ in range(n + 1)]
+    """A bilinear spec with 3 drawn slot families."""
+    slots = [_drawn_family(data, d) for _ in range(3)]
     # every coordinate needs two mean-zero slots: flag the first two of a
     # drawn slot order
     patterns = [list(fam.zero_pattern) for fam in slots]
     for j in range(d):
-        for v in data.draw(st.permutations(range(n + 1)), label=f"zero slots {j}")[:2]:
+        for v in data.draw(st.permutations(range(3)), label=f"zero slots {j}")[:2]:
             patterns[v][j] = True
     return ParaproductSpec(
         tuple(AdaptedFamily.make(fam.kind, d, tuple(p)) for fam, p in zip(slots, patterns))
@@ -229,7 +219,7 @@ def _drawn_paraproduct(data, d):
 def test_eval_B_matches_oracle_property(data, d, L, rng):
     spec = _drawn_paraproduct(data, d)
     collection = _drawn_collection(data, d, L, rng)
-    fs = _signals(rng, d, L, spec.n)
+    fs = _signals(rng, d, L, 2)
     got = eval_B(spec, fs, collection).values
     want = oracle.eval_B(spec, fs, collection).values
     _assert_matches(got, want, spec.families[-1].is_orthonormal_basis)
@@ -239,7 +229,7 @@ def test_eval_B_matches_oracle_property(data, d, L, rng):
 def test_eval_L_matches_oracle_property(data, d, L, rng):
     spec = _drawn_paraproduct(data, d)
     collection = _drawn_collection(data, d, L, rng)
-    fs = _signals(rng, d, L, spec.n + 1)
+    fs = _signals(rng, d, L, 3)
     got = eval_L(spec, fs, collection).values
     want = oracle.eval_L(spec, fs, collection).values
     _assert_matches(got, want, d == 1)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -49,7 +50,18 @@ def test_census_accepts_standard_and_rejects_violations():
 def test_zero_slots_census(triple2):
     assert triple2.zero_slots(0) == (1, 2)
     assert triple2.zero_slots(1) == (1, 2)
-    assert triple2.n == 2 and triple2.d == 2
+    assert triple2.d == 2
+
+
+@pytest.mark.parametrize("slots", [2, 4])
+def test_spec_refuses_any_slot_count_but_three(slots):
+    # the estimate is bilinear: two input slots and one output
+    fams = (AdaptedFamily.haar(1),) * slots
+    with pytest.raises(ContractError, match="3 slots"):
+        ParaproductSpec(fams)
+    data = {"d": 1, "slots": [{"kind": "haar", "zero_pattern": [True]}] * slots}
+    with pytest.raises(ContractError, match="3 slots"):
+        ParaproductSpec.from_json(data)
 
 
 def test_eval_b_single_term(triple1):
@@ -129,9 +141,7 @@ def _whole_tensor_lambda(spec, fs, collection=None):
     weights, with every term summed: the form before it read only the
     members' slots and left out the zeros."""
     d, L = fs[0].d, fs[0].L
-    terms = _abs_product(spec, fs) * _rectangle_weights(
-        d, L, (spec.n - 1) / 2.0, collection
-    )
+    terms = _abs_product(spec, fs) * _rectangle_weights(d, L, 0.5, collection)
     return math.fsum(terms.ravel().tolist())
 
 
@@ -236,7 +246,23 @@ def test_spec_json_round_trip(triple2):
     data = triple2.to_json()
     clone = ParaproductSpec.from_json(data)
     assert clone == triple2
-    assert data["n"] == 2 and data["d"] == 2 and len(data["slots"]) == 3
+    assert set(data) == {"d", "slots"} and data["d"] == 2 and len(data["slots"]) == 3
+    # a file written with the slot count "n" still loads
+    assert ParaproductSpec.from_json({**data, "n": 2}) == triple2
+
+
+def test_spec_json_of_numpy_bool_zero_patterns():
+    # numpy.bool_ entries are stored as bool, so json.dumps writes them
+    pattern = np.array([True, False])
+    spec = ParaproductSpec(
+        (
+            AdaptedFamily.make("haar", 2, pattern),
+            AdaptedFamily.make("haar", 2, ~pattern),
+            AdaptedFamily.haar(2),
+        )
+    )
+    text = json.dumps(spec.to_json())
+    assert ParaproductSpec.from_json(json.loads(text)) == spec
 
 
 @pytest.mark.parametrize("d", [2.7, 2.0, True, "2", None])

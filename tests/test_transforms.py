@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,12 @@ from dyadicpara import (
     rectangle,
     transforms,
 )
-from dyadicpara.transforms import _matrix_axis, _rectangle_weights, _step_analysis_axis
+from dyadicpara.transforms import (
+    _matrix_axis,
+    _rectangle_weights,
+    _step_analysis_axis,
+    _weight_table,
+)
 
 import cascade_oracle
 
@@ -114,6 +120,15 @@ def test_field_json_round_trip(rng):
     for key, _ in data["entries"]:
         assert all(part is not None for part in key)
     assert any(any(part is None for part in key) for key, _ in data["mean_blocks"])
+
+
+def test_field_json_of_a_numpy_bool_zero_pattern(rng):
+    # numpy.bool_ entries are stored as bool, so json.dumps writes them
+    family = AdaptedFamily.make("haar", 2, np.array([True, False]))
+    field = coefficients(Signal(2, 2, rng.standard_normal((4, 4))), family)
+    clone = CoefficientField.from_json(json.loads(json.dumps(field.to_json())))
+    assert clone.family == family
+    assert np.array_equal(clone.tensor, field.tensor)
 
 
 @pytest.mark.parametrize(
@@ -526,7 +541,10 @@ def test_rectangle_weights_equal_scalar_powers(rng, d, L, power):
     slots = {tuple((1 << a.level) + a.position for a in r.axes) for r in members}
     for means, col in ((False, None), (True, None), (False, collection)):
         for _ in range(2):  # the second call reads the cached table
-            got = _rectangle_weights(d, L, power, col, means=means)
+            if means:  # the mean slots count as level 0, as `norms` reads them
+                got = _weight_table(d, L, power, True)
+            else:
+                got = _rectangle_weights(d, L, power, col)
             for idx in np.ndindex(got.shape):
                 kept = idx in slots if col is not None else means or min(idx) > 0
                 want = 2.0 ** (sum(level(i) for i in idx) * power) if kept else 0.0
